@@ -40,6 +40,15 @@ def test_canonical_labeling(benchmark, context, prepared_q8):
     assert code
 
 
+def test_lattice_prune(benchmark, context, prepared_q8):
+    """Phase 1: keyword pruning of the level-5 lattice, every Q8 interpretation."""
+    binder = context.debugger(5).binder
+    interpretations = prepared_q8.mapping.interpretations
+
+    pruned = benchmark(lambda: [binder.prune(i) for i in interpretations])
+    assert [p.retained for p in pruned] == [p.retained for p in prepared_q8.pruned]
+
+
 def test_exploration_graph_build(benchmark, context, prepared_q8):
     """Phase 2: building the exploration graph from pruned lattices."""
     pruned = prepared_q8.pruned

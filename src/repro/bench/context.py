@@ -9,6 +9,7 @@ by every strategy that measures Phase 3 on them.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 from repro.bench.cost_model import SimpleCostModel
@@ -43,10 +44,17 @@ class PreparedQuery:
     mapping: KeywordMapping
     pruned: list[PrunedLattice]
     graph: ExplorationGraph
+    #: Phase-2 seconds: every interpretation's MTNs plus the graph over them.
+    mtn_time: float
 
     @property
     def mtn_count(self) -> int:
         return len(self.graph.mtn_indexes)
+
+    @property
+    def prune_time(self) -> float:
+        """Phase-1 seconds, summed over interpretations."""
+        return sum(pruned.pruning_time for pruned in self.pruned)
 
     def retained_union(self) -> int:
         trees = set()
@@ -142,8 +150,12 @@ class BenchContext:
             debugger = self.debugger(level)
             mapping = debugger.map_keywords(query.text)
             pruned = debugger.prune(mapping) if mapping.complete else []
+            started = time.perf_counter()
             graph = debugger.build_graph(pruned)
-            self._prepared[key] = PreparedQuery(level, query, mapping, pruned, graph)
+            mtn_time = time.perf_counter() - started
+            self._prepared[key] = PreparedQuery(
+                level, query, mapping, pruned, graph, mtn_time=mtn_time
+            )
         return self._prepared[key]
 
     def run_strategy(

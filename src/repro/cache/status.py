@@ -319,11 +319,19 @@ class StatusCache:
 
     # ------------------------------------------------------- housekeeping
     def __len__(self) -> int:
+        """Number of persisted facts (node classifications), all workloads."""
         with self._lock:
             self._ensure_open_locked()
             row = self._connection.execute(
                 "SELECT COUNT(*) FROM status_facts"
             ).fetchone()
+            return int(row[0])
+
+    def workload_count(self) -> int:
+        """Number of workloads with a persisted run."""
+        with self._lock:
+            self._ensure_open_locked()
+            row = self._connection.execute("SELECT COUNT(*) FROM runs").fetchone()
             return int(row[0])
 
     def clear(self) -> int:

@@ -8,8 +8,11 @@ For one *interpretation* (a relation choice per keyword, from
    across interpretations and across the MTNs of one interpretation;
 2. bind the empty keyword to ``R0`` of every relation (free tuple sets);
 3. prune the lattice: keep exactly the nodes whose every instance is a bound
-   or free copy.  Implemented as an upward walk from the retained base
-   nodes, mirroring the paper's "prune base nodes, then their ancestors".
+   or free copy.  The paper prunes the base nodes, then their ancestors;
+   as every connected subtree of a lattice tree is a lattice tree, that walk
+   keeps exactly these nodes.  The lattice's slot-signature index
+   (:meth:`Lattice.nodes_within`) names them up front, so the walk only
+   steps onto retained parents, fixing their order.
 
 For lattice levels where materializing Phase 0 is not worthwhile, the same
 retained set can be generated *directly* from the binding's alphabet
@@ -24,8 +27,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
+from types import MappingProxyType
 
-from repro.core.freecopies import free_instance, free_instances, next_free_instance
+from repro.core.freecopies import free_instance, next_free_instance
 from repro.core.lattice import Lattice
 from repro.index.mapper import Interpretation
 from repro.relational.jointree import BoundQuery, JoinEdge, JoinTree, RelationInstance
@@ -44,14 +49,14 @@ class KeywordBinding:
     interpretation: Interpretation
     by_keyword: tuple[tuple[str, RelationInstance], ...]
 
-    @property
+    @cached_property
     def instances(self) -> frozenset[RelationInstance]:
         """The keyword-bound copies (what totality is measured against)."""
         return frozenset(instance for _, instance in self.by_keyword)
 
-    @property
-    def keyword_map(self) -> dict[RelationInstance, str]:
-        return {instance: keyword for keyword, instance in self.by_keyword}
+    @cached_property
+    def keyword_map(self) -> MappingProxyType[RelationInstance, str]:
+        return MappingProxyType({inst: kw for kw, inst in self.by_keyword})
 
     def describe(self) -> str:
         return ", ".join(f"{kw}->{inst}" for kw, inst in self.by_keyword)
@@ -61,9 +66,10 @@ class KeywordBinding:
 class PrunedLattice:
     """The retained sub-lattice for one interpretation.
 
-    ``retained`` maps join trees to lattice node ids when the walk ran over a
-    materialized lattice, or to ``-1`` when the retained set was generated
-    directly (both carry the same trees; nothing downstream needs the ids).
+    ``retained`` maps join trees to lattice node ids when it was read off a
+    materialized lattice's slot-signature index, or to ``-1`` when it was
+    generated directly (both hold the trees the paper's upward walk from the
+    base nodes keeps; nothing downstream needs the ids).
     ``complete`` is False when the set was produced by the MTN-targeted fast
     path (:meth:`KeywordBinder.prune_for_mtns`): it still contains every MTN
     but not every retained tree, so only MTN extraction may rely on it.
@@ -89,9 +95,6 @@ class PrunedLattice:
             return 0.0
         return (self.lattice_size - len(self.retained)) / self.lattice_size
 
-    def retained_trees(self) -> list[JoinTree]:
-        return list(self.retained)
-
     def instantiate(self, tree: JoinTree) -> BoundQuery:
         """The run-time SQL query of a retained node (keywords filled in)."""
         cached = self._bound_cache.get(tree)
@@ -112,11 +115,10 @@ def bind_tree(
     tree: JoinTree, binding: KeywordBinding, mode: MatchMode = MatchMode.TOKEN
 ) -> BoundQuery:
     """Attach the binding's keywords to the matching instances of ``tree``."""
-    keyword_map = binding.keyword_map
     bindings = {
-        instance: keyword_map[instance]
-        for instance in tree.instances
-        if instance in keyword_map
+        instance: keyword
+        for instance, keyword in binding.keyword_map.items()
+        if instance in tree.instances
     }
     return BoundQuery.from_mapping(tree, bindings, mode)
 
@@ -182,34 +184,28 @@ class KeywordBinder:
         return KeywordBinding(interpretation, tuple(assignments))
 
     def prune(self, interpretation: Interpretation) -> PrunedLattice:
-        """Phase 1 over the materialized lattice (upward BFS from the base).
+        """Phase 1 over the materialized lattice (slot-signature lookup).
 
-        Falls back to :meth:`prune_direct` when no lattice was materialized.
+        The signature index yields the retained ids; the upward walk from
+        the base nodes then only orders them (tied MTNs keep the walk's
+        order) and steps onto retained parents alone.  Falls back to
+        :meth:`prune_direct` when no lattice was materialized.
         """
         if self.lattice is None:
             return self.prune_direct(interpretation)
         started = time.perf_counter()
         binding = self.bind(interpretation)
-        allowed = self._allowed_instances(binding)
-
-        retained: dict[JoinTree, int] = {}
-        frontier: list[int] = []
-        for node in self.lattice.base_nodes():
-            (instance,) = node.tree.instances
-            if instance in allowed:
-                retained[node.tree] = node.node_id
-                frontier.append(node.node_id)
-        seen = set(frontier)
+        nodes = self.lattice.nodes
+        unseen = self.lattice.nodes_within(binding.instances)
+        order = [n.node_id for n in self.lattice.base_nodes() if n.node_id in unseen]
+        unseen.difference_update(order)
+        frontier = list(order)
         while frontier:
-            current = frontier.pop()
-            for parent_id in self.lattice.node(current).parents:
-                if parent_id in seen:
-                    continue
-                parent_tree = self.lattice.node(parent_id).tree
-                if all(instance in allowed for instance in parent_tree.instances):
-                    seen.add(parent_id)
-                    retained[parent_tree] = parent_id
-                    frontier.append(parent_id)
+            for parent_id in [p for p in nodes[frontier.pop()].parents if p in unseen]:
+                unseen.discard(parent_id)
+                order.append(parent_id)
+                frontier.append(parent_id)
+        retained = {nodes[node_id].tree: node_id for node_id in order}
         return PrunedLattice(
             schema=self.schema,
             binding=binding,
@@ -320,9 +316,3 @@ class KeywordBinder:
             lattice_size=len(self.lattice) if self.lattice else None,
             complete=not mtn_targeted,
         )
-
-    def _allowed_instances(self, binding: KeywordBinding) -> set[RelationInstance]:
-        allowed = set(binding.instances)
-        for relation in self.schema.relations:
-            allowed.update(free_instances(relation, self.free_copies))
-        return allowed

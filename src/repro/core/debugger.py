@@ -325,10 +325,10 @@ class NonAnswerDebugger:
     def prune(self, mapping: KeywordMapping) -> list[PrunedLattice]:
         """Phase 1b: one pruned lattice per interpretation.
 
-        With a materialized lattice this walks it upward; in direct mode it
-        generates only the MTN-relevant trees (the rest of the pipeline
-        needs nothing else; use ``binder.prune_direct`` for the complete
-        retained set).
+        With a materialized lattice the retained nodes come off its
+        slot-signature index (:meth:`Lattice.nodes_within`); in direct mode
+        it generates only the MTN-relevant trees (the rest of the pipeline
+        needs nothing else; ``binder.prune_direct`` gives the complete set).
         """
         if self.lattice is not None:
             prune = self.binder.prune

@@ -33,19 +33,12 @@ from repro.relational.predicates import MatchMode
 def is_minimal_total(tree: JoinTree, binding: KeywordBinding) -> bool:
     """True iff ``tree`` is total and all of its leaves are keyword-bound."""
     bound = binding.instances
-    if not bound <= tree.instances:
-        return False
-    return all(leaf in bound for leaf in tree.leaves())
+    return bound <= tree.instances and all(leaf in bound for leaf in tree.leaves())
 
 
 def find_mtns(pruned: PrunedLattice) -> list[JoinTree]:
     """The minimal-total trees of a pruned lattice (deterministic order)."""
-    binding = pruned.binding
-    mtns = [
-        tree
-        for tree in pruned.retained
-        if is_minimal_total(tree, binding)
-    ]
+    mtns = [tree for tree in pruned.retained if is_minimal_total(tree, pruned.binding)]
     return sorted(mtns, key=lambda tree: (tree.size, tree.describe()))
 
 

@@ -523,7 +523,10 @@ class SessionManager:
             }
         status_cache = self.debugger.status_cache
         if status_cache is not None:
-            payload["status_cache"] = {"workloads": len(status_cache)}
+            payload["status_cache"] = {
+                "workloads": status_cache.workload_count(),
+                "facts": len(status_cache),
+            }
         pool_stats = getattr(self.debugger.backend, "pool_stats", None)
         if callable(pool_stats):
             pool = pool_stats()

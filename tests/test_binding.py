@@ -1,8 +1,14 @@
 """Unit tests for Phase 1: keyword binding and lattice pruning."""
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.binding import BindingError, KeywordBinder, bind_tree
+from repro.core.lattice import generate_lattice
+from repro.core.mtn import find_mtns
+from repro.core.persistence import load_lattice, save_lattice
+from repro.datasets.dblife import dblife_schema
 from repro.index.mapper import Interpretation
 from repro.relational.jointree import RelationInstance
 
@@ -150,3 +156,88 @@ class TestBindTree:
         )
         query = bind_tree(partial, binding)
         assert 0 < len(query.bindings) < len(binding.by_keyword) + 1
+
+
+# --------------------------------------------- indexed prune vs. definition
+DBLIFE = dblife_schema()
+
+
+@st.composite
+def dblife_interpretations(draw):
+    """1-3 keywords over the DBLife schema; relations may repeat."""
+    relations = draw(
+        st.lists(st.sampled_from(sorted(DBLIFE.relations)), min_size=1, max_size=3)
+    )
+    return Interpretation(tuple((f"kw{i}", name) for i, name in enumerate(relations)))
+
+
+@pytest.fixture(scope="module")
+def level3_lattices(tmp_path_factory):
+    """Level-3 DBLife lattices under every knob setting, plus one reloaded."""
+    lattices = [
+        generate_lattice(
+            DBLIFE, 2, max_keywords=3, distinct_slots=distinct, free_copies=free
+        )
+        for distinct in (True, False)
+        for free in (True, False)
+    ]
+    path = tmp_path_factory.mktemp("lattice") / "level3.json"
+    save_lattice(lattices[0], path)
+    return lattices + [load_lattice(path, DBLIFE)]
+
+
+def paper_walk(lattice, allowed):
+    """Reference Phase 1: upward walk from the base, testing every parent."""
+    retained = {}
+    frontier = []
+    for node in lattice.base_nodes():
+        if node.tree.instances <= allowed:
+            retained[node.tree] = node.node_id
+            frontier.append(node.node_id)
+    seen = set(frontier)
+    while frontier:
+        for parent_id in lattice.node(frontier.pop()).parents:
+            parent = lattice.node(parent_id)
+            if parent_id not in seen and parent.tree.instances <= allowed:
+                seen.add(parent_id)
+                retained[parent.tree] = parent_id
+                frontier.append(parent_id)
+    return retained
+
+
+class TestIndexedPruneProperty:
+    """The slot-signature lookup keeps exactly the paper's retained set."""
+
+    @settings(
+        max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+    )
+    @given(interpretation=dblife_interpretations())
+    @example(interpretation=interp(("a", "Person"), ("b", "Person")))
+    @example(
+        interpretation=interp(("a", "Person"), ("b", "Publication"), ("c", "Person"))
+    )
+    def test_matches_brute_force_and_direct_mtns(self, level3_lattices, interpretation):
+        direct = KeywordBinder(schema=DBLIFE, max_joins=2, max_keywords=3)
+        direct_mtns = find_mtns(direct.prune_direct(interpretation))
+        for lattice in level3_lattices:
+            pruned = KeywordBinder(lattice).prune(interpretation)
+            allowed = pruned.binding.instances | {
+                RelationInstance(name, 0) for name in DBLIFE.relations
+            }
+            assert pruned.retained == {
+                node.tree: node.node_id
+                for node in lattice.iter_nodes()
+                if node.tree.instances <= allowed
+            }
+            # Same enumeration order as the walk: it numbers tied MTNs.
+            walked = paper_walk(lattice, allowed)
+            assert list(pruned.retained.items()) == list(walked.items())
+            # Direct mode always has the free copies a lattice may lack.  The
+            # paths list tied MTNs (same instances, e.g. Coauthor joined on
+            # person1_id or person2_id) in their own orders: compare as sets.
+            expected = {
+                tree
+                for tree in direct_mtns
+                if lattice.free_copies or not any(i.is_free for i in tree.instances)
+            }
+            assert set(find_mtns(pruned)) == expected

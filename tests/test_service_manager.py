@@ -350,10 +350,19 @@ class TestStats:
             products_db, max_joins=2, cache_dir=str(tmp_path)
         )
         with SessionManager(debugger, workers=2) as manager:
-            manager.submit(QUERY).wait(30)
+            graphs = []
+            for query in (QUERY, QUERY, "red candle"):
+                handle = manager.submit(query)
+                handle.wait(30)
+                graphs.append(handle.report.graph)
             stats = manager.stats()
             assert stats["probe_cache"]["entries"] > 0
-            assert stats["status_cache"]["workloads"] >= 1
+            # One run per distinct workload (the repeat replaces its own);
+            # a complete run persists one fact per exploration-graph node.
+            assert stats["status_cache"] == {
+                "workloads": 2,
+                "facts": len(graphs[0]) + len(graphs[2]),
+            }
 
 
 def test_concurrent_submitters_race_cleanly(products_db):

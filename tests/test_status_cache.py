@@ -125,6 +125,14 @@ class TestStatusCache:
             load = cache.load("w")
         assert [f.node_key for f in load.facts] == ["n1"]
 
+    def test_workloads_count_runs_and_len_counts_facts(self, tmp_path):
+        with StatusCache.open_dir(tmp_path, product_database()) as cache:
+            cache.save("w", self.facts())
+            cache.save("v", self.facts()[:1])
+            cache.save("w", self.facts())
+            assert cache.workload_count() == 2
+            assert len(cache) == 4
+
     def test_clear_counts_before_delete(self, tmp_path):
         with StatusCache.open_dir(tmp_path, product_database()) as cache:
             cache.save("w", self.facts())
