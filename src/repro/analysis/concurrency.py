@@ -36,15 +36,6 @@ Rules:
 * ``CONC003`` -- ``Condition.wait()`` outside a ``while`` predicate loop:
   spurious wakeups and stolen notifications then corrupt state.
 * ``CONC004`` -- a ``*_locked`` method called without the lock held.
-* ``CONC006`` -- a shard protocol message (any class subclassing the
-  ``Message`` marker, transitively) is not a frozen dataclass, or one of
-  its field annotations steps outside the transport-safe grammar:
-  ``int``/``float``/``str``/``bool``/``bytes``/``None``,
-  ``tuple[...]`` of transport-safe types, ``X | None`` unions of those,
-  and other message classes.  Anything richer (dicts, lists, sets, live
-  objects) pickles by reference semantics or not at all, and would also
-  defeat the restricted unpickler on the socket framing path -- the
-  static twin of :func:`repro.parallel.protocol.validate_payload`.
 
 The held-lock tracking is intentionally coarse -- *some* lock of the
 class is held, not *which* -- because every thread-shared class in this
@@ -402,139 +393,12 @@ def _check_bare_acquires(
                 )
 
 
-#: Annotation names a protocol message field may use directly.
-_TRANSPORT_SCALARS = frozenset({"int", "float", "str", "bool", "bytes", "None"})
-
-
-def _base_name(base: ast.expr) -> str | None:
-    """The referenced class name for a base expression, if recoverable."""
-    if isinstance(base, ast.Name):
-        return base.id
-    if isinstance(base, ast.Attribute):
-        return base.attr
-    return None
-
-
-def _message_classes(module: ast.Module) -> list[ast.ClassDef]:
-    """Classes transitively subclassing the ``Message`` marker.
-
-    The marker itself (a class *named* ``Message``) is excluded -- it is
-    the contract, not a message.
-    """
-    classes = [item for item in module.body if isinstance(item, ast.ClassDef)]
-    message_names = {"Message"}
-    grew = True
-    while grew:
-        grew = False
-        for cls in classes:
-            if cls.name in message_names:
-                continue
-            if any(_base_name(base) in message_names for base in cls.bases):
-                message_names.add(cls.name)
-                grew = True
-    return [
-        cls for cls in classes if cls.name in message_names and cls.name != "Message"
-    ]
-
-
-def _frozen_dataclass_decorator(cls: ast.ClassDef) -> bool:
-    for decorator in cls.decorator_list:
-        if not isinstance(decorator, ast.Call):
-            continue
-        name = _base_name(decorator.func)
-        if name != "dataclass":
-            continue
-        for keyword in decorator.keywords:
-            if (
-                keyword.arg == "frozen"
-                and isinstance(keyword.value, ast.Constant)
-                and keyword.value.value is True
-            ):
-                return True
-    return False
-
-
-def _transport_safe_annotation(
-    annotation: ast.expr, message_names: set[str]
-) -> bool:
-    """True when ``annotation`` stays inside the transport-safe grammar."""
-    if isinstance(annotation, ast.Constant) and annotation.value is None:
-        return True
-    name = _base_name(annotation)
-    if name is not None and not isinstance(annotation, ast.Subscript):
-        return name in _TRANSPORT_SCALARS or name in message_names
-    if isinstance(annotation, ast.BinOp) and isinstance(annotation.op, ast.BitOr):
-        return _transport_safe_annotation(
-            annotation.left, message_names
-        ) and _transport_safe_annotation(annotation.right, message_names)
-    if isinstance(annotation, ast.Subscript):
-        head = _base_name(annotation.value)
-        if head not in ("tuple", "Tuple"):
-            return False
-        inner = annotation.slice
-        elements = inner.elts if isinstance(inner, ast.Tuple) else [inner]
-        for element in elements:
-            if isinstance(element, ast.Constant) and element.value is Ellipsis:
-                continue
-            if not _transport_safe_annotation(element, message_names):
-                return False
-        return True
-    return False
-
-
-def _check_protocol_messages(
-    module: ast.Module, relative: str, found: list[Diagnostic]
-) -> None:
-    """CONC006: Message subclasses must be frozen, transport-safe dataclasses."""
-    messages = _message_classes(module)
-    message_names = {cls.name for cls in messages}
-    for cls in messages:
-        if not _frozen_dataclass_decorator(cls):
-            found.append(
-                Diagnostic(
-                    "CONC006",
-                    f"protocol message {cls.name!r} is not declared "
-                    "'@dataclass(frozen=True)'",
-                    f"{relative}:{cls.lineno}",
-                    hint="messages cross process boundaries by value; "
-                    "freeze them so equality and hashing follow the fields",
-                )
-            )
-        for item in cls.body:
-            if not (
-                isinstance(item, ast.AnnAssign)
-                and isinstance(item.target, ast.Name)
-            ):
-                continue
-            if (
-                isinstance(item.annotation, ast.Subscript)
-                and _base_name(item.annotation.value) == "ClassVar"
-            ):
-                continue  # not a field; never pickled
-            if not _transport_safe_annotation(item.annotation, message_names):
-                rendered = ast.unparse(item.annotation)
-                found.append(
-                    Diagnostic(
-                        "CONC006",
-                        f"field {item.target.id!r} of protocol message "
-                        f"{cls.name!r} has non-transport-safe annotation "
-                        f"{rendered!r}",
-                        f"{relative}:{item.lineno}",
-                        hint="allowed: int/float/str/bool/bytes/None, "
-                        "tuple[...] of those, other Message dataclasses, "
-                        "and '| None' unions; ship richer state as masks, "
-                        "counters, or JSON strings",
-                    )
-                )
-
-
 def lint_concurrency_source(source: str, relative: str) -> list[Diagnostic]:
     """All ``CONC00x`` (static) diagnostics for one module's source text."""
     module = ast.parse(source, filename=relative)
     lines = source.splitlines()
     found: list[Diagnostic] = []
     _check_bare_acquires(module, relative, found)
-    _check_protocol_messages(module, relative, found)
     for item in module.body:
         if not isinstance(item, ast.ClassDef):
             continue

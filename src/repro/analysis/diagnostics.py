@@ -180,17 +180,6 @@ CODE_REGISTRY: dict[str, CodeInfo] = {
         "impose one global acquisition order, or release the first lock "
         "before taking the second",
     ),
-    "CONC006": CodeInfo(
-        "non-picklable-protocol-message",
-        "a shard protocol message (a class subclassing Message) is not a "
-        "frozen dataclass, or a field's annotation leaves the "
-        "transport-safe grammar (primitives, tuples of those, other "
-        "messages, optional unions)",
-        "declare the class '@dataclass(frozen=True)' and restrict fields "
-        "to int/float/str/bool/bytes/None, tuple[...] of those, other "
-        "Message dataclasses, and '| None' unions; ship anything richer "
-        "as masks, counters, or JSON strings",
-    ),
     "RES001": CodeInfo(
         "pool-checkout-leak",
         "a pool checkout() has no try/finally that checks the connection "

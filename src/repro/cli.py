@@ -7,8 +7,7 @@ Subcommands::
     repro trace "red candle" --budget-queries 50     # JSON-lines probe trace
     repro bench fig11 --scale 1 --level 5            # regenerate a figure
     repro bench cache --json BENCH_cache.json        # cold vs warm probe cache
-    repro bench shard --workers 4                    # threads vs forked shards
-    repro debug "red candle" --executor processes    # sharded multiprocessing
+    repro debug "red candle" --workers 4             # threaded frontier probes
     repro serve --dataset dblife --port 8642         # multi-tenant HTTP service
     repro bench serve --json BENCH_serve.json        # concurrent-session QPS
     repro inspect --dataset dblife --scale 2         # dataset summary
@@ -77,29 +76,8 @@ def _add_executor_options(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=0,
         help=(
-            "parallelism degree: worker threads per frontier with "
-            "--executor threads (0 = serial), worker processes with "
-            "--executor processes (0 = the default of 4)"
-        ),
-    )
-    parser.add_argument(
-        "--executor",
-        choices=("threads", "processes"),
-        default="threads",
-        help=(
-            "threads overlap backend round-trips on shared frontiers; "
-            "processes shard the exploration graph per MTN subtree and "
-            "sweep shards in forked workers (bu/td/buwr/tdwr only; sbh "
-            "runs coordinator-side)"
-        ),
-    )
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=0,
-        help=(
-            "shard count for --executor processes "
-            "(0 = one shard per process)"
+            "worker threads that probe each traversal frontier, overlapping "
+            "backend round-trips (0 = serial)"
         ),
     )
 
@@ -138,7 +116,7 @@ def _cmd_debug(args: argparse.Namespace) -> int:
         index_backend=args.index_backend,
     )
     started = time.perf_counter()
-    report = debugger.debug(args.query, **_executor_kwargs(args))
+    report = debugger.debug(args.query, workers=args.workers)
     elapsed = time.perf_counter() - started
     debugger.close()
     print(report.render(max_items=args.max_items))
@@ -179,24 +157,6 @@ def _cmd_search(args: argparse.Namespace) -> int:
     return 0
 
 
-def _executor_kwargs(args: argparse.Namespace) -> dict:
-    """Map ``--executor/--workers/--shards`` to ``debug()`` keywords.
-
-    ``--workers`` is the parallelism degree for either executor kind;
-    with ``--executor processes`` and no explicit count the sharded
-    executor's default (4) applies.
-    """
-    if getattr(args, "executor", "threads") == "processes":
-        from repro.parallel.sharded import DEFAULT_PROCESSES
-
-        return {
-            "workers": 0,
-            "processes": args.workers or DEFAULT_PROCESSES,
-            "shards": args.shards or None,
-        }
-    return {"workers": args.workers, "processes": 0, "shards": None}
-
-
 def _make_budget(args: argparse.Namespace) -> ProbeBudget | None:
     if not (args.budget_queries or args.budget_simulated or args.budget_wall):
         return None
@@ -217,10 +177,6 @@ def _render_aggregates(tracer: ProbeTracer) -> str:
     ]
     if any(span.worker_id is not None for span in tracer.spans):
         keys.append(("worker_id", "Probe spans by worker"))
-    if any(span.process_id is not None for span in tracer.spans):
-        keys.append(("process_id", "Probe spans by process"))
-    if any(span.shard_id is not None for span in tracer.spans):
-        keys.append(("shard_id", "Probe spans by shard"))
     for key, title in keys:
         rows = tracer.aggregate(key)
         if not rows:
@@ -294,7 +250,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         cache_dir=args.cache_dir,
         index_backend=args.index_backend,
     )
-    report = debugger.debug(args.query, budget=budget, **_executor_kwargs(args))
+    report = debugger.debug(args.query, budget=budget, workers=args.workers)
     debugger.close()
     for record in tracer.records:
         validate_trace_record(record.to_dict())
@@ -371,23 +327,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             context,
             level=args.level or DEFAULT_BENCH_LEVEL,
             cache_dir=args.cache_dir,
-        )
-        print(table.render())
-        print(f"(ran in {time.perf_counter() - started:.1f} s)")
-        _write_bench_json(args, payload)
-        if args.trace and context.tracer is not None:
-            count = context.tracer.write_jsonl(args.trace)
-            print(f"(wrote {count} trace records to {args.trace})")
-        return 0 if payload["passed"] else 1
-    if args.experiment == "shard":
-        from repro.bench.shard import DEFAULT_BENCH_LEVEL, run_shard_bench
-        from repro.parallel.sharded import DEFAULT_PROCESSES
-
-        started = time.perf_counter()
-        table, payload = run_shard_bench(
-            context,
-            level=args.level or DEFAULT_BENCH_LEVEL,
-            processes=args.workers or DEFAULT_PROCESSES,
         )
         print(table.render())
         print(f"(ran in {time.perf_counter() - started:.1f} s)")
@@ -688,7 +627,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "experiment",
         choices=sorted(EXPERIMENTS)
-        + ["cache", "mutate", "parallel", "scale", "scaling", "serve", "shard"],
+        + ["cache", "mutate", "parallel", "scale", "scaling", "serve"],
     )
     bench.add_argument("--scale", type=int, default=1)
     bench.add_argument("--seed", type=int, default=42)

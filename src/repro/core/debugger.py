@@ -26,12 +26,7 @@ from repro.core.constraints import UNCONSTRAINED, SearchConstraints
 from repro.core.lattice import Lattice, generate_lattice
 from repro.core.mtn import ExplorationGraph, build_exploration_graph
 from repro.core.status import InconsistentStatusError, Status, StatusStore
-from repro.core.traversal import (
-    SHARDABLE_STRATEGIES,
-    TraversalResult,
-    TraversalStrategy,
-    get_strategy,
-)
+from repro.core.traversal import TraversalResult, TraversalStrategy, get_strategy
 from repro.index import IndexBackend, create_index, get_index_spec
 from repro.index.mapper import KeywordMapper, KeywordMapping
 from repro.obs.budget import ProbeBudget
@@ -171,9 +166,6 @@ class DebugReport:
                 f"  probe budget exhausted: partial result, "
                 f"{unclassified} candidate network(s) left possibly-alive"
             )
-        if self.traversal and self.traversal.shard_failures:
-            for failure in self.traversal.shard_failures:
-                lines.append(f"  shard failure: {failure.render()}")
         if self.traversal:
             lines.append(f"  SQL effort: {self.traversal.stats}")
         return "\n".join(lines)
@@ -194,7 +186,6 @@ class NonAnswerDebugger:
         use_lattice: bool = True,
         max_keywords: int | None = None,
         free_copies: int = 1,
-        max_interpretations: int = 256,
         tracer: ProbeTracer | None = None,
         cache_dir: str | Path | None = None,
         backend_options: dict[str, Any] | None = None,
@@ -242,7 +233,6 @@ class NonAnswerDebugger:
         self.tracer = tracer
         self.index_backend_name = index_backend
         index_spec = get_index_spec(index_backend)
-        self.index_capabilities = index_spec.capabilities
         self._index_options: dict[str, Any] = {}
         if cache_dir is not None and index_spec.capabilities.persistent:
             self._index_options["cache_dir"] = cache_dir
@@ -252,9 +242,7 @@ class NonAnswerDebugger:
         else:
             self.index = create_index(index_backend, database, **self._index_options)
             self._owns_index = True
-        self.mapper = KeywordMapper(
-            self.index, mode=mode, max_interpretations=max_interpretations
-        )
+        self.mapper = KeywordMapper(self.index, mode=mode)
         if free_copies > 1:
             use_lattice = False
             lattice = None
@@ -284,14 +272,11 @@ class NonAnswerDebugger:
             options["streaming_source"] = self.index
             options["materialization_cap"] = DEFAULT_MATERIALIZATION_CAP
         options.update(backend_options or {})
-        # Kept so the sharded executor can rebuild an identical backend
-        # inside each forked worker process (connections never cross forks).
+        # Remembered so refresh_after_mutation() can rebuild the
+        # snapshot-bound backend in place.
         self.backend_name = backend
         self.backend_factory_options = options
         self.backend: Any = create_backend(backend, database, **options)
-        # Remembered so refresh_after_mutation() can rebuild the
-        # snapshot-bound pieces (index, mapper, backend) in place.
-        self._max_interpretations = max_interpretations
         self.probe_cache: ProbeCache | None = None
         self.status_cache: StatusCache | None = None
         if cache_dir is not None:
@@ -486,8 +471,6 @@ class NonAnswerDebugger:
         budget: ProbeBudget | None = None,
         workers: int = 0,
         executor: "BatchExecutor | None" = None,
-        processes: int = 0,
-        shards: int | None = None,
         tracer: ProbeTracer | None = None,
     ) -> DebugReport:
         """Run phases 1-3 for ``query`` and explain its non-answers.
@@ -512,19 +495,6 @@ class NonAnswerDebugger:
         (identical classifications and probe counts, overlapped backend
         round-trips); passing an ``executor`` reuses a caller-owned pool
         instead and takes precedence.
-
-        ``processes > 1`` runs the traversal on a
-        :class:`~repro.parallel.ShardedLatticeExecutor` instead: the
-        exploration graph is split into per-MTN subtree shards
-        (``shards`` of them, default = ``processes``) swept in forked
-        worker processes -- the parallelism that escapes the GIL for
-        CPU-bound backends.  Classifications and MPANs stay byte-identical
-        to serial; executed-query counts can exceed a shared-cache serial
-        sweep's for the reuse strategies because shard caches are private.
-        Only the four shardable strategies use it (``sbh``'s greedy
-        frontier is global by design and falls back to the
-        coordinator-side path); a custom ``evaluator`` is not consulted
-        on this path (workers build their own).
         """
         chosen = self.strategy
         if strategy is not None:
@@ -595,37 +565,6 @@ class NonAnswerDebugger:
                             facts=len(load.facts),
                         )
                     return report
-
-        # An out-of-core index holds a live sqlite connection that must not
-        # be shared across forks (the workers would interleave on one file
-        # descriptor); those runs stay on the coordinator-side path.
-        fork_safe_index = not self.index_capabilities.out_of_core
-        if processes > 1 and chosen.name in SHARDABLE_STRATEGIES and fork_safe_index:
-            from repro.parallel import ShardedLatticeExecutor
-
-            sharded = ShardedLatticeExecutor(processes=processes, shards=shards)
-            phase_event("phase_started", "traversal", strategy=chosen.name)
-            started = time.perf_counter()
-            report.traversal = sharded.run(
-                report.graph,
-                self.database,
-                chosen.name,
-                backend=self.backend_name,
-                backend_options=self.backend_factory_options,
-                cost_model=self.cost_model,
-                budget=budget,
-                tracer=active,
-                coordinator_backend=self.backend,
-            )
-            timings.traversal = time.perf_counter() - started
-            phase_event(
-                "phase_completed",
-                "traversal",
-                strategy=chosen.name,
-                exhausted=report.traversal.exhausted,
-            )
-            self._maybe_save_status(mapping, report, constraints)
-            return report
 
         if evaluator is None:
             evaluator = self.make_evaluator(
@@ -728,7 +667,7 @@ class NonAnswerDebugger:
         next query.  The probe cache is *repaired* in place (monotone
         survivors re-keyed to the new fingerprints), not reopened, and
         the status cache needs nothing -- it repairs at load time.  A
-        mutation-repair index backend (sqlite) likewise rebuilds only the
+        persistent index backend (sqlite) likewise rebuilds only the
         relations whose fingerprint changed when it is recreated here.
         """
         if self._owns_index:
@@ -737,9 +676,7 @@ class NonAnswerDebugger:
             self.index_backend_name, self.database, **self._index_options
         )
         self._owns_index = True
-        self.mapper = KeywordMapper(
-            self.index, mode=self.mode, max_interpretations=self._max_interpretations
-        )
+        self.mapper = KeywordMapper(self.index, mode=self.mode)
         closer = getattr(self.backend, "close", None)
         if closer is not None:
             closer()

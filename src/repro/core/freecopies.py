@@ -42,10 +42,6 @@ def free_instance(relation: str, rank: int) -> RelationInstance:
     return RelationInstance(relation, rank, free=True)
 
 
-def free_instances(relation: str, count: int) -> list[RelationInstance]:
-    return [free_instance(relation, rank) for rank in range(count)]
-
-
 def next_free_instance(
     tree: JoinTree, relation: str, max_free: int
 ) -> RelationInstance | None:

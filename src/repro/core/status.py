@@ -34,24 +34,20 @@ class InconsistentStatusError(RuntimeError):
 
 @dataclass(frozen=True)
 class StatusDelta:
-    """A store's classifications as three bitsets, ready to ship elsewhere.
+    """A store's classifications as three bitsets, ready to merge elsewhere.
 
-    This is the unit of exchange between a shard worker and the merge
-    coordinator (see :mod:`repro.parallel.sharded`): three Python ints --
-    trivially picklable, cheap to move over a queue or socket -- that
-    carry everything a :class:`StatusStore` learned.  The masks are
+    :meth:`NonAnswerDebugger.preload_session_store
+    <repro.core.debugger.NonAnswerDebugger.preload_session_store>` replays
+    persisted facts on a scratch store and merges its delta into the live
+    session store, so a corrupt file never half-applies.  The masks are
     R1/R2-closed *within the exporting store's domain*; closure across
-    the full graph (a dead node's ancestors may live in another shard's
-    cone) is re-derived by :meth:`StatusStore.apply_delta`.
+    the receiving store's domain (a dead node's ancestors may lie outside
+    the exporter's) is re-derived by :meth:`StatusStore.apply_delta`.
     """
 
     alive_mask: int
     dead_mask: int
     evaluated_mask: int
-
-    @property
-    def empty(self) -> bool:
-        return not (self.alive_mask | self.dead_mask)
 
 
 class StatusStore:

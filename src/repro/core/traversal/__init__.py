@@ -22,14 +22,6 @@ from repro.core.traversal.base import (
 from repro.core.traversal.bottom_up import BottomUpStrategy, BottomUpWithReuseStrategy
 from repro.core.traversal.top_down import TopDownStrategy, TopDownWithReuseStrategy
 from repro.core.traversal.score import ScoreBasedStrategy
-from repro.core.traversal.sharding import (
-    SHARDABLE_STRATEGIES,
-    Shard,
-    ShardFailure,
-    ShardSweepOutcome,
-    extract_shards,
-    run_shard_traversal,
-)
 
 _STRATEGIES = {
     "bu": BottomUpStrategy,
@@ -64,10 +56,4 @@ __all__ = [
     "ScoreBasedStrategy",
     "STRATEGY_NAMES",
     "get_strategy",
-    "SHARDABLE_STRATEGIES",
-    "Shard",
-    "ShardFailure",
-    "ShardSweepOutcome",
-    "extract_shards",
-    "run_shard_traversal",
 ]

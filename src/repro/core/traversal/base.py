@@ -31,7 +31,6 @@ from repro.relational.evaluator import (
 from repro.relational.jointree import BoundQuery
 
 if typing.TYPE_CHECKING:
-    from repro.core.traversal.sharding import ShardFailure
     from repro.obs.trace import ProbeTracer
 
 
@@ -59,10 +58,6 @@ class TraversalResult:
     # reuse strategies, one per MTN for BU/TD).  Diagnosis reads minimal
     # dead sub-queries out of these after the fact.
     stores: dict[int, StatusStore] = field(default_factory=dict)
-    # Shards that failed remotely during a sharded (multiprocessing) run,
-    # with whether their serial retry recovered them.  Empty for serial
-    # and thread-executor runs.
-    shard_failures: list[ShardFailure] = field(default_factory=list)
 
     @property
     def classified_mtn_count(self) -> int:

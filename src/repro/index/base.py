@@ -37,24 +37,14 @@ class IndexCapabilities:
     ``persistent``
         survives the process inside a ``cache_dir`` (next to the L2 probe
         cache) and is reopened, not rebuilt, by the next session.
-    ``out_of_core``
-        postings live outside the Python heap, so the index footprint
-        stays flat as the dataset grows.  Implies the index holds an OS
-        resource that must be released via ``close()`` and must not be
-        shared across forked worker processes.
     ``streaming``
         ``iter_tuple_set`` yields row ids without materializing the set;
         the engine may stream semi-join probes against it instead of
         building per-keyword hash sets.
-    ``mutation_repair``
-        reattaching after a dataset mutation rebuilds only the relations
-        whose content fingerprint changed.
     """
 
     persistent: bool = False
-    out_of_core: bool = False
     streaming: bool = False
-    mutation_repair: bool = False
 
 
 @runtime_checkable
@@ -191,8 +181,6 @@ register_index_backend(
 register_index_backend(
     "sqlite",
     _sqlite_factory,
-    IndexCapabilities(
-        persistent=True, out_of_core=True, streaming=True, mutation_repair=True
-    ),
+    IndexCapabilities(persistent=True, streaming=True),
     "on-disk sqlite postings store (flat RAM, fingerprint-keyed repair)",
 )

@@ -24,14 +24,7 @@ for:
 * **reuse bound** -- a reuse strategy (``buwr``/``tdwr``/``sbh``) caches
   every answer, so it can execute at most ``traversal_start.nodes``
   distinct probes.  (The non-reuse strategies re-execute per MTN by
-  design and carry no such bound.  Sharded segments --
-  ``traversal_start.sharded`` -- are exempt too: shard cones overlap and
-  each shard's cache is private, so a node shared by K shards may
-  execute K times.)
-* **shard-plan cap** -- a ``shard_plan`` event's per-shard
-  ``max_queries`` carvings must sum to at most the parent budget's cap
-  (and none may be uncapped under a capped parent): the combined shards
-  can never out-spend the budget the caller set.
+  design and carry no such bound.)
 * **pool release** -- a ``pool_stats`` event (emitted by
   :meth:`repro.core.debugger.NonAnswerDebugger.close`) must show every
   pooled connection checked back in and a peak within the cap.
@@ -152,11 +145,7 @@ def _check_segment(
             )
         )
 
-    if (
-        strategy in REUSE_STRATEGIES
-        and isinstance(start.get("nodes"), int)
-        and start.get("sharded") is not True
-    ):
+    if strategy in REUSE_STRATEGIES and isinstance(start.get("nodes"), int):
         if executed > start["nodes"]:
             violations.append(
                 InvariantViolation(
@@ -192,68 +181,6 @@ def _check_segment(
                     "marked exhausted",
                 )
             )
-
-
-#: Budget axes a ``shard_plan`` event must justify: (parent attr, shard
-#: attr, summing tolerance).  The float tolerance absorbs the rounding
-#: of an even time split re-summed across shards.
-_SHARD_PLAN_AXES: tuple[tuple[str, str, float], ...] = (
-    ("parent_max_queries", "shard_max_queries", 0.0),
-    ("parent_max_simulated_seconds", "shard_max_simulated_seconds", 1e-9),
-    ("parent_max_wall_seconds", "shard_max_wall_seconds", 1e-9),
-)
-
-
-def _check_shard_plans(
-    records: list[dict[str, Any]], violations: list[InvariantViolation]
-) -> None:
-    """Per-shard budget carvings must stay within the parent cap.
-
-    Checked independently for every capped axis -- queries, simulated
-    seconds, and wall seconds: a parent cap with an uncapped shard, or
-    shard caps summing above the parent, means k shards could overspend
-    the caller's budget by up to k x.
-    """
-    for record in records:
-        if record.get("kind") != "event" or record.get("name") != "shard_plan":
-            continue
-        for parent_attr, shard_attr, tolerance in _SHARD_PLAN_AXES:
-            parent = record.get(parent_attr)
-            caps = record.get(shard_attr)
-            if (
-                isinstance(parent, bool)
-                or not isinstance(parent, (int, float))
-                or not isinstance(caps, list)
-            ):
-                continue
-            uncapped = sum(
-                1
-                for cap in caps
-                if isinstance(cap, bool) or not isinstance(cap, (int, float))
-            )
-            if uncapped:
-                violations.append(
-                    InvariantViolation(
-                        "shard-plan-cap",
-                        record["seq"],
-                        f"{uncapped} shard(s) carry no cap under a parent "
-                        f"budget of {parent_attr}={parent}",
-                    )
-                )
-            total = sum(
-                cap
-                for cap in caps
-                if not isinstance(cap, bool) and isinstance(cap, (int, float))
-            )
-            if total > parent + tolerance:
-                violations.append(
-                    InvariantViolation(
-                        "shard-plan-cap",
-                        record["seq"],
-                        f"per-shard caps sum to {total}, above the parent "
-                        f"budget's {parent_attr}={parent}",
-                    )
-                )
 
 
 def _check_pool_events(
@@ -424,7 +351,6 @@ def check_trace_records(
     spans = [r for r in records if r.get("kind") == "span"]
     _check_span_tiers(spans, violations)
     _check_pool_events(records, violations)
-    _check_shard_plans(records, violations)
     _check_sessions(records, violations)
     _check_service_shutdown(records, violations)
 

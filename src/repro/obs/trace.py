@@ -49,8 +49,6 @@ SPAN_OPTIONAL_SCHEMA: dict[str, tuple[type, ...]] = {
     "worker_id": (int,),
     "queue_wait_s": (int, float),
     "cache_tier": (str,),
-    "process_id": (int,),
-    "shard_id": (int,),
     "session_id": (str,),
 }
 EVENT_SCHEMA: dict[str, tuple[type, ...]] = {
@@ -87,11 +85,6 @@ class ProbeSpan:
     #: (persistent store), or ``"backend"`` (executed).  None on spans
     #: recorded before the two-tier cache existed.
     cache_tier: str | None = None
-    #: OS pid of the shard worker that ran the probe (None = in-process).
-    #: Stamped by the coordinator when it re-records shipped worker spans.
-    process_id: int | None = None
-    #: Shard whose traversal issued the probe (None = unsharded run).
-    shard_id: int | None = None
     #: Service session that issued the probe (None = library/CLI use).
     #: Stamped from the tracer context set by :mod:`repro.service`.
     session_id: str | None = None
@@ -118,10 +111,6 @@ class ProbeSpan:
             record["queue_wait_s"] = self.queue_wait_s
         if self.cache_tier is not None:
             record["cache_tier"] = self.cache_tier
-        if self.process_id is not None:
-            record["process_id"] = self.process_id
-        if self.shard_id is not None:
-            record["shard_id"] = self.shard_id
         if self.session_id is not None:
             record["session_id"] = self.session_id
         return record
@@ -222,8 +211,6 @@ class ProbeTracer:
         worker_id: int | None = None,
         queue_wait_s: float | None = None,
         cache_tier: str | None = None,
-        process_id: int | None = None,
-        shard_id: int | None = None,
     ) -> ProbeSpan:
         with self._lock:
             span = ProbeSpan(
@@ -240,8 +227,6 @@ class ProbeTracer:
                 worker_id=worker_id,
                 queue_wait_s=queue_wait_s,
                 cache_tier=cache_tier,
-                process_id=process_id,
-                shard_id=shard_id,
                 session_id=self._context.get("session_id"),
             )
             self._records.append(span)
@@ -319,19 +304,12 @@ class ProbeTracer:
     # --------------------------------------------------------- aggregation
     def aggregate(self, key: str = "level") -> list[dict[str, Any]]:
         """Fold spans into summary rows grouped by ``level``, ``strategy``,
-        ``worker_id``, ``process_id``, or ``shard_id``.
+        ``worker_id``, or ``session_id``.
 
         Each row carries probe/executed/cache-hit counts and total wall +
         simulated seconds; rows sort by group key.
         """
-        if key not in (
-            "level",
-            "strategy",
-            "worker_id",
-            "process_id",
-            "shard_id",
-            "session_id",
-        ):
+        if key not in ("level", "strategy", "worker_id", "session_id"):
             raise ValueError(f"unsupported aggregation key {key!r}")
         groups: dict[Any, dict[str, Any]] = {}
         for span in self.spans:

@@ -14,27 +14,19 @@ without changing a single classification.  This package provides:
   classification signature;
 * :class:`SimulatedLatencyBackend` -- a wall-clock analogue of the
   deterministic cost model (it sleeps per probe), so the speedup is
-  measurable without a real networked DBMS;
-* :class:`ShardedLatticeExecutor` (:mod:`repro.parallel.sharded`) -- the
-  multiprocessing tier: per-MTN subtree shards swept in forked worker
-  processes against a read-only snapshot, status deltas merged through
-  R1/R2 on the coordinator in deterministic shard order.  Threads
-  overlap I/O; processes escape the GIL for CPU-bound in-memory
-  evaluation.  The shard protocol (:mod:`repro.parallel.protocol`) is
-  picklable-message-only so workers could live on other hosts.
+  measurable without a real networked DBMS.
 
-See DESIGN.md ("Concurrency model") for why frontier independence makes
-this safe and README.md ("Parallel probing" / "Sharded exploration")
-for usage.
+Threads overlap backend *latency* (sleeps, socket waits, native code that
+releases the GIL); they do not parallelize probe evaluation that runs in
+Python.  See DESIGN.md ("Concurrency model") for why frontier
+independence makes this safe and README.md ("Parallel probing") for
+usage.
 """
 
 from repro.parallel.executor import ParallelProbeExecutor
 from repro.parallel.latency import SimulatedLatencyBackend
-from repro.parallel.sharded import ShardedLatticeExecutor, carve_budget_caps
 
 __all__ = [
     "ParallelProbeExecutor",
     "SimulatedLatencyBackend",
-    "ShardedLatticeExecutor",
-    "carve_budget_caps",
 ]

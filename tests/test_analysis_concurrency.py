@@ -244,109 +244,3 @@ class TestLockedMethodCalledUnlocked:
                 return f"{self._count_locked()} items"
         """
         assert codes(source) == []
-
-
-class TestProtocolMessages:
-    """CONC006: Message subclasses must be frozen, transport-safe dataclasses."""
-
-    def test_real_protocol_module_clean(self):
-        import inspect
-
-        import repro.parallel.protocol as protocol
-
-        source = inspect.getsource(protocol)
-        assert [
-            d.code
-            for d in lint_concurrency_source(source, "repro/parallel/protocol.py")
-            if d.code == "CONC006"
-        ] == []
-
-    def test_unfrozen_message_flagged(self):
-        source = """
-        from dataclasses import dataclass
-
-        class Message:
-            __slots__ = ()
-
-        @dataclass
-        class Unfrozen(Message):
-            shard_id: int
-        """
-        assert codes(source) == ["CONC006"]
-
-    def test_undecorated_message_flagged(self):
-        source = """
-        class Message:
-            __slots__ = ()
-
-        class Plain(Message):
-            shard_id: int = 0
-        """
-        assert codes(source) == ["CONC006"]
-
-    def test_rich_field_annotations_flagged(self):
-        source = """
-        from dataclasses import dataclass
-
-        class Message:
-            __slots__ = ()
-
-        @dataclass(frozen=True)
-        class Bad(Message):
-            payload: dict
-            rows: list[int]
-            mapping: dict[str, int]
-        """
-        assert codes(source) == ["CONC006"] * 3
-
-    def test_transport_safe_grammar_clean(self):
-        source = """
-        from dataclasses import dataclass
-        from typing import ClassVar
-
-        class Message:
-            __slots__ = ()
-
-        @dataclass(frozen=True)
-        class Inner(Message):
-            value: int
-
-        @dataclass(frozen=True)
-        class Outer(Message):
-            KIND: ClassVar[str] = "outer"
-            shard_id: int
-            ratio: float
-            label: str | None
-            raw: bytes
-            flags: tuple[bool, ...]
-            pairs: tuple[tuple[int, int], ...]
-            nested: Inner | None = None
-        """
-        assert codes(source) == []
-
-    def test_transitive_subclass_checked(self):
-        source = """
-        from dataclasses import dataclass
-
-        class Message:
-            __slots__ = ()
-
-        @dataclass(frozen=True)
-        class Base(Message):
-            shard_id: int
-
-        @dataclass(frozen=True)
-        class Derived(Base):
-            extras: set
-        """
-        assert codes(source) == ["CONC006"]
-
-    def test_unrelated_class_ignored(self):
-        source = """
-        class Message:
-            __slots__ = ()
-
-        class NotAMessage:
-            payload: dict = {}
-        """
-        assert codes(source) == []

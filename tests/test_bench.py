@@ -168,45 +168,3 @@ class TestRunners:
     def test_unknown_experiment(self, context):
         with pytest.raises(ValueError):
             run_experiment("fig99", context)
-
-
-class TestShardBench:
-    def test_small_shard_bench_correctness(self, context):
-        # Tiny burn + two strategies: correctness gates only (signatures
-        # identical across tiers, zero shard failures); the speedup gate
-        # is CI-only because it needs a multi-core runner.
-        from repro.bench.shard import run_shard_bench
-
-        table, payload = run_shard_bench(
-            context,
-            level=3,
-            processes=2,
-            burn_iterations=200,
-            strategies=("bu", "tdwr"),
-        )
-        assert payload["passed"]
-        assert payload["signatures_match"]
-        assert payload["shard_failures"] == 0
-        assert set(payload["strategies"]) == {"bu", "tdwr"}
-        for row in payload["strategies"].values():
-            assert row["signatures_match"] and row["shard_failures"] == 0
-        assert "Sharded exploration" in table.render()
-
-    def test_cpuburn_backend_registered_and_delegates(self, context):
-        from repro.backends import create_backend
-        from repro.bench.shard import ensure_cpuburn_registered
-
-        ensure_cpuburn_registered()
-        ensure_cpuburn_registered()  # idempotent
-        debugger = context.debugger(3)
-        backend = create_backend(
-            "cpuburn",
-            context.database,
-            tuple_set_provider=debugger.index.provider,
-            burn_iterations=10,
-        )
-        mapping = debugger.map_keywords(context.workload[0].text)
-        graph = debugger.build_graph(debugger.prune(mapping))
-        for index in graph.mtn_indexes:
-            probe = graph.node(index).query
-            assert backend.is_alive(probe) == debugger.backend.is_alive(probe)

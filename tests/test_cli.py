@@ -36,16 +36,11 @@ class TestParser:
 
     def test_executor_defaults_and_choices(self):
         args = build_parser().parse_args(["debug", "red candle"])
-        assert args.executor == "threads"
-        assert args.workers == 0 and args.shards == 0
-        args = build_parser().parse_args(
-            ["trace", "red candle", "--executor", "processes", "--shards", "3"]
-        )
-        assert args.executor == "processes" and args.shards == 3
+        assert args.workers == 0
+        args = build_parser().parse_args(["trace", "red candle", "--workers", "3"])
+        assert args.workers == 3
         with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["debug", "red candle", "--executor", "fibers"]
-            )
+            build_parser().parse_args(["debug", "red candle", "--workers", "many"])
 
 
 class TestCommands:
@@ -58,26 +53,6 @@ class TestCommands:
     def test_debug_with_strategy_and_direct(self, capsys):
         assert main(["debug", "red candle", "--strategy", "tdwr", "--direct"]) == 0
         assert "answer queries" in capsys.readouterr().out
-
-    def test_debug_with_process_executor(self, capsys):
-        assert (
-            main(
-                [
-                    "debug",
-                    "saffron scented candle",
-                    "--strategy",
-                    "buwr",
-                    "--executor",
-                    "processes",
-                    "--workers",
-                    "2",
-                ]
-            )
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "non-answer queries" in out
-        assert "shard failure" not in out
 
     def test_search_answers(self, capsys):
         assert main(["search", "scented candle"]) == 0

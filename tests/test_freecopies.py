@@ -15,7 +15,6 @@ import pytest
 from repro.core.debugger import NonAnswerDebugger
 from repro.core.freecopies import (
     free_instance,
-    free_instances,
     next_free_instance,
     normalize_free_ranks,
 )
@@ -87,9 +86,6 @@ class TestFreeInstances:
     def test_copy_zero_cannot_be_bound(self):
         with pytest.raises(JoinTreeError):
             RelationInstance("R", 0, free=False)
-
-    def test_free_instances_helper(self):
-        assert len(free_instances("R", 3)) == 3
 
     def test_next_free_instance_prefix_rule(self):
         tree = JoinTree.single(free_instance("R", 0))

@@ -57,9 +57,8 @@ class TestRegistry:
     def test_capability_declarations(self):
         memory = get_index_spec("memory").capabilities
         sqlite = get_index_spec("sqlite").capabilities
-        assert not memory.out_of_core and not memory.streaming
-        assert sqlite.persistent and sqlite.out_of_core
-        assert sqlite.streaming and sqlite.mutation_repair
+        assert not memory.persistent and not memory.streaming
+        assert sqlite.persistent and sqlite.streaming
 
     def test_created_indexes_satisfy_protocol(self, backend_pair):
         _, index = backend_pair

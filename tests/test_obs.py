@@ -166,31 +166,6 @@ class TestProbeTracer:
         with pytest.raises(ValueError):
             tracer.aggregate("backend")
 
-    def test_aggregate_by_process_and_shard(self):
-        tracer = ProbeTracer()
-        for process_id, shard_id in ((101, 0), (101, 0), (202, 1)):
-            tracer.record_probe(
-                level=1,
-                keywords=("candle",),
-                backend="FakeBackend",
-                alive=True,
-                cache_hit=False,
-                wall_seconds=0.01,
-                simulated_seconds=1.0,
-                process_id=process_id,
-                shard_id=shard_id,
-            )
-        self.span(tracer)  # no process/shard: lands in the (none) bucket
-        by_process = tracer.aggregate("process_id")
-        assert [row["process_id"] for row in by_process] == ["(none)", 101, 202]
-        assert [row["probes"] for row in by_process] == [1, 2, 1]
-        by_shard = tracer.aggregate("shard_id")
-        assert [row["shard_id"] for row in by_shard] == ["(none)", 0, 1]
-        round_tripped = [span.to_dict() for span in tracer.spans]
-        assert round_tripped[0]["process_id"] == 101
-        assert round_tripped[0]["shard_id"] == 0
-        assert "process_id" not in round_tripped[-1]
-
     def test_jsonl_round_trip_validates(self, tmp_path):
         tracer = ProbeTracer()
         self.span(tracer)

@@ -275,76 +275,6 @@ class TestParallelEquivalence:
                     assert parallel_bounded.exhausted == serial_bounded.exhausted
 
 
-class TestShardedEquivalence:
-    @SETTINGS
-    @given(
-        database=product_databases(),
-        seed=st.integers(0, 10_000),
-        shards=st.integers(1, 5),
-    )
-    def test_sharded_runs_are_byte_identical_to_serial(
-        self, database, seed, shards
-    ):
-        """The sharded executor's merged classifications and MPANs equal
-        the plain strategy run's for every shardable strategy -- with no
-        budget, and with a carved budget that exhausts mid-shard (where
-        sharded-vs-serial-fallback of the same shard plan stays
-        byte-identical and every classification is a sound prefix of the
-        unbudgeted run).  ``use_processes=False`` exercises the identical
-        merge path without fork overhead per example."""
-        from repro.core.traversal import SHARDABLE_STRATEGIES
-        from repro.obs import ProbeBudget
-        from repro.parallel import ShardedLatticeExecutor
-
-        debugger = NonAnswerDebugger(database, max_joins=2)
-        executor = ShardedLatticeExecutor(processes=2, shards=shards)
-
-        def sharded_run(name, budget=None):
-            return executor.run(
-                graph,
-                database,
-                name,
-                backend=debugger.backend_name,
-                backend_options=debugger.backend_factory_options,
-                budget=budget,
-                coordinator_backend=debugger.backend,
-                use_processes=False,
-            )
-
-        for text in random_queries(database, seed, count=1):
-            mapping = debugger.map_keywords(text)
-            if not mapping.complete or not mapping.keywords:
-                continue
-            graph = debugger.build_graph(debugger.prune(mapping))
-            for name in SHARDABLE_STRATEGIES:
-                strategy = get_strategy(name)
-                serial = strategy.run(
-                    graph,
-                    debugger.make_evaluator(use_cache=strategy.uses_reuse),
-                    database,
-                )
-                merged = sharded_run(name)
-                assert (
-                    merged.classification_signature()
-                    == serial.classification_signature()
-                ), (name, text, shards)
-                assert not merged.shard_failures
-                # Budget exhaustion mid-shard: the two executions of the
-                # same carved shard plan agree exactly, and stay sound
-                # prefixes of the unbudgeted run.
-                cap = max(serial.stats.queries_executed // 2, 1)
-                first = sharded_run(name, budget=ProbeBudget(max_queries=cap))
-                second = sharded_run(name, budget=ProbeBudget(max_queries=cap))
-                assert first.stats.queries_executed <= cap
-                assert (
-                    first.classification_signature()
-                    == second.classification_signature()
-                ), (name, text, cap)
-                assert first.exhausted == second.exhausted
-                assert set(first.alive_mtns) <= set(serial.alive_mtns)
-                assert set(first.dead_mtns) <= set(serial.dead_mtns)
-
-
 class TestBudgetAnytime:
     @SETTINGS
     @given(

@@ -156,107 +156,6 @@ class TestSegmentInvariants:
         assert names(records) == ["budget-monotone"]
 
 
-class TestShardInvariants:
-    def test_sharded_segment_exempt_from_reuse_bound(self):
-        records = [
-            dict(start(0, strategy="buwr", nodes=2), sharded=True),
-            span(1),
-            span(2),
-            span(3),  # 3 executed > 2 nodes: legal when sharded
-            end(4, executed=3),
-        ]
-        assert names(records) == []
-
-    def test_unsharded_reuse_bound_still_enforced(self):
-        records = [
-            start(0, strategy="buwr", nodes=2),
-            span(1),
-            span(2),
-            span(3),
-            end(4, executed=3),
-        ]
-        assert "reuse-bound" in names(records)
-
-    def shard_plan(self, seq, parent, caps):
-        return {
-            "kind": "event",
-            "seq": seq,
-            "name": "shard_plan",
-            "parent_max_queries": parent,
-            "shard_max_queries": caps,
-        }
-
-    def test_caps_within_parent_clean(self):
-        assert names([self.shard_plan(0, 10, [4, 3, 3])]) == []
-
-    def test_caps_over_parent_flagged(self):
-        violations = check_trace_records([self.shard_plan(0, 10, [6, 6])])
-        assert [v.invariant for v in violations] == ["shard-plan-cap"]
-        assert "sum to 12" in violations[0].message
-
-    def test_uncapped_shard_under_capped_parent_flagged(self):
-        assert names([self.shard_plan(0, 10, [5, None])]) == [
-            "shard-plan-cap"
-        ]
-
-    def test_unbudgeted_plan_ignored(self):
-        record = {
-            "kind": "event",
-            "seq": 0,
-            "name": "shard_plan",
-            "parent_max_queries": None,
-            "shard_max_queries": [None, None],
-        }
-        assert names([record]) == []
-
-    def shard_plan_time(self, seq, axis, parent, caps):
-        return {
-            "kind": "event",
-            "seq": seq,
-            "name": "shard_plan",
-            f"parent_max_{axis}_seconds": parent,
-            f"shard_max_{axis}_seconds": caps,
-        }
-
-    def test_time_axis_caps_within_parent_clean(self):
-        for axis in ("wall", "simulated"):
-            record = self.shard_plan_time(0, axis, 0.3, [0.1, 0.1, 0.1])
-            assert names([record]) == [], axis
-
-    def test_time_axis_caps_over_parent_flagged(self):
-        for axis in ("wall", "simulated"):
-            record = self.shard_plan_time(0, axis, 0.3, [0.2, 0.2])
-            violations = check_trace_records([record])
-            assert [v.invariant for v in violations] == ["shard-plan-cap"], axis
-            assert axis in violations[0].message
-
-    def test_time_axis_uncapped_shard_flagged(self):
-        record = self.shard_plan_time(0, "wall", 0.3, [0.1, None])
-        assert names([record]) == ["shard-plan-cap"]
-
-    def test_time_axis_tolerates_float_rounding(self):
-        # Three caps of parent/3 sum to parent only up to representation
-        # error; the tolerance must absorb it.
-        parent = 0.3
-        record = self.shard_plan_time(0, "wall", parent, [parent / 3] * 3)
-        assert names([record]) == []
-
-    def test_independent_axes_checked_separately(self):
-        record = {
-            "kind": "event",
-            "seq": 0,
-            "name": "shard_plan",
-            "parent_max_queries": 10,
-            "shard_max_queries": [4, 4],
-            "parent_max_wall_seconds": 0.2,
-            "shard_max_wall_seconds": [0.3, 0.3],
-        }
-        violations = check_trace_records([record])
-        # The query axis is fine; only the wall axis violates.
-        assert [v.invariant for v in violations] == ["shard-plan-cap"]
-        assert "wall" in violations[0].message
-
-
 class TestPoolInvariants:
     def test_unreleased_connections_flagged(self):
         records = [
