@@ -1,11 +1,12 @@
 """Static lock-discipline lint (``CONC001``-``CONC004``).
 
-The probe path is concurrent by design -- worker threads share the
-evaluator's L1 LRU, the :class:`~repro.obs.budget.ProbeBudget`, the
-:class:`~repro.obs.trace.ProbeTracer` ring, the
-:class:`~repro.backends.pool.ConnectionPool`, and the persistent
-:class:`~repro.cache.ProbeCache` -- so the lock discipline those classes
-document must hold *everywhere*, not just on the paths the threaded
+One run probes serially, but the service runs sessions concurrently --
+session threads share the :class:`~repro.backends.pool.ConnectionPool`,
+the persistent :class:`~repro.cache.ProbeCache`, and the status store,
+a session's :class:`~repro.obs.budget.ProbeBudget` is aborted from
+another thread, and its :class:`~repro.obs.trace.ProbeTracer` is read
+while it records -- so the lock discipline those classes document must
+hold *everywhere*, not just on the paths the threaded
 tests happen to exercise.  This pass enforces it with the stdlib ``ast``
 module (same zero-dependency footing as :mod:`repro.analysis.repo_linter`):
 

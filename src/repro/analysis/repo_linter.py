@@ -17,7 +17,7 @@ dataclass ``field(default_factory=...)``.
 
 ``LINT003`` *missing-annotation* -- every public function or method in
 the packages listed in :data:`ANNOTATION_REQUIRED` (core, relational,
-parallel, backends, cache, obs) must annotate all parameters and its
+backends, cache, obs, service) must annotate all parameters and its
 return type, so the mypy-strict gate stays meaningful.
 """
 
@@ -36,7 +36,6 @@ NONDETERMINISM_EXEMPT: tuple[str, ...] = ("repro/bench/",)
 ANNOTATION_REQUIRED: tuple[str, ...] = (
     "repro/core/",
     "repro/relational/",
-    "repro/parallel/",
     "repro/backends/",
     "repro/cache/",
     "repro/obs/",

@@ -9,6 +9,8 @@ package makes the backend a named, capability-declaring plugin:
 * :mod:`repro.backends.registry` -- named specs (``memory``, ``sqlite``,
   ``simulated``) with lazy factories; :func:`create_backend` is what
   :class:`~repro.core.debugger.NonAnswerDebugger` calls;
+* :mod:`repro.backends.latency` -- :class:`SimulatedLatencyBackend`, the
+  per-probe sleep behind ``simulated`` and the cache/serve benches;
 * :mod:`repro.backends.pool` -- the generic bounded
   :class:`ConnectionPool` (checkout/checkin, idle recycling, stats) the
   sqlite engine draws its connections from;

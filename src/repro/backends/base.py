@@ -5,8 +5,8 @@ strategy talks to an :class:`AlivenessBackend` ("does this query return a
 tuple?") through the instrumented evaluator, and nothing else about the
 engine leaks upward.  This module is the contract layer: the protocols
 every backend implements, plus a :class:`BackendCapabilities` record each
-registered backend declares so callers (the parallel executor, the CLI,
-the conformance suite) can check what an engine supports *before*
+registered backend declares so callers (the service, the CLI, the
+conformance suite) can check what an engine supports *before*
 relying on it.
 """
 
@@ -59,8 +59,7 @@ class BackendCapabilities:
     """What one registered backend supports, declared not probed.
 
     * ``thread_safe`` -- concurrent :meth:`is_alive` calls are allowed
-      (required for the backend to sit under a
-      :class:`~repro.parallel.ParallelProbeExecutor`);
+      (required for the backend to serve concurrent service sessions);
     * ``enumeration`` -- implements :class:`EnumeratingBackend`
       (``count``/``fetch``), needed for witnesses and answer display;
     * ``pooling`` -- holds real per-connection resources behind a

@@ -2,14 +2,14 @@
 
 ``sqlite3`` connections must not be used by two threads at once, and a
 real DBMS charges a round-trip (or worse, a handshake) per connection --
-both problems the paper's deployment scenario would hit the moment the
-:class:`~repro.parallel.ParallelProbeExecutor` fans probes out.  The
-pool solves them generically:
+both problems the paper's deployment scenario hits the moment concurrent
+service sessions probe one shared backend.  The pool solves them
+generically:
 
 * **Bounded checkout.**  At most ``max_size`` connections exist at any
   time; a checkout beyond the cap blocks until another thread checks its
   connection back in (or raises :class:`PoolTimeout` after ``timeout``
-  seconds), so a worker-pool burst can never exhaust backend resources.
+  seconds), so a burst of sessions can never exhaust backend resources.
 * **LIFO reuse.**  Checkins park the connection on an idle stack and the
   next checkout pops the most recently used one -- the warmest cache,
   the least likely to have been recycled away.
@@ -34,8 +34,8 @@ from typing import Callable, Generic, Iterator, TypeVar
 
 T = TypeVar("T")
 
-#: Default checkout cap; matches the parallel executor's default worker
-#: count plus headroom for the coordinating thread.
+#: Default checkout cap: headroom over the service's default of four
+#: concurrent sessions.
 DEFAULT_POOL_SIZE = 8
 
 

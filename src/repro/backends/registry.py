@@ -115,7 +115,7 @@ def _sqlite_factory(database: "Database", **options: Any) -> AlivenessBackend:
 
 
 def _simulated_factory(database: "Database", **options: Any) -> AlivenessBackend:
-    from repro.parallel.latency import DEFAULT_LATENCY, SimulatedLatencyBackend
+    from repro.backends.latency import DEFAULT_LATENCY, SimulatedLatencyBackend
     from repro.relational.engine import InMemoryEngine
 
     inner = InMemoryEngine(

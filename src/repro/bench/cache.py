@@ -1,7 +1,7 @@
 """Cold-vs-warm benchmark for the persistent two-tier probe cache.
 
 Runs the reuse strategies over the DBLife workload twice against a
-:class:`~repro.parallel.SimulatedLatencyBackend` sharing one
+:class:`~repro.backends.latency.SimulatedLatencyBackend` sharing one
 :class:`~repro.cache.ProbeCache` per strategy:
 
 * **cold** -- empty cache file; every first-seen probe pays the backend
@@ -33,7 +33,7 @@ from repro.bench.context import BenchContext
 from repro.bench.tables import TextTable
 from repro.cache import ProbeCache
 from repro.core.traversal import TraversalResult, get_strategy
-from repro.parallel import SimulatedLatencyBackend
+from repro.backends.latency import SimulatedLatencyBackend
 from repro.relational.evaluator import InstrumentedEvaluator
 
 DEFAULT_BENCH_LEVEL = 4

@@ -1,7 +1,7 @@
 """Concurrent-session throughput benchmark for the debugging service.
 
 Drives the Table-2 workload through a :class:`~repro.service.manager.
-SessionManager` twice against a :class:`~repro.parallel.
+SessionManager` twice against a :class:`~repro.backends.latency.
 SimulatedLatencyBackend` (real per-probe sleeps standing in for DBMS
 round-trips):
 
@@ -36,7 +36,7 @@ from typing import Any
 from repro.bench.context import BenchContext
 from repro.bench.tables import TextTable
 from repro.core.debugger import NonAnswerDebugger
-from repro.parallel import SimulatedLatencyBackend
+from repro.backends.latency import SimulatedLatencyBackend
 from repro.relational.database import Database
 from repro.service.manager import SessionHandle, SessionManager
 from repro.workloads.queries import TABLE2_QUERIES

@@ -32,9 +32,9 @@ The evaluator consults the store only after missing its in-process LRU
 session over an unchanged database starts warm: previously probed nodes
 cost zero backend queries and classifications are byte-identical.
 
-All methods are thread-safe (one internal lock around one connection);
-the coordinator thread does all L2 traffic under the parallel executor,
-but interactive sessions may probe from arbitrary threads.
+All methods are thread-safe (one internal lock around one connection):
+concurrent service sessions share one store, and interactive sessions
+may probe from arbitrary threads.
 """
 
 from __future__ import annotations

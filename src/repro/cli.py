@@ -7,7 +7,6 @@ Subcommands::
     repro trace "red candle" --budget-queries 50     # JSON-lines probe trace
     repro bench fig11 --scale 1 --level 5            # regenerate a figure
     repro bench cache --json BENCH_cache.json        # cold vs warm probe cache
-    repro debug "red candle" --workers 4             # threaded frontier probes
     repro serve --dataset dblife --port 8642         # multi-tenant HTTP service
     repro bench serve --json BENCH_serve.json        # concurrent-session QPS
     repro inspect --dataset dblife --scale 2         # dataset summary
@@ -70,18 +69,6 @@ def _add_backend_options(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_executor_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help=(
-            "worker threads that probe each traversal frontier, overlapping "
-            "backend round-trips (0 = serial)"
-        ),
-    )
-
-
 def _add_dataset_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--dataset",
@@ -116,7 +103,7 @@ def _cmd_debug(args: argparse.Namespace) -> int:
         index_backend=args.index_backend,
     )
     started = time.perf_counter()
-    report = debugger.debug(args.query, workers=args.workers)
+    report = debugger.debug(args.query)
     elapsed = time.perf_counter() - started
     debugger.close()
     print(report.render(max_items=args.max_items))
@@ -171,13 +158,10 @@ def _render_aggregates(tracer: ProbeTracer) -> str:
     from repro.bench.tables import TextTable
 
     blocks = []
-    keys = [
+    for key, title in (
         ("level", "Probe spans by lattice level"),
         ("strategy", "Probe spans by traversal strategy"),
-    ]
-    if any(span.worker_id is not None for span in tracer.spans):
-        keys.append(("worker_id", "Probe spans by worker"))
-    for key, title in keys:
+    ):
         rows = tracer.aggregate(key)
         if not rows:
             continue
@@ -250,7 +234,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         cache_dir=args.cache_dir,
         index_backend=args.index_backend,
     )
-    report = debugger.debug(args.query, budget=budget, workers=args.workers)
+    report = debugger.debug(args.query, budget=budget)
     debugger.close()
     for record in tracer.records:
         validate_trace_record(record.to_dict())
@@ -352,22 +336,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         print(f"(ran in {time.perf_counter() - started:.1f} s)")
         _write_bench_json(args, payload)
         return 0 if payload["passed"] else 1
-    if args.experiment == "parallel":
-        from repro.bench.parallel import DEFAULT_BENCH_LEVEL, run_parallel_bench
-
-        started = time.perf_counter()
-        table, payload = run_parallel_bench(
-            context,
-            level=args.level or DEFAULT_BENCH_LEVEL,
-            workers=args.workers,
-        )
-        print(table.render())
-        print(f"(ran in {time.perf_counter() - started:.1f} s)")
-        _write_bench_json(args, payload)
-        if args.trace and context.tracer is not None:
-            count = context.tracer.write_jsonl(args.trace)
-            print(f"(wrote {count} trace records to {args.trace})")
-        return 0 if payload["signatures_match"] and payload["budget_respected"] else 1
     kwargs = {}
     if args.level:
         if args.experiment in ("fig9a", "fig9b"):
@@ -545,7 +513,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="free copies per relation (>1 enables the multi-free extension)",
     )
-    _add_executor_options(debug)
     _add_backend_options(debug)
     debug.set_defaults(func=_cmd_debug)
 
@@ -619,7 +586,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print per-level / per-strategy aggregation tables (stderr)",
     )
-    _add_executor_options(trace)
     _add_backend_options(trace)
     trace.set_defaults(func=_cmd_trace)
 
@@ -627,7 +593,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "experiment",
         choices=sorted(EXPERIMENTS)
-        + ["cache", "mutate", "parallel", "scale", "scaling", "serve"],
+        + ["cache", "mutate", "scale", "scaling", "serve"],
     )
     bench.add_argument("--scale", type=int, default=1)
     bench.add_argument("--seed", type=int, default=42)
@@ -645,14 +611,17 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=4,
-        help="worker threads for the 'parallel' experiment (default: 4)",
+        help=(
+            "closed-loop clients (and session slots) of the 'serve' "
+            "experiment's concurrent pass (default: 4)"
+        ),
     )
     bench.add_argument(
         "--json",
         metavar="PATH",
         help=(
-            "write the 'parallel'/'cache' experiment payload as JSON "
-            "(BENCH_parallel.json / BENCH_cache.json)"
+            "write the 'cache', 'mutate', 'serve' or 'scale' experiment "
+            "payload as JSON (e.g. BENCH_cache.json)"
         ),
     )
     bench.add_argument(

@@ -33,11 +33,7 @@ from repro.obs.budget import ProbeBudget
 from repro.obs.trace import ProbeTracer
 from repro.relational.database import Database
 from repro.relational.engine import DEFAULT_MATERIALIZATION_CAP, InMemoryEngine
-from repro.relational.evaluator import (
-    BatchExecutor,
-    InstrumentedEvaluator,
-    QueryCostModel,
-)
+from repro.relational.evaluator import InstrumentedEvaluator, QueryCostModel
 from repro.relational.jointree import BoundQuery
 from repro.relational.predicates import MatchMode
 
@@ -466,11 +462,8 @@ class NonAnswerDebugger:
         self,
         query: str,
         strategy: str | TraversalStrategy | None = None,
-        evaluator: InstrumentedEvaluator | None = None,
         constraints: SearchConstraints = UNCONSTRAINED,
         budget: ProbeBudget | None = None,
-        workers: int = 0,
-        executor: "BatchExecutor | None" = None,
         tracer: ProbeTracer | None = None,
     ) -> DebugReport:
         """Run phases 1-3 for ``query`` and explain its non-answers.
@@ -489,12 +482,6 @@ class NonAnswerDebugger:
         reached and the report is partial (``report.exhausted``): every
         classification present matches an unbudgeted run, the rest stays
         possibly-alive.
-
-        ``workers > 1`` evaluates each traversal frontier on a transient
-        :class:`~repro.parallel.ParallelProbeExecutor` of that many threads
-        (identical classifications and probe counts, overlapped backend
-        round-trips); passing an ``executor`` reuses a caller-owned pool
-        instead and takes precedence.
         """
         chosen = self.strategy
         if strategy is not None:
@@ -566,26 +553,12 @@ class NonAnswerDebugger:
                         )
                     return report
 
-        if evaluator is None:
-            evaluator = self.make_evaluator(
-                use_cache=chosen.uses_reuse, budget=budget, tracer=active
-            )
-        elif budget is not None and evaluator.budget is None:
-            evaluator.budget = budget
-        owned_executor = None
-        if executor is None and workers > 1:
-            from repro.parallel import ParallelProbeExecutor
-
-            executor = owned_executor = ParallelProbeExecutor(workers=workers)
+        evaluator = self.make_evaluator(
+            use_cache=chosen.uses_reuse, budget=budget, tracer=active
+        )
         phase_event("phase_started", "traversal", strategy=chosen.name)
         started = time.perf_counter()
-        try:
-            report.traversal = chosen.run(
-                report.graph, evaluator, self.database, executor=executor
-            )
-        finally:
-            if owned_executor is not None:
-                owned_executor.close()
+        report.traversal = chosen.run(report.graph, evaluator, self.database)
         timings.traversal = time.perf_counter() - started
         phase_event(
             "phase_completed",

@@ -1,16 +1,6 @@
-"""Shared machinery for the Phase-3 traversal strategies.
-
-Frontier batching lives here too: :func:`extract_level_frontier` yields
-the still-unknown nodes of one lattice level -- probes whose R1/R2
-implication cones are disjoint (aliveness classifies strictly lower
-levels, deadness strictly higher ones, so same-level probes can never
-classify each other) -- and :func:`probe_frontier` evaluates such a batch
-through :meth:`~repro.relational.evaluator.InstrumentedEvaluator.probe_many`,
-applying the answers to the :class:`~repro.core.status.StatusStore` in
-deterministic submission order.  Handing the optional ``executor`` (a
-:class:`~repro.parallel.ParallelProbeExecutor`) to ``run`` overlaps the
-batch's backend round-trips without changing a single classification.
-"""
+"""Shared machinery for the Phase-3 traversal strategies: the result
+record, level-1 seeding without SQL, the level sweep, and the
+template-method interface."""
 
 from __future__ import annotations
 
@@ -23,11 +13,7 @@ from repro.core.mtn import ExplorationGraph
 from repro.core.status import StatusStore
 from repro.obs.budget import ProbeBudgetExhausted
 from repro.relational.database import Database
-from repro.relational.evaluator import (
-    BatchExecutor,
-    EvaluationStats,
-    InstrumentedEvaluator,
-)
+from repro.relational.evaluator import EvaluationStats, InstrumentedEvaluator
 from repro.relational.jointree import BoundQuery
 
 if typing.TYPE_CHECKING:
@@ -126,48 +112,25 @@ def seed_base_levels(
             store.record(index, alive=len(table) > 0, evaluated=False)
 
 
-def extract_level_frontier(
-    graph: ExplorationGraph, store: StatusStore, level: int
-) -> list[int]:
-    """Unknown in-domain nodes of ``level``: one implication-independent batch.
-
-    All returned nodes sit on the same lattice level, so no probe's R1
-    closure (descendants, strictly lower levels) or R2 closure (ancestors,
-    strictly higher levels) can touch another -- evaluating them in any
-    order, or concurrently, classifies exactly the same nodes.
-    """
-    unknown = store.unknown_mask
-    return [
-        index
-        for index in graph.level_indexes(level)
-        if (unknown >> index) & 1
-    ]
-
-
-def probe_frontier(
+def sweep_levels(
     graph: ExplorationGraph,
     store: StatusStore,
     evaluator: InstrumentedEvaluator,
-    frontier: list[int],
-    executor: BatchExecutor | None = None,
+    levels: typing.Iterable[int],
 ) -> None:
-    """Evaluate one frontier batch and fold the answers into ``store``.
+    """Probe the unknown in-domain nodes level by level, in ``levels`` order.
 
-    Results are applied in deterministic submission order at the batch
-    barrier; when the probe budget truncated the batch, the answered
-    prefix is applied first (those classifications are exactly what the
-    serial loop would have kept) and ``ProbeBudgetExhausted`` is raised
-    after, preserving the serial control flow.
+    The unknown mask is read once per level: a probe classifies only
+    strictly lower (R1) or strictly higher (R2) levels, never a node of
+    its own level.  The sweep stops as soon as nothing is unknown.
     """
-    if not frontier:
-        return
-    queries = [graph.node(index).query for index in frontier]
-    batch = evaluator.probe_many(queries, executor=executor)
-    for index, alive in zip(frontier, batch.results):
-        store.record(index, alive)
-    if batch.exhausted:
-        assert evaluator.budget is not None
-        raise ProbeBudgetExhausted(evaluator.budget)
+    for level in levels:
+        unknown = store.unknown_mask
+        if not unknown:
+            return
+        for index in graph.level_indexes(level):
+            if (unknown >> index) & 1:
+                store.record(index, evaluator.is_alive(graph.node(index).query))
 
 
 class TraversalStrategy(abc.ABC):
@@ -188,7 +151,6 @@ class TraversalStrategy(abc.ABC):
         evaluator: InstrumentedEvaluator,
         database: Database,
         result: TraversalResult,
-        executor: BatchExecutor | None = None,
     ) -> None:
         """Classify all MTNs and fill ``result`` (template method)."""
 
@@ -197,7 +159,6 @@ class TraversalStrategy(abc.ABC):
         graph: ExplorationGraph,
         evaluator: InstrumentedEvaluator,
         database: Database,
-        executor: BatchExecutor | None = None,
     ) -> TraversalResult:
         started = time.perf_counter()
         before = evaluator.stats.snapshot()
@@ -212,7 +173,7 @@ class TraversalStrategy(abc.ABC):
                 mtns=len(graph.mtn_indexes),
             )
         try:
-            self._run(graph, evaluator, database, result, executor)
+            self._run(graph, evaluator, database, result)
         except ProbeBudgetExhausted:
             # Safety net for strategies that do not degrade themselves;
             # the built-in ones all catch earlier and collect partially.

@@ -7,13 +7,12 @@ from repro.core.status import StatusStore
 from repro.core.traversal.base import (
     TraversalResult,
     TraversalStrategy,
-    extract_level_frontier,
-    probe_frontier,
     seed_base_levels,
+    sweep_levels,
 )
 from repro.obs.budget import ProbeBudgetExhausted
 from repro.relational.database import Database
-from repro.relational.evaluator import BatchExecutor, InstrumentedEvaluator
+from repro.relational.evaluator import InstrumentedEvaluator
 
 
 def _sweep_up(
@@ -21,22 +20,14 @@ def _sweep_up(
     store: StatusStore,
     evaluator: InstrumentedEvaluator,
     max_level: int,
-    executor: BatchExecutor | None = None,
 ) -> None:
     """Evaluate unknown in-domain nodes level by level, lowest first.
 
     Dead nodes kill their ancestors (R2), so higher levels shrink as the
     sweep climbs; alive nodes point upward only, so nothing below is saved --
     the paper's reason BU struggles when answers sit high in the lattice.
-    Each level's unknown nodes form one implication-independent frontier
-    (probing one cannot classify another at the same level), evaluated as
-    a batch -- concurrently when an ``executor`` is given.
     """
-    for level in range(2, max_level + 1):
-        if not store.unknown_mask:
-            return
-        frontier = extract_level_frontier(graph, store, level)
-        probe_frontier(graph, store, evaluator, frontier, executor)
+    sweep_levels(graph, store, evaluator, range(2, max_level + 1))
 
 
 class BottomUpStrategy(TraversalStrategy):
@@ -55,15 +46,12 @@ class BottomUpStrategy(TraversalStrategy):
         evaluator: InstrumentedEvaluator,
         database: Database,
         result: TraversalResult,
-        executor: BatchExecutor | None = None,
     ) -> None:
         for mtn_index in graph.mtn_indexes:
             store = StatusStore(graph, domain=graph.desc_plus(mtn_index))
             seed_base_levels(graph, store, database)
             try:
-                _sweep_up(
-                    graph, store, evaluator, graph.node(mtn_index).level, executor
-                )
+                _sweep_up(graph, store, evaluator, graph.node(mtn_index).level)
             except ProbeBudgetExhausted:
                 # Keep what this MTN's partial sweep implied, then stop;
                 # later MTNs would need probes the budget no longer allows.
@@ -87,12 +75,11 @@ class BottomUpWithReuseStrategy(TraversalStrategy):
         evaluator: InstrumentedEvaluator,
         database: Database,
         result: TraversalResult,
-        executor: BatchExecutor | None = None,
     ) -> None:
         store = StatusStore(graph)
         seed_base_levels(graph, store, database)
         try:
-            _sweep_up(graph, store, evaluator, graph.max_level, executor)
+            _sweep_up(graph, store, evaluator, graph.max_level)
         except ProbeBudgetExhausted:
             result.exhausted = True
         for mtn_index in graph.mtn_indexes:

@@ -39,12 +39,11 @@ from repro.core.status import StatusStore
 from repro.core.traversal.base import (
     TraversalResult,
     TraversalStrategy,
-    probe_frontier,
     seed_base_levels,
 )
 from repro.obs.budget import ProbeBudgetExhausted
 from repro.relational.database import Database
-from repro.relational.evaluator import BatchExecutor, InstrumentedEvaluator
+from repro.relational.evaluator import InstrumentedEvaluator
 
 DEFAULT_PROBABILITY_ALIVE = 0.5
 
@@ -82,7 +81,6 @@ class ScoreBasedStrategy(TraversalStrategy):
         evaluator: InstrumentedEvaluator,
         database: Database,
         result: TraversalResult,
-        executor: BatchExecutor | None = None,
     ) -> None:
         store = StatusStore(graph)
         seed_base_levels(graph, store, database)
@@ -110,10 +108,7 @@ class ScoreBasedStrategy(TraversalStrategy):
                     asc_matrix @ weight
                 )
                 best = int(candidates[np.argmax(gain[candidates])])
-                # SBH's next choice depends on this probe's answer, so its
-                # frontier is a singleton: no speedup from workers, but the
-                # probe count and classifications stay byte-identical.
-                probe_frontier(graph, store, evaluator, [best], executor)
+                store.record(best, evaluator.is_alive(graph.node(best).query))
                 now_known = store.alive_mask | store.dead_mask
                 self._zero_bits(weight, graph, now_known & ~known)
                 known = now_known

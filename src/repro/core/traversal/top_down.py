@@ -7,13 +7,12 @@ from repro.core.status import StatusStore
 from repro.core.traversal.base import (
     TraversalResult,
     TraversalStrategy,
-    extract_level_frontier,
-    probe_frontier,
     seed_base_levels,
+    sweep_levels,
 )
 from repro.obs.budget import ProbeBudgetExhausted
 from repro.relational.database import Database
-from repro.relational.evaluator import BatchExecutor, InstrumentedEvaluator
+from repro.relational.evaluator import InstrumentedEvaluator
 
 
 def _sweep_down(
@@ -21,20 +20,14 @@ def _sweep_down(
     store: StatusStore,
     evaluator: InstrumentedEvaluator,
     max_level: int,
-    executor: BatchExecutor | None = None,
 ) -> None:
     """Evaluate unknown in-domain nodes level by level, highest first.
 
     Alive nodes mark their whole descendant cone alive (R1), which is why TD
     wins when answers/MPANs sit high in the lattice: an alive MTN costs a
-    single query.  As in the bottom-up sweep, each level's unknown nodes are
-    one implication-independent frontier evaluated as a batch.
+    single query.
     """
-    for level in range(max_level, 0, -1):
-        if not store.unknown_mask:
-            return
-        frontier = extract_level_frontier(graph, store, level)
-        probe_frontier(graph, store, evaluator, frontier, executor)
+    sweep_levels(graph, store, evaluator, range(max_level, 0, -1))
 
 
 class TopDownStrategy(TraversalStrategy):
@@ -49,15 +42,12 @@ class TopDownStrategy(TraversalStrategy):
         evaluator: InstrumentedEvaluator,
         database: Database,
         result: TraversalResult,
-        executor: BatchExecutor | None = None,
     ) -> None:
         for mtn_index in graph.mtn_indexes:
             store = StatusStore(graph, domain=graph.desc_plus(mtn_index))
             seed_base_levels(graph, store, database)
             try:
-                _sweep_down(
-                    graph, store, evaluator, graph.node(mtn_index).level, executor
-                )
+                _sweep_down(graph, store, evaluator, graph.node(mtn_index).level)
             except ProbeBudgetExhausted:
                 result.exhausted = True
                 self._collect(
@@ -79,12 +69,11 @@ class TopDownWithReuseStrategy(TraversalStrategy):
         evaluator: InstrumentedEvaluator,
         database: Database,
         result: TraversalResult,
-        executor: BatchExecutor | None = None,
     ) -> None:
         store = StatusStore(graph)
         seed_base_levels(graph, store, database)
         try:
-            _sweep_down(graph, store, evaluator, graph.max_level, executor)
+            _sweep_down(graph, store, evaluator, graph.max_level)
         except ProbeBudgetExhausted:
             result.exhausted = True
         for mtn_index in graph.mtn_indexes:

@@ -26,7 +26,8 @@ size.  The file lives next to the L2 probe cache inside a ``cache_dir``
 artifact -- a torn file costs a rebuild, never correctness.
 
 All methods are thread-safe (one internal lock around one connection):
-the engine's tuple-set provider is called from parallel probe workers.
+the engine's tuple-set provider is called from concurrent service
+sessions.
 """
 
 from __future__ import annotations

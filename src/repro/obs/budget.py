@@ -14,14 +14,10 @@ The evaluator calls :meth:`admit` before each backend execution and
 once a limit is reached; because the check happens *before* execution, a
 budget of ``max_queries=N`` can never execute more than ``N`` queries.
 
-One budget may throttle many worker threads at once (see
-:mod:`repro.parallel`): all accounting happens under an internal lock,
-and ``admit`` *reserves* a slot on the query axis (tracked in
-``in_flight``) that :meth:`charge` settles or :meth:`cancel` releases.
-The reservation is what keeps ``max_queries=N`` a hard cap even when N
-probes are admitted before any of them finishes; the time axes cannot be
-reserved (a probe's cost is unknown until it ran), so under concurrency
-they may overshoot by at most the probes already in flight.
+A traversal probes serially, so the check-then-charge pair needs no
+reservation.  Accounting still happens under an internal lock because
+:meth:`abort` arrives from another thread: the service cancels a
+running session through it.
 
 Exhaustion is graceful by design: the traversal strategies catch the
 exception, keep every classification already derived (those are exactly
@@ -50,9 +46,7 @@ class ProbeBudget:
     A limit of ``None`` means "unlimited" along that axis; a budget with
     all limits ``None`` never refuses anything.  One budget instance is
     meant to cover one logical unit of work (a traversal run, a debug
-    session); share it across evaluators -- or across the worker threads
-    of a :class:`~repro.parallel.ParallelProbeExecutor` -- to bound their
-    combined effort.
+    session); share it across evaluators to bound their combined effort.
     """
 
     max_queries: int | None = None
@@ -62,8 +56,6 @@ class ProbeBudget:
     queries_used: int = field(default=0, init=False)
     simulated_used: float = field(default=0.0, init=False)
     wall_used: float = field(default=0.0, init=False)
-    #: Probes admitted but not yet charged (executing on some worker).
-    in_flight: int = field(default=0, init=False)
     #: Number of probes refused by :meth:`admit` -- nonzero iff the
     #: budget actually bound some sweep.
     denied: int = field(default=0, init=False)
@@ -97,10 +89,7 @@ class ProbeBudget:
     def _exhausted_locked(self) -> bool:
         if self.aborted:
             return True
-        if (
-            self.max_queries is not None
-            and self.queries_used + self.in_flight >= self.max_queries
-        ):
+        if self.max_queries is not None and self.queries_used >= self.max_queries:
             return True
         if (
             self.max_simulated_seconds is not None
@@ -127,14 +116,11 @@ class ProbeBudget:
             return self.denied > 0
 
     def remaining_queries(self) -> int | None:
-        """Probes left before the query cap bites (``None`` = unlimited).
-
-        In-flight reservations count as spent: they *will* execute.
-        """
+        """Probes left before the query cap bites (``None`` = unlimited)."""
         if self.max_queries is None:
             return None
         with self._lock:
-            return max(0, self.max_queries - self.queries_used - self.in_flight)
+            return max(0, self.max_queries - self.queries_used)
 
     def _describe_locked(self) -> str:
         parts = []
@@ -150,8 +136,6 @@ class ProbeBudget:
             parts.append(
                 f"{self.wall_used:.3f}/{self.max_wall_seconds:.3f} s wall"
             )
-        if self.in_flight:
-            parts.append(f"{self.in_flight} in flight")
         return ", ".join(parts) if parts else "unlimited"
 
     def describe(self) -> str:
@@ -162,21 +146,17 @@ class ProbeBudget:
     def admit(self) -> None:
         """Refuse (raise) if the next backend execution would bust a limit.
 
-        On success one query-axis slot is reserved; the caller must follow
-        up with exactly one :meth:`charge` (after executing) or
-        :meth:`cancel` (if execution never happened).
+        An admitted probe that executes is followed by one :meth:`charge`;
+        one that fails in the backend is never charged.
 
         The refusal decision (and the ``denied`` bump) happens atomically
         under the lock; the exception is raised after release because its
         constructor re-reads the budget through :meth:`describe`.
         """
         with self._lock:
-            if self._exhausted_locked():
+            refused = self._exhausted_locked()
+            if refused:
                 self.denied += 1
-                refused = True
-            else:
-                self.in_flight += 1
-                refused = False
         if refused:
             raise ProbeBudgetExhausted(self)
 
@@ -186,22 +166,16 @@ class ProbeBudget:
         wall_seconds: float = 0.0,
         simulated_seconds: float = 0.0,
     ) -> None:
-        """Account one executed probe's cost, settling its reservation."""
+        """Account one executed probe's cost."""
         with self._lock:
-            self.in_flight = max(0, self.in_flight - queries)
             self.queries_used += queries
             self.wall_used += wall_seconds
             self.simulated_used += simulated_seconds
 
-    def cancel(self, queries: int = 1) -> None:
-        """Release a reservation whose probe never executed (backend error)."""
-        with self._lock:
-            self.in_flight = max(0, self.in_flight - queries)
-
     def abort(self) -> None:
         """Refuse every future admission (cooperative cancellation).
 
-        Probes already in flight finish and are charged normally; the
+        A probe already executing finishes and is charged normally; the
         next :meth:`admit` raises :class:`ProbeBudgetExhausted`, which
         the traversal strategies already turn into a clean partial
         result.  Irreversible for this budget instance (by design: a
@@ -216,7 +190,6 @@ class ProbeBudget:
             self.queries_used = 0
             self.simulated_used = 0.0
             self.wall_used = 0.0
-            self.in_flight = 0
             self.denied = 0
 
     def __str__(self) -> str:

@@ -40,14 +40,11 @@ SPAN_SCHEMA: dict[str, tuple[type, ...]] = {
     "wall_seconds": (int, float),
     "simulated_seconds": (int, float),
 }
-#: Optional span fields: absent on serial probes, stamped by the parallel
-#: executor (``worker_id``, ``queue_wait_s``) or by context/budget.  When
-#: present they must still type-check.
+#: Optional span fields, stamped from the tracer context, the budget, or
+#: the answering cache tier.  When present they must still type-check.
 SPAN_OPTIONAL_SCHEMA: dict[str, tuple[type, ...]] = {
     "strategy": (str,),
     "budget_remaining": (int,),
-    "worker_id": (int,),
-    "queue_wait_s": (int, float),
     "cache_tier": (str,),
     "session_id": (str,),
 }
@@ -76,11 +73,6 @@ class ProbeSpan:
     simulated_seconds: float
     strategy: str | None = None
     budget_remaining: int | None = None
-    #: Worker-pool slot that executed the probe (None = serial path).
-    worker_id: int | None = None
-    #: Seconds the probe sat in the executor queue before a worker
-    #: picked it up (None = serial path).
-    queue_wait_s: float | None = None
     #: Which tier answered: ``"l1"`` (in-process LRU), ``"l2"``
     #: (persistent store), or ``"backend"`` (executed).  None on spans
     #: recorded before the two-tier cache existed.
@@ -105,10 +97,6 @@ class ProbeSpan:
             record["strategy"] = self.strategy
         if self.budget_remaining is not None:
             record["budget_remaining"] = self.budget_remaining
-        if self.worker_id is not None:
-            record["worker_id"] = self.worker_id
-        if self.queue_wait_s is not None:
-            record["queue_wait_s"] = self.queue_wait_s
         if self.cache_tier is not None:
             record["cache_tier"] = self.cache_tier
         if self.session_id is not None:
@@ -153,11 +141,11 @@ class ProbeTracer:
         self.dropped = 0
         self._context: dict[str, Any] = {}  # guarded-by: _lock
         # Invoked under the record lock so delivery order matches the
-        # assigned seq even when worker threads record concurrently; the
+        # assigned seq even when several threads record concurrently; the
         # callback must not call back into this tracer.
         self._listener = listener  # guarded-by: _lock
-        # Sequence assignment + append must be atomic: spans may be
-        # recorded from worker threads (see repro.parallel).
+        # Sequence assignment + append must be atomic: one tracer may be
+        # shared by concurrent service sessions.
         self._lock = threading.Lock()
 
     def set_listener(
@@ -208,8 +196,6 @@ class ProbeTracer:
         wall_seconds: float,
         simulated_seconds: float,
         budget_remaining: int | None = None,
-        worker_id: int | None = None,
-        queue_wait_s: float | None = None,
         cache_tier: str | None = None,
     ) -> ProbeSpan:
         with self._lock:
@@ -224,8 +210,6 @@ class ProbeTracer:
                 simulated_seconds=simulated_seconds,
                 strategy=self._context.get("strategy"),
                 budget_remaining=budget_remaining,
-                worker_id=worker_id,
-                queue_wait_s=queue_wait_s,
                 cache_tier=cache_tier,
                 session_id=self._context.get("session_id"),
             )
@@ -304,12 +288,12 @@ class ProbeTracer:
     # --------------------------------------------------------- aggregation
     def aggregate(self, key: str = "level") -> list[dict[str, Any]]:
         """Fold spans into summary rows grouped by ``level``, ``strategy``,
-        ``worker_id``, or ``session_id``.
+        or ``session_id``.
 
         Each row carries probe/executed/cache-hit counts and total wall +
         simulated seconds; rows sort by group key.
         """
-        if key not in ("level", "strategy", "worker_id", "session_id"):
+        if key not in ("level", "strategy", "session_id"):
             raise ValueError(f"unsupported aggregation key {key!r}")
         groups: dict[Any, dict[str, Any]] = {}
         for span in self.spans:

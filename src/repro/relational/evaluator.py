@@ -9,12 +9,10 @@ All of the paper's run-time metrics are defined here:
   deterministic *simulated* time from a pluggable cost model, so figure
   shapes are reproducible across machines.
 
-The evaluator is safe to call from multiple threads: the aliveness cache
-(a bounded LRU) and the stats counters are guarded by one internal lock,
-and the probe lifecycle is split into admit / execute / apply steps so a
-:class:`~repro.parallel.ParallelProbeExecutor` can run the execute step
-on worker threads while admission and result application stay in
-deterministic submission order on the coordinating thread.
+One traversal probes serially through one evaluator.  The aliveness
+cache (a bounded LRU) and the stats counters are still guarded by one
+internal lock, so they stay consistent when another thread reads them
+or shares the evaluator.
 
 Caching is **two-tier**: the in-process LRU above is the L1 and an
 optional persistent :class:`~repro.backends.base.ProbeStore` (see
@@ -32,7 +30,7 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Protocol, Sequence
+from typing import Protocol
 
 # The backend protocol lives in repro.backends.base (the pluggable
 # backend layer); it is re-exported here because this module is where
@@ -48,8 +46,6 @@ __all__ = [
     "QueryCostModel",
     "EvaluationStats",
     "ProbeOutcome",
-    "ProbeBatch",
-    "BatchExecutor",
     "InstrumentedEvaluator",
     "DEFAULT_CACHE_CAPACITY",
 ]
@@ -146,36 +142,6 @@ class ProbeOutcome:
     alive: bool
     wall_seconds: float
     simulated_seconds: float
-    worker_id: int | None = None
-    queue_wait_s: float | None = None
-
-
-@dataclass
-class ProbeBatch:
-    """Outcome of :meth:`InstrumentedEvaluator.probe_many`.
-
-    ``results`` aligns with a *prefix* of the submitted queries: when the
-    probe budget refused a probe mid-batch, everything before the refusal
-    is answered and ``exhausted`` is True -- exactly the state a serial
-    loop of ``is_alive`` calls leaves behind when the exception fires.
-    """
-
-    results: list[bool] = field(default_factory=list)
-    exhausted: bool = False
-
-
-class BatchExecutor(Protocol):
-    """Anything that can evaluate a batch of probes for an evaluator.
-
-    Implemented by :class:`repro.parallel.ParallelProbeExecutor`; the
-    protocol lives here so ``repro.relational`` needs no import of the
-    parallel machinery.
-    """
-
-    def run_batch(
-        self, evaluator: "InstrumentedEvaluator", queries: Sequence[BoundQuery]
-    ) -> ProbeBatch:  # pragma: no cover - protocol
-        ...
 
 
 class InstrumentedEvaluator:
@@ -233,8 +199,6 @@ class InstrumentedEvaluator:
         cache_hit: bool,
         wall: float,
         simulated: float,
-        worker_id: int | None = None,
-        queue_wait_s: float | None = None,
         cache_tier: str | None = None,
     ) -> None:
         assert self.tracer is not None
@@ -249,8 +213,6 @@ class InstrumentedEvaluator:
             budget_remaining=(
                 self.budget.remaining_queries() if self.budget is not None else None
             ),
-            worker_id=worker_id,
-            queue_wait_s=queue_wait_s,
             cache_tier=cache_tier,
         )
 
@@ -270,9 +232,9 @@ class InstrumentedEvaluator:
         """Serve ``query`` from L1 then L2, counting a tiered hit + span.
 
         Returns ``None`` on a miss in both tiers (or when caching is
-        off); the miss is *not* counted here -- it is counted when the
-        execution is applied, so refused probes never inflate the miss
-        counter.  L2 hits are promoted into L1 so repeated probes stay
+        off); the miss is *not* counted here -- :meth:`is_alive` counts
+        it once the probe executed, so refused probes never inflate the
+        miss counter.  L2 hits are promoted into L1 so repeated probes stay
         in-process.
         """
         if not self.use_cache:
@@ -316,56 +278,48 @@ class InstrumentedEvaluator:
             )
         return persisted
 
-    def admit_probe(self) -> None:
-        """Reserve one backend execution with the budget (raise if spent)."""
-        if self.budget is None:
-            return
-        try:
-            self.budget.admit()
-        except ProbeBudgetExhausted:
-            if self.tracer is not None:
-                self.tracer.record_event(
-                    "budget_exhausted", budget=self.budget.describe()
-                )
-            raise
-
-    def execute_probe(
-        self,
-        query: BoundQuery,
-        worker_id: int | None = None,
-        queue_wait_s: float | None = None,
-    ) -> ProbeOutcome:
+    def execute_probe(self, query: BoundQuery) -> ProbeOutcome:
         """Run one admitted probe against the backend and charge the budget.
 
-        Thread-safe and side-effect-free on the evaluator itself (stats,
-        cache, and trace are updated by :meth:`apply_probe`); this is the
-        only step :class:`~repro.parallel.ParallelProbeExecutor` runs on
-        worker threads.  The budget reservation taken by
-        :meth:`admit_probe` is cancelled if the backend raises.
+        Side-effect-free on the evaluator itself: :meth:`is_alive` folds
+        the outcome into stats, caches, and trace.  A backend error
+        propagates before any charge.
         """
         started = time.perf_counter()
-        try:
-            alive = self.backend.is_alive(query)
-            wall = time.perf_counter() - started
-            simulated = 0.0
-            if self.cost_model is not None:
-                simulated = self.cost_model.cost(query)
-        except BaseException:
-            if self.budget is not None:
-                self.budget.cancel()
-            raise
+        alive = self.backend.is_alive(query)
+        wall = time.perf_counter() - started
+        simulated = 0.0
+        if self.cost_model is not None:
+            simulated = self.cost_model.cost(query)
         if self.budget is not None:
             self.budget.charge(wall_seconds=wall, simulated_seconds=simulated)
         return ProbeOutcome(
-            alive=alive,
-            wall_seconds=wall,
-            simulated_seconds=simulated,
-            worker_id=worker_id,
-            queue_wait_s=queue_wait_s,
+            alive=alive, wall_seconds=wall, simulated_seconds=simulated
         )
 
-    def apply_probe(self, query: BoundQuery, outcome: ProbeOutcome) -> bool:
-        """Fold one executed probe into stats, caches (L1 + L2), and trace."""
+    # ----------------------------------------------------------- probing
+    def is_alive(self, query: BoundQuery) -> bool:
+        """Answer an aliveness probe, counting one executed query on a miss.
+
+        Raises :class:`~repro.obs.budget.ProbeBudgetExhausted` *before*
+        touching the backend when the budget is spent; cached answers are
+        served regardless (they cost nothing).  An executed probe is
+        folded into stats, both cache tiers (L1 + L2 write-through), and
+        the trace.
+        """
+        cached = self.lookup_cached(query)
+        if cached is not None:
+            return cached
+        if self.budget is not None:
+            try:
+                self.budget.admit()
+            except ProbeBudgetExhausted:
+                if self.tracer is not None:
+                    self.tracer.record_event(
+                        "budget_exhausted", budget=self.budget.describe()
+                    )
+                raise
+        outcome = self.execute_probe(query)
         level = query.tree.size
         with self._lock:
             self.stats.queries_executed += 1
@@ -390,51 +344,9 @@ class InstrumentedEvaluator:
                 cache_hit=False,
                 wall=outcome.wall_seconds,
                 simulated=outcome.simulated_seconds,
-                worker_id=outcome.worker_id,
-                queue_wait_s=outcome.queue_wait_s,
                 cache_tier="backend",
             )
         return outcome.alive
-
-    # ----------------------------------------------------------- probing
-    def is_alive(self, query: BoundQuery) -> bool:
-        """Answer an aliveness probe, counting one executed query on a miss.
-
-        Raises :class:`~repro.obs.budget.ProbeBudgetExhausted` *before*
-        touching the backend when the budget is spent; cached answers are
-        served regardless (they cost nothing).
-        """
-        cached = self.lookup_cached(query)
-        if cached is not None:
-            return cached
-        self.admit_probe()
-        outcome = self.execute_probe(query)
-        return self.apply_probe(query, outcome)
-
-    def probe_many(
-        self,
-        queries: Sequence[BoundQuery],
-        executor: BatchExecutor | None = None,
-    ) -> ProbeBatch:
-        """Evaluate a batch of independent probes, budget-safely.
-
-        Without an ``executor`` this is a serial loop of :meth:`is_alive`
-        that converts a mid-batch budget refusal into a truncated
-        ``ProbeBatch`` instead of an exception, so callers can apply the
-        answered prefix before propagating exhaustion.  With an executor
-        the batch is fanned out over its worker pool under the exact same
-        admission order, producing byte-identical results and counts.
-        """
-        if executor is not None:
-            return executor.run_batch(self, queries)
-        batch = ProbeBatch()
-        for query in queries:
-            try:
-                batch.results.append(self.is_alive(query))
-            except ProbeBudgetExhausted:
-                batch.exhausted = True
-                break
-        return batch
 
     # --------------------------------------------------------- housekeeping
     def reset_cache(self) -> None:

@@ -6,14 +6,13 @@ in-memory engine: property tests assert both agree on aliveness for random
 trees and databases.
 
 ``sqlite3`` connections must not be used by two threads at once, so a
-naive single connection crashes the moment a
-:class:`~repro.parallel.ParallelProbeExecutor` fans probes out.  The
-engine mirrors the database into a named shared-cache in-memory sqlite
+naive single connection crashes the moment concurrent service sessions
+share one engine.  The engine mirrors the database into a named shared-cache in-memory sqlite
 instance and serves every read path (:meth:`is_alive`, :meth:`count`,
 :meth:`fetch`) through a bounded
 :class:`~repro.backends.pool.ConnectionPool`: each probe checks a
 connection out, uses it exclusively, and checks it back in, so at most
-``pool_size`` connections ever exist no matter how many worker threads
+``pool_size`` connections ever exist no matter how many sessions
 probe concurrently -- the discipline a real DBMS backend needs, not just
 an sqlite workaround.  One *anchor* connection (created at load time,
 never pooled) keeps the shared-cache database alive and serves

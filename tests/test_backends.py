@@ -22,10 +22,12 @@ from repro.backends import (
     register_backend,
 )
 from repro.backends.conformance import ConformanceFailure, check_backend
+from repro.backends.latency import SimulatedLatencyBackend
 from repro.backends.registry import _REGISTRY
-from repro.parallel import ParallelProbeExecutor
+from repro.cache import ProbeCache
 from repro.relational.engine import InMemoryEngine
 from repro.relational.evaluator import InstrumentedEvaluator
+from repro.relational.jointree import BoundQuery, JoinTree, RelationInstance
 from repro.relational.sqlite_backend import SqliteEngine
 
 
@@ -161,21 +163,75 @@ class TestConnectionPool:
         assert stats.in_use == 0
 
 
-class TestPooledSqliteUnderParallelExecutor:
+class TestPooledSqliteUnderConcurrentSessions:
     def test_parallel_probes_match_serial_and_respect_cap(
-        self, products_db, products_probes
+        self, products_db, products_probes, tmp_path
     ):
+        """8 threads, each with its own evaluator, over one pooled engine
+        and one L2 probe cache -- how concurrent service sessions share."""
+        cache = ProbeCache(tmp_path / "probes.sqlite", products_db)
         with SqliteEngine(products_db, pool_size=3) as engine:
             serial = [engine.is_alive(probe) for probe in products_probes]
-            evaluator = InstrumentedEvaluator(engine, use_cache=False)
-            with ParallelProbeExecutor(workers=8) as executor:
-                batch = evaluator.probe_many(
-                    products_probes * 3, executor=executor
-                )
-            assert batch.results == serial * 3
+            evaluators = [
+                InstrumentedEvaluator(engine, probe_cache=cache) for _ in range(8)
+            ]
+            answers: list[list[bool] | None] = [None] * len(evaluators)
+
+            def session(slot: int) -> None:
+                evaluator = evaluators[slot]
+                answers[slot] = [
+                    evaluator.is_alive(probe) for probe in products_probes * 3
+                ]
+
+            threads = [
+                threading.Thread(target=session, args=(slot,))
+                for slot in range(len(evaluators))
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            assert answers == [serial * 3] * len(evaluators)
             stats = engine.pool_stats()
             assert stats.max_in_use <= 3
             assert stats.in_use == 0
+        cache.close()
+
+
+# ------------------------------------------------------------------ latency
+class FakeBackend:
+    """Aliveness is determined by the bound keyword."""
+
+    def is_alive(self, query):
+        return any("alive" in keyword for keyword in query.keywords)
+
+
+def query(keyword: str) -> BoundQuery:
+    tree = JoinTree.single(RelationInstance("R", 1))
+    return BoundQuery.from_mapping(tree, {RelationInstance("R", 1): keyword})
+
+
+class TestSimulatedLatencyBackend:
+    def test_delegates_answers(self):
+        backend = SimulatedLatencyBackend(FakeBackend(), latency=0.0)
+        assert backend.is_alive(query("alive")) is True
+        assert backend.is_alive(query("dead")) is False
+
+    def test_delay_includes_cost_model(self):
+        class Cost:
+            def cost(self, query):
+                return 2.0
+
+        backend = SimulatedLatencyBackend(
+            FakeBackend(), latency=0.001, cost_model=Cost(), cost_scale=0.01
+        )
+        assert backend.delay_for(query("a")) == pytest.approx(0.021)
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            SimulatedLatencyBackend(FakeBackend(), latency=-1.0)
+        with pytest.raises(ValueError):
+            SimulatedLatencyBackend(FakeBackend(), cost_scale=1.0)
 
 
 # ----------------------------------------------------------------- registry

@@ -34,13 +34,19 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["trace", "red candle", "--strategy", "xx"])
 
-    def test_executor_defaults_and_choices(self):
-        args = build_parser().parse_args(["debug", "red candle"])
-        assert args.workers == 0
-        args = build_parser().parse_args(["trace", "red candle", "--workers", "3"])
-        assert args.workers == 3
+    def test_serve_workers_default_and_validation(self):
+        args = build_parser().parse_args(["serve"])
+        assert args.workers == 4
+        args = build_parser().parse_args(["serve", "--workers", "2"])
+        assert args.workers == 2
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["debug", "red candle", "--workers", "many"])
+            build_parser().parse_args(["serve", "--workers", "many"])
+
+    def test_debug_rejects_workers(self, capsys):
+        with pytest.raises(SystemExit) as raised:
+            build_parser().parse_args(["debug", "red candle", "--workers", "2"])
+        assert raised.value.code == 2
+        assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
 
 
 class TestCommands:

@@ -28,6 +28,10 @@ def query(keyword: str) -> BoundQuery:
     return BoundQuery.from_mapping(tree, {RelationInstance("R", 1): keyword})
 
 
+def queries(count: int, prefix: str = "kw") -> list[BoundQuery]:
+    return [query(f"{prefix}-{index}") for index in range(count)]
+
+
 class TestInstrumentedEvaluator:
     def test_counts_executions(self):
         backend = FakeBackend()
@@ -171,3 +175,94 @@ class TestBudgetedEvaluator:
         with pytest.raises(ProbeBudgetExhausted):
             evaluator.is_alive(query("b"))
         assert [event.name for event in tracer.events] == ["budget_exhausted"]
+
+    def test_backend_error_charges_nothing(self):
+        """A backend error inside ``is_alive`` spends no budget: the budget
+        still admits ``max_queries`` probes afterwards."""
+
+        class ExplodingBackend(FakeBackend):
+            def is_alive(self, query):
+                if "boom" in query.keywords:
+                    self.calls += 1
+                    raise RuntimeError("backend down")
+                return super().is_alive(query)
+
+        backend = ExplodingBackend()
+        budget = ProbeBudget(max_queries=2)
+        evaluator = InstrumentedEvaluator(backend, use_cache=False, budget=budget)
+        with pytest.raises(RuntimeError, match="backend down"):
+            evaluator.is_alive(query("boom"))
+        assert budget.queries_used == 0
+        assert evaluator.stats.queries_executed == 0
+        first, second, third = queries(3)
+        evaluator.is_alive(first)
+        evaluator.is_alive(second)
+        with pytest.raises(ProbeBudgetExhausted):
+            evaluator.is_alive(third)
+        assert budget.queries_used == 2
+        assert backend.calls == 3  # the failed probe plus the two admitted
+
+
+class TestBoundedCache:
+    def test_capacity_evicts_least_recently_used(self):
+        backend = FakeBackend()
+        evaluator = InstrumentedEvaluator(backend, cache_capacity=2)
+        first, second, third = queries(3)
+        evaluator.is_alive(first)
+        evaluator.is_alive(second)
+        evaluator.is_alive(third)  # evicts `first`
+        assert evaluator.cache_size == 2
+        assert evaluator.stats.cache_evictions == 1
+        evaluator.is_alive(first)  # re-executes: it was evicted
+        assert backend.calls == 4
+        evaluator.is_alive(third)  # still cached
+        assert backend.calls == 4
+        assert evaluator.stats.cache_hits == 1
+
+    def test_hit_refreshes_recency(self):
+        backend = FakeBackend()
+        evaluator = InstrumentedEvaluator(backend, cache_capacity=2)
+        first, second, third = queries(3)
+        evaluator.is_alive(first)
+        evaluator.is_alive(second)
+        evaluator.is_alive(first)  # hit: `first` becomes most recent
+        evaluator.is_alive(third)  # evicts `second`, not `first`
+        evaluator.is_alive(first)
+        assert backend.calls == 3
+        assert evaluator.stats.cache_hits == 2
+
+    def test_miss_and_eviction_counters_in_str(self):
+        evaluator = InstrumentedEvaluator(FakeBackend(), cache_capacity=1)
+        evaluator.is_alive(query("a"))
+        evaluator.is_alive(query("b"))
+        text = str(evaluator.stats)
+        assert "2 queries" in text
+        assert "0 cache hits / 2 misses" in text
+        assert "1 evicted" in text
+
+    def test_counters_survive_snapshot_and_diff(self):
+        evaluator = InstrumentedEvaluator(FakeBackend(), cache_capacity=1)
+        evaluator.is_alive(query("a"))
+        before = evaluator.stats.snapshot()
+        evaluator.is_alive(query("b"))
+        evaluator.is_alive(query("b"))
+        delta = evaluator.stats.diff(before)
+        assert delta.cache_misses == 1
+        assert delta.cache_evictions == 1
+        assert delta.cache_hits == 1
+
+    def test_uncached_evaluator_counts_no_misses(self):
+        evaluator = InstrumentedEvaluator(FakeBackend(), use_cache=False)
+        evaluator.is_alive(query("a"))
+        assert evaluator.stats.cache_misses == 0
+
+    def test_invalid_capacity_rejected(self):
+        with pytest.raises(ValueError):
+            InstrumentedEvaluator(FakeBackend(), cache_capacity=0)
+
+    def test_unbounded_cache_never_evicts(self):
+        evaluator = InstrumentedEvaluator(FakeBackend(), cache_capacity=None)
+        for probe in queries(50):
+            evaluator.is_alive(probe)
+        assert evaluator.cache_size == 50
+        assert evaluator.stats.cache_evictions == 0

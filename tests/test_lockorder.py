@@ -7,7 +7,6 @@ import pytest
 from repro.analysis.lockorder import LockOrderMonitor, _ConditionProxy, _LockProxy
 from repro.backends.conformance import check_backend
 from repro.cache import ProbeCache
-from repro.parallel import ParallelProbeExecutor
 from repro.relational.evaluator import InstrumentedEvaluator
 from repro.relational.sqlite_backend import SqliteEngine
 
@@ -168,15 +167,33 @@ class TestRealComponents:
         monitor = LockOrderMonitor()
         cache = ProbeCache(tmp_path / "probes.sqlite", products_db)
         with SqliteEngine(products_db, pool_size=3) as engine:
+            serial = [engine.is_alive(probe) for probe in probes]
             monitor.instrument(engine._pool, "_available", "pool.available")
             monitor.instrument(engine._pool, "_lock", "pool.lock")
-            evaluator = InstrumentedEvaluator(engine, probe_cache=cache)
-            monitor.instrument(evaluator, "_lock", "evaluator.l1")
             monitor.instrument(cache, "_lock", "cache.l2")
-            with ParallelProbeExecutor(workers=6) as executor:
-                batch = evaluator.probe_many(probes * 3, executor=executor)
+            # One evaluator per thread over the shared pool and L2 cache:
+            # the way concurrent service sessions share them.
+            evaluators = [
+                InstrumentedEvaluator(engine, probe_cache=cache) for _ in range(6)
+            ]
+            for evaluator in evaluators:
+                monitor.instrument(evaluator, "_lock", "evaluator.l1")
+            answers: list[list[bool] | None] = [None] * len(evaluators)
+
+            def session(slot: int) -> None:
+                evaluator = evaluators[slot]
+                answers[slot] = [evaluator.is_alive(probe) for probe in probes * 3]
+
+            threads = [
+                threading.Thread(target=session, args=(slot,))
+                for slot in range(len(evaluators))
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
         cache.close()
-        assert len(batch.results) == len(probes) * 3
+        assert answers == [serial * 3] * len(evaluators)
         # Every monitored lock participated, and the combined evaluator /
         # L2-cache / pool path never nested two of them in both orders.
         held = monitor.acquisitions()

@@ -259,15 +259,17 @@ class TestBudgetedTraversal:
 
     def test_trace_span_count_matches_queries_executed(self, dblife_debugger):
         tracer = ProbeTracer()
-        evaluator = dblife_debugger.make_evaluator(use_cache=True, tracer=tracer)
-        report = dblife_debugger.debug(self.QUERY, strategy="buwr", evaluator=evaluator)
+        report = dblife_debugger.debug(self.QUERY, strategy="buwr", tracer=tracer)
         result = report.traversal
         assert tracer.executed_span_count == result.stats.queries_executed
         assert tracer.span_count == (
             result.stats.queries_executed + result.stats.cache_hits
         )
-        names = [event.name for event in tracer.events]
-        assert names[0] == "traversal_start" and names[-1] == "traversal_end"
+        seqs = {event.name: event.seq for event in tracer.events}
+        assert all(
+            seqs["traversal_start"] < span.seq < seqs["traversal_end"]
+            for span in tracer.spans
+        )
         assert all(span.strategy == "buwr" for span in tracer.spans)
         counts = validate_trace_lines(tracer.to_jsonl().splitlines())
         assert counts["span"] == tracer.span_count
@@ -350,7 +352,7 @@ class TestStrategySafetyNet:
         class Leaky(type(get_strategy("buwr"))):
             name = "leaky"
 
-            def _run(self, graph, evaluator, database, result, executor=None):
+            def _run(self, graph, evaluator, database, result):
                 raise ProbeBudgetExhausted(ProbeBudget(max_queries=0))
 
         report = products_debugger.debug("saffron scented candle", strategy=Leaky())

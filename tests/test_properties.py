@@ -200,81 +200,6 @@ class TestStrategyEquivalence:
             assert counts["tdwr"] <= counts["td"]
 
 
-class TestParallelEquivalence:
-    @SETTINGS
-    @given(
-        database=product_databases(),
-        seed=st.integers(0, 10_000),
-        workers=st.integers(2, 4),
-    )
-    def test_parallel_runs_are_byte_identical_to_serial(
-        self, database, seed, workers
-    ):
-        """Every strategy run through a worker pool reports the same
-        classification signature and executed-query count as its serial
-        run -- with no budget, and with a budget that actually binds."""
-        from repro.obs import ProbeBudget
-        from repro.parallel import ParallelProbeExecutor
-
-        debugger = NonAnswerDebugger(database, max_joins=2)
-        with ParallelProbeExecutor(workers=workers) as executor:
-            for text in random_queries(database, seed, count=1):
-                mapping = debugger.map_keywords(text)
-                if not mapping.complete or not mapping.keywords:
-                    continue
-                graph = debugger.build_graph(debugger.prune(mapping))
-                for name in STRATEGY_NAMES:
-                    strategy = get_strategy(name)
-                    serial = strategy.run(
-                        graph,
-                        debugger.make_evaluator(use_cache=strategy.uses_reuse),
-                        database,
-                    )
-                    parallel = strategy.run(
-                        graph,
-                        debugger.make_evaluator(use_cache=strategy.uses_reuse),
-                        database,
-                        executor=executor,
-                    )
-                    assert (
-                        parallel.classification_signature()
-                        == serial.classification_signature()
-                    ), (name, text)
-                    assert (
-                        parallel.stats.queries_executed
-                        == serial.stats.queries_executed
-                    ), (name, text)
-                    # An exhausting budget must bind identically in both modes.
-                    cap = max(serial.stats.queries_executed // 2, 1)
-                    serial_bounded = strategy.run(
-                        graph,
-                        debugger.make_evaluator(
-                            use_cache=strategy.uses_reuse,
-                            budget=ProbeBudget(max_queries=cap),
-                        ),
-                        database,
-                    )
-                    parallel_bounded = strategy.run(
-                        graph,
-                        debugger.make_evaluator(
-                            use_cache=strategy.uses_reuse,
-                            budget=ProbeBudget(max_queries=cap),
-                        ),
-                        database,
-                        executor=executor,
-                    )
-                    assert parallel_bounded.stats.queries_executed <= cap
-                    assert (
-                        parallel_bounded.classification_signature()
-                        == serial_bounded.classification_signature()
-                    ), (name, text, cap)
-                    assert (
-                        parallel_bounded.stats.queries_executed
-                        == serial_bounded.stats.queries_executed
-                    ), (name, text, cap)
-                    assert parallel_bounded.exhausted == serial_bounded.exhausted
-
-
 class TestBudgetAnytime:
     @SETTINGS
     @given(

@@ -8,7 +8,7 @@ import pytest
 
 from repro.core.debugger import NonAnswerDebugger
 from repro.obs import check_trace_file
-from repro.parallel import SimulatedLatencyBackend
+from repro.backends.latency import SimulatedLatencyBackend
 from repro.service.manager import (
     CANCELLED,
     COMPLETED,

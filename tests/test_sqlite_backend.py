@@ -1,5 +1,8 @@
 """The sqlite3 backend must agree with the in-memory engine."""
 
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
 from repro.relational.engine import InMemoryEngine
@@ -105,3 +108,47 @@ class TestSqliteEngine:
             assert report.traversal is not None
         with pytest.raises(sqlite3.ProgrammingError):
             debugger.backend.connection.execute("SELECT 1")
+
+
+class TestSqliteThreadSafety:
+    def test_concurrent_is_alive_matches_serial(self, products_debugger):
+        """Regression: concurrent probes must not raise ProgrammingError."""
+        mapping = products_debugger.map_keywords("saffron scented candle")
+        graph = products_debugger.build_graph(products_debugger.prune(mapping))
+        probes = [graph.node(index).query for index in range(len(graph))]
+        with SqliteEngine(products_debugger.database) as engine:
+            serial = [engine.is_alive(probe) for probe in probes]
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                concurrent = list(pool.map(engine.is_alive, probes * 4))
+            assert concurrent == serial * 4
+
+    def test_concurrent_checkouts_draw_distinct_pooled_connections(
+        self, products_db
+    ):
+        """3 threads holding checkouts at once get 3 distinct connections."""
+        with SqliteEngine(products_db, pool_size=4) as engine:
+            # Only the anchor connection exists before any checkout.
+            assert engine.connection_count == 1
+            barrier = threading.Barrier(3)
+
+            def checkout():
+                with engine._pool.connection() as connection:
+                    barrier.wait(timeout=5)  # all 3 held simultaneously
+                    return id(connection)
+
+            with ThreadPoolExecutor(max_workers=3) as pool:
+                held = list(pool.map(lambda _: checkout(), range(3)))
+            assert len(set(held)) == 3
+            stats = engine.pool_stats()
+            assert stats.created == 3
+            assert stats.max_in_use == 3
+            assert stats.in_use == 0  # all returned afterwards
+            assert engine.connection_count == 4  # anchor + 3 idle
+
+    def test_closed_engine_refuses_new_connections(self, products_db):
+        import sqlite3
+
+        engine = SqliteEngine(products_db)
+        engine.close()
+        with pytest.raises(sqlite3.ProgrammingError):
+            _ = engine.connection
