@@ -15,7 +15,7 @@ package makes the backend a named, capability-declaring plugin:
   :class:`ConnectionPool` (checkout/checkin, idle recycling, stats) the
   sqlite engine draws its connections from;
 * :mod:`repro.backends.conformance` -- the shared suite every registered
-  backend must pass (run by CI for each name).
+  backend must pass (a tier-1 test runs it for each name).
 """
 
 from repro.backends.base import (

@@ -6,8 +6,9 @@ probes whose ground truth comes from the in-memory engine, and verifies
 each *declared* capability actually holds: thread-safe backends answer a
 concurrent storm identically to the serial pass, enumerating backends
 agree between ``count`` and ``is_alive``, pooling backends expose pool
-stats and respect their cap.  CI runs it for every registered name, so
-a new backend (or a regression in an old one) fails loudly.
+stats and respect their cap.  A tier-1 test runs it for every
+registered name, so a new backend (or a regression in an old one) fails
+loudly.
 """
 
 from __future__ import annotations

@@ -15,7 +15,8 @@ backend)`` cell:
   answers/non-answers/MPANs of every workload query, proving the
   backends agree byte-for-byte before any number is compared.
 
-Three CI gates ride on the payload (``BENCH_scale.json``):
+Three gates ride on the payload; ``repro bench scale`` exits 1 when
+one fails (``--json`` writes it):
 
 * ``signatures_match`` -- every backend classifies identically at every
   target (the sqlite index is an *index*, not an approximation);

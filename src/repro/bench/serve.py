@@ -13,8 +13,8 @@ round-trips):
   moment sharing the one backend.
 
 Aggregate QPS is sessions finished per wall second.  Two gates are
-checked before any timing is trusted and carried into CI via
-``BENCH_serve.json``:
+checked before any timing is trusted; ``repro bench serve`` exits 1
+when either fails (``--json`` writes the payload):
 
 * every concurrent lane's per-query outcomes (state, classification
   signature, executed-query count) are byte-identical to the serialized

@@ -6,7 +6,6 @@ Subcommands::
     repro search "widom trio" --dataset dblife       # classic KWS-S view
     repro trace "red candle" --budget-queries 50     # JSON-lines probe trace
     repro bench fig11 --scale 1 --level 5            # regenerate a figure
-    repro bench cache --json BENCH_cache.json        # cold vs warm probe cache
     repro serve --dataset dblife --port 8642         # multi-tenant HTTP service
     repro bench serve --json BENCH_serve.json        # concurrent-session QPS
     repro inspect --dataset dblife --scale 2         # dataset summary
@@ -287,38 +286,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         print(f"(ran in {time.perf_counter() - started:.1f} s)")
         _write_bench_json(args, payload)
         return 0 if payload["passed"] else 1
-    if args.experiment == "cache":
-        from repro.bench.cache import DEFAULT_BENCH_LEVEL, run_cache_bench
-
-        started = time.perf_counter()
-        table, payload = run_cache_bench(
-            context,
-            level=args.level or DEFAULT_BENCH_LEVEL,
-            cache_dir=args.cache_dir,
-        )
-        print(table.render())
-        print(f"(ran in {time.perf_counter() - started:.1f} s)")
-        _write_bench_json(args, payload)
-        if args.trace and context.tracer is not None:
-            count = context.tracer.write_jsonl(args.trace)
-            print(f"(wrote {count} trace records to {args.trace})")
-        return 0 if payload["passed"] else 1
-    if args.experiment == "mutate":
-        from repro.bench.mutate import DEFAULT_BENCH_LEVEL, run_mutate_bench
-
-        started = time.perf_counter()
-        table, payload = run_mutate_bench(
-            context,
-            level=args.level or DEFAULT_BENCH_LEVEL,
-            cache_dir=args.cache_dir,
-        )
-        print(table.render())
-        print(f"(ran in {time.perf_counter() - started:.1f} s)")
-        _write_bench_json(args, payload)
-        if args.trace and context.tracer is not None:
-            count = context.tracer.write_jsonl(args.trace)
-            print(f"(wrote {count} trace records to {args.trace})")
-        return 0 if payload["passed"] else 1
     if args.experiment == "serve":
         from repro.bench.serve import (
             DEFAULT_BENCH_LEVEL,
@@ -592,8 +559,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench = commands.add_parser("bench", help="regenerate a paper table/figure")
     bench.add_argument(
         "experiment",
-        choices=sorted(EXPERIMENTS)
-        + ["cache", "mutate", "scale", "scaling", "serve"],
+        choices=sorted(EXPERIMENTS) + ["scale", "scaling", "serve"],
     )
     bench.add_argument("--scale", type=int, default=1)
     bench.add_argument("--seed", type=int, default=42)
@@ -620,20 +586,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--json",
         metavar="PATH",
         help=(
-            "write the 'cache', 'mutate', 'serve' or 'scale' experiment "
-            "payload as JSON (e.g. BENCH_cache.json)"
+            "write the 'serve' or 'scale' experiment payload as JSON "
+            "(e.g. BENCH_serve.json)"
         ),
     )
     bench.add_argument(
         "--trace",
         metavar="PATH",
         help="record every probe and write a JSON-lines trace here",
-    )
-    bench.add_argument(
-        "--cache-dir",
-        metavar="DIR",
-        default=None,
-        help="cache directory for the 'cache' experiment (default: temp dir)",
     )
     bench.set_defaults(func=_cmd_bench)
 

@@ -8,8 +8,7 @@ per-session event log; :class:`~repro.service.manager.SessionManager`
 runs many such sessions concurrently over one shared backend, probe
 cache, and status cache; :class:`~repro.service.app.ServiceApp` exposes
 the whole thing over HTTP (stdlib-only asyncio server in
-:mod:`repro.service.server`); and :mod:`repro.service.smoke` drives the
-paper's Table-2 workload end to end through a live socket, the CI gate.
+:mod:`repro.service.server`).
 """
 
 from repro.service.app import Response, ServiceApp

@@ -6,6 +6,7 @@ import threading
 
 import pytest
 
+from repro.bench.context import BenchContext
 from repro.cache import (
     STATUS_CACHE_FILENAME,
     ProbeCache,
@@ -16,6 +17,7 @@ from repro.cache import (
 from repro.cache.keys import query_cache_key
 from repro.core.debugger import NonAnswerDebugger
 from repro.core.session import DebugSession
+from repro.core.traversal import get_strategy
 from repro.datasets.products import product_database
 from repro.obs import ProbeBudget, ProbeTracer
 from repro.relational.evaluator import InstrumentedEvaluator
@@ -493,38 +495,84 @@ class TestWarmStart:
         assert products_debugger.make_evaluator().probe_cache is None
 
 
-# ------------------------------------------------------------------- bench
-class TestCacheBench:
-    def test_cache_bench_smoke(self, tmp_path):
-        from repro.bench.cache import run_cache_bench
-        from repro.bench.context import BenchContext
+# ------------------------------------------------------------- count gates
+#: The gates' configuration: DBLife scale 1 at level 4 (materialized
+#: lattice, 3 keyword slots), Table-2 Q1-Q10, the reuse strategies (the
+#: persistent tier is inert under ``use_cache=False``).
+GATE_LEVEL = 4
+GATE_STRATEGIES = ("buwr", "tdwr", "sbh")
 
-        table, payload = run_cache_bench(
-            BenchContext.create(),
-            level=3,
-            cache_dir=tmp_path,
-            latency=0.0,
-            strategies=("sbh",),
+
+def workload_pass(context, strategy_name, probe_cache):
+    """Q1-Q10 through fresh evaluators (empty L1) sharing ``probe_cache``.
+
+    Phase 3 runs on the prepared graphs directly, so no status cache can
+    skip it: every answer comes from the backend or the L2 store.
+    Returns ``(executed queries, classification signatures)``.
+    """
+    strategy = get_strategy(strategy_name)
+    backend = context.debugger(GATE_LEVEL).backend
+    executed = 0
+    signatures = []
+    for query in context.workload:
+        evaluator = InstrumentedEvaluator(
+            backend, cost_model=context.cost_model, probe_cache=probe_cache
         )
-        assert payload["signatures_match"]
-        assert payload["warm_queries_total"] == 0
-        assert payload["query_speedup"] >= payload["speedup_gate"]
-        assert payload["passed"]
-        assert "sbh" in table.render()
-
-    def test_mutate_bench_smoke(self, tmp_path):
-        from repro.bench.context import BenchContext
-        from repro.bench.mutate import run_mutate_bench
-
-        table, payload = run_mutate_bench(
-            BenchContext.create(),
-            level=3,
-            cache_dir=tmp_path,
-            latency=0.0,
-            strategies=("sbh",),
+        result = strategy.run(
+            context.prepare(GATE_LEVEL, query).graph, evaluator, context.database
         )
-        assert payload["signatures_match"]
-        assert payload["delta_insert_only"]
-        assert payload["warm_queries_total"] < payload["cold_queries_total"]
-        assert payload["repaired_total"] > 0
-        assert "Publication" in table.render()
+        executed += result.stats.queries_executed
+        signatures.append(result.classification_signature())
+    return executed, signatures
+
+
+class TestCountGates:
+    """The paper's cost measure (executed queries) as pass/fail gates."""
+
+    def test_warm_pass_executes_no_queries(self, tmp_path):
+        context = BenchContext.create(scale=1, seed=42)
+        cold_total = warm_total = 0
+        for name in GATE_STRATEGIES:
+            # One store per strategy: no strategy pre-warms another.
+            with ProbeCache(tmp_path / f"{name}.sqlite", context.database) as cache:
+                cold, cold_signatures = workload_pass(context, name, cache)
+                warm, warm_signatures = workload_pass(context, name, cache)
+            assert warm_signatures == cold_signatures, name
+            cold_total += cold
+            warm_total += warm
+        assert warm_total == 0
+        assert cold_total / max(1, warm_total) >= 5
+
+    def test_single_insert_repair_stays_mostly_warm(self, tmp_path):
+        context = BenchContext.create(scale=1, seed=42)
+        database = context.database
+        for name in GATE_STRATEGIES:
+            with ProbeCache(tmp_path / f"{name}.sqlite", database) as cache:
+                workload_pass(context, name, cache)
+        # One insert into the live database keeps its lineage, so the
+        # delta classifies insert-only; a fresh pipeline over the same
+        # object is what the next session builds (the lattice depends
+        # only on the schema, so it is shared).
+        rows = len(database.table("Publication"))
+        database.insert("Publication", (rows + 1, "benchmark mutation probe row"))
+        mutated = BenchContext(
+            config=context.config,
+            _database=database,
+            _lattices=context._lattices,
+        )
+        cold_total = warm_total = 0
+        for name in GATE_STRATEGIES:
+            # Re-attaching repairs the store against the mutated database.
+            with ProbeCache(tmp_path / f"{name}.sqlite", database) as cache:
+                assert cache.last_repair is not None
+                assert cache.last_repair.directions == {
+                    "Publication": "insert_only"
+                }
+                warm, warm_signatures = workload_pass(mutated, name, cache)
+            # Reference: a full recompute through a separate empty store.
+            with ProbeCache(tmp_path / f"{name}-cold.sqlite", database) as ref:
+                cold, cold_signatures = workload_pass(mutated, name, ref)
+            assert warm_signatures == cold_signatures, name
+            cold_total += cold
+            warm_total += warm
+        assert warm_total / max(1, cold_total) < 0.25

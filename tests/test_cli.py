@@ -105,6 +105,38 @@ class TestCommands:
         assert "answer queries" in capsys.readouterr().out
 
 
+class TestBenchGateExitStatus:
+    """The timing gates run as plain commands: the exit status is the gate."""
+
+    @pytest.mark.parametrize(("passed", "code"), [(True, 0), (False, 1)])
+    @pytest.mark.parametrize(
+        ("argv", "runner"),
+        [
+            (["bench", "serve"], "repro.bench.serve.run_serve_bench"),
+            (
+                ["bench", "scale", "--tuples", "1000"],
+                "repro.bench.scale.run_scale_bench",
+            ),
+        ],
+        ids=["serve", "scale"],
+    )
+    def test_exit_status_follows_payload(
+        self, monkeypatch, capsys, tmp_path, argv, runner, passed, code
+    ):
+        import json
+
+        from repro.bench.tables import TextTable
+
+        def fake_runner(*args, **kwargs):
+            return TextTable("gate", ["passed"]), {"passed": passed}
+
+        monkeypatch.setattr(runner, fake_runner)
+        path = tmp_path / "bench.json"
+        assert main(argv + ["--json", str(path)]) == code
+        # The payload is still written for upload when the gate fails.
+        assert json.loads(path.read_text()) == {"passed": passed}
+
+
 class TestTraceCommand:
     def test_trace_stdout_is_valid_jsonl(self, capsys):
         from repro.obs.trace import validate_trace_lines

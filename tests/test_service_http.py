@@ -1,19 +1,96 @@
 """Tests for the HTTP layer: in-process routing plus a live socket."""
 
+import http.client
 import json
+import time
 
 import pytest
 
 from repro.core.debugger import NonAnswerDebugger
-from repro.service import ServiceApp, ServiceServer, SessionManager
-from repro.service.smoke import (
-    _request,
-    _request_json,
-    poll_session_events,
-    stream_session_events,
+from repro.obs.invariants import check_trace_file
+from repro.service import (
+    TERMINAL_EVENTS,
+    ServiceApp,
+    ServiceServer,
+    SessionManager,
 )
+from repro.workloads.queries import TABLE2_QUERIES
 
 QUERY = "saffron scented candle"
+
+
+def http_request(host, port, method, path, body=None):
+    """One HTTP round-trip over a fresh connection: ``(status, raw body)``."""
+    connection = http.client.HTTPConnection(host, port, timeout=60)
+    try:
+        payload = None if body is None else json.dumps(body).encode("utf-8")
+        headers = {} if payload is None else {"Content-Type": "application/json"}
+        connection.request(method, path, body=payload, headers=headers)
+        response = connection.getresponse()
+        return response.status, response.read()
+    finally:
+        connection.close()
+
+
+def http_request_json(host, port, method, path, body=None):
+    status, raw = http_request(host, port, method, path, body)
+    assert status < 400, (method, path, status, raw)
+    return json.loads(raw)
+
+
+def stream_session_events(host, port, session_id):
+    """One session's event log over chunked JSON-lines.
+
+    The server ends the stream at the terminal event; ``http.client``
+    undoes the chunked framing.
+    """
+    connection = http.client.HTTPConnection(host, port, timeout=300)
+    try:
+        connection.request("GET", f"/sessions/{session_id}/stream")
+        response = connection.getresponse()
+        assert response.status == 200, session_id
+        return [json.loads(line) for line in response]
+    finally:
+        connection.close()
+
+
+def poll_session_events(host, port, session_id):
+    """One session's event log by long-polling until the terminal event."""
+    records = []
+    deadline = time.monotonic() + 120
+    while not records or records[-1].get("name") not in TERMINAL_EVENTS:
+        assert time.monotonic() < deadline, f"{session_id} never terminal"
+        cursor = records[-1]["seq"] if records else -1
+        path = f"/sessions/{session_id}/events?after={cursor}&wait=5"
+        status, raw = http_request(host, port, "GET", path)
+        assert status == 200, session_id
+        records += [json.loads(line) for line in raw.splitlines() if line.strip()]
+    return records
+
+
+def replay(host, port, queries, use_stream):
+    """Run each query to completion; per session ``(result, event names,
+    executed spans)``."""
+    follow = stream_session_events if use_stream else poll_session_events
+    sessions = []
+    for text in queries:
+        session_id = http_request_json(
+            host, port, "POST", "/sessions", {"query": text}
+        )["session_id"]
+        events = follow(host, port, session_id)
+        result = http_request_json(
+            host, port, "GET", f"/sessions/{session_id}/result"
+        )
+        executed = sum(
+            1
+            for record in events
+            if record["kind"] == "span" and not record["cache_hit"]
+        )
+        names = {
+            record["name"] for record in events if record["kind"] == "event"
+        }
+        sessions.append((result, names, executed))
+    return sessions
 
 
 @pytest.fixture
@@ -193,55 +270,60 @@ class TestSessionEndpoints:
 class TestLiveServer:
     """The acceptance path: real sockets, warm server, phase3_skipped."""
 
-    def test_warm_replay_skips_phase3_over_http(self, products_db, tmp_path):
+    @pytest.mark.parametrize(
+        ("dataset", "queries", "options"),
+        [
+            ("products_db", (QUERY,), {}),
+            (
+                "dblife_db",
+                tuple(query.text for query in TABLE2_QUERIES),
+                {"use_lattice": False, "backend": "memory"},
+            ),
+        ],
+        ids=["products", "dblife-table2"],
+    )
+    def test_warm_replay_skips_phase3_over_http(
+        self, request, tmp_path, dataset, queries, options
+    ):
         debugger = NonAnswerDebugger(
-            products_db, max_joins=2, cache_dir=str(tmp_path)
+            request.getfixturevalue(dataset),
+            max_joins=2,
+            cache_dir=str(tmp_path),
+            **options,
         )
         manager = SessionManager(debugger, workers=2)
         server = ServiceServer(ServiceApp(manager))
+        event_log = tmp_path / "events.jsonl"
         server.start()
         try:
-            host, port = server.host, server.port
-
-            def run_client(use_stream):
-                submitted = _request_json(
-                    host, port, "POST", "/sessions", {"query": QUERY}
-                )
-                session_id = submitted["session_id"]
-                if use_stream:
-                    events = stream_session_events(host, port, session_id)
-                else:
-                    events = poll_session_events(host, port, session_id)
-                result = _request_json(
-                    host, port, "GET", f"/sessions/{session_id}/result"
-                )
-                executed = sum(
-                    1
-                    for record in events
-                    if record["kind"] == "span" and not record["cache_hit"]
-                )
-                names = {
-                    record["name"]
-                    for record in events
-                    if record["kind"] == "event"
-                }
-                return result, executed, names
-
-            cold, cold_executed, cold_names = run_client(use_stream=True)
-            warm, warm_executed, warm_names = run_client(use_stream=False)
-
-            assert cold["state"] == warm["state"] == "completed"
-            assert cold["signature"] == warm["signature"]
-            assert cold_executed > 0
-            # The second client hits the persisted status cache: Phase 3
-            # never runs, zero backend queries, observed through HTTP.
-            assert "phase3_skipped" in warm_names
-            assert "phase3_skipped" not in cold_names
-            assert warm_executed == 0
-            assert warm["queries_executed"] == 0
+            cold = replay(server.host, server.port, queries, use_stream=True)
+            warm = replay(server.host, server.port, queries, use_stream=False)
         finally:
             server.stop()
-            manager.shutdown(drain=True)
+            manager.shutdown(drain=True, export_path=str(event_log))
+
+        states = {result["state"] for result, _, _ in cold + warm}
+        assert states == {"completed"}
+        signatures = [result.get("signature") for result, _, _ in cold]
+        assert signatures == [result.get("signature") for result, _, _ in warm]
+        assert sum(executed for _, _, executed in cold) > 0
+        assert not any("phase3_skipped" in names for _, names, _ in cold)
+        # The second pass hits the persisted status cache: every repeat
+        # whose cold run classified a candidate network skips Phase 3
+        # and executes zero backend queries, observed through HTTP.
+        repeats = [
+            names
+            for signature, (_, names, _) in zip(signatures, warm)
+            if signature and (signature[0] or signature[1])
+        ]
+        assert repeats
+        assert all("phase3_skipped" in names for names in repeats)
+        assert sum(
+            result.get("queries_executed", 0) + executed
+            for result, _, executed in warm
+        ) == 0
+        # The drained shutdown's combined log passes `repro trace check`.
+        assert check_trace_file(str(event_log)) == []
 
     def test_http_errors_over_socket(self, products_db):
         debugger = NonAnswerDebugger(products_db, max_joins=2)
@@ -249,11 +331,11 @@ class TestLiveServer:
         server = ServiceServer(ServiceApp(manager))
         server.start()
         try:
-            status, _ = _request(
+            status, _ = http_request(
                 server.host, server.port, "GET", "/sessions/s42"
             )
             assert status == 404
-            status, body = _request(
+            status, body = http_request(
                 server.host, server.port, "POST", "/sessions", {"query": ""}
             )
             assert status == 400
@@ -271,7 +353,7 @@ class TestLiveServer:
         try:
             assert first.port != second.port
             for server in (first, second):
-                status, _ = _request(
+                status, _ = http_request(
                     server.host, server.port, "GET", "/healthz"
                 )
                 assert status == 200

@@ -64,22 +64,27 @@ class TestRules:
 
 
 class TestDomainRestriction:
-    def test_domain_limits_closure(self, graph):
-        mtn = graph.mtn_indexes[0]
-        store = StatusStore(graph, domain=graph.desc_plus(mtn))
-        # Mark a shared descendant dead: ancestors outside the domain must
-        # remain untouched.
-        shared = None
-        for index in graph.bits(graph.desc_mask[mtn]):
-            if graph.asc_mask[index] & ~graph.desc_plus(mtn):
-                shared = index
-                break
-        if shared is None:
-            pytest.skip("no shared descendant in this graph")
-        store.mark_dead(shared, evaluated=True)
-        outside = graph.bits(graph.asc_mask[shared] & ~graph.desc_plus(mtn))
-        for index in outside:
-            assert store.status(index) is Status.POSSIBLY_ALIVE
+    def test_domain_limits_closure(self, products_debugger):
+        # Every interpretation of the query, so MTN cones overlap: some
+        # descendants of an MTN have ancestors outside its cone.
+        mapping = products_debugger.map_keywords("saffron scented candle")
+        graph = build_exploration_graph(products_debugger.prune(mapping))
+        shared = [
+            (mtn, index)
+            for mtn in graph.mtn_indexes
+            for index in graph.bits(graph.desc_mask[mtn])
+            if graph.asc_mask[index] & ~graph.desc_plus(mtn)
+        ]
+        assert shared
+        for mtn, index in shared:
+            store = StatusStore(graph, domain=graph.desc_plus(mtn))
+            store.mark_dead(index, evaluated=True)
+            # R2 closes inside the domain; ancestors outside it stay
+            # untouched.
+            assert store.status(mtn) is Status.DEAD
+            outside = graph.bits(graph.asc_mask[index] & ~graph.desc_plus(mtn))
+            for ancestor in outside:
+                assert store.status(ancestor) is Status.POSSIBLY_ALIVE
 
 
 class TestDeltaMerge:
@@ -121,7 +126,7 @@ class TestMpans:
             }
             assert mpans == expected
             for index in mpans:
-                assert not graph.node(index).is_mtn or True
+                assert not graph.node(index).is_mtn
                 assert graph.node(index).tree.is_subtree_of(
                     graph.node(mtn_index).tree
                 )
