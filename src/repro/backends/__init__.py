@@ -1,28 +1,26 @@
-"""Pluggable backend layer: protocols, registry, and connection pooling.
-
-The evaluation stack used to special-case each engine by hand; this
-package makes the backend a named, capability-declaring plugin:
+"""Backend layer: protocols, the engine factory, and connection pooling.
 
 * :mod:`repro.backends.base` -- the :class:`AlivenessBackend` /
-  :class:`EnumeratingBackend` / :class:`ProbeStore` protocols and the
-  :class:`BackendCapabilities` record;
-* :mod:`repro.backends.registry` -- named specs (``memory``, ``sqlite``,
-  ``simulated``) with lazy factories; :func:`create_backend` is what
-  :class:`~repro.core.debugger.NonAnswerDebugger` calls;
-* :mod:`repro.backends.latency` -- :class:`SimulatedLatencyBackend`, the
-  per-probe sleep behind ``simulated`` and the cache/serve benches;
+  :class:`EnumeratingBackend` / :class:`ProbeStore` protocols and
+  :func:`create_backend`, which builds the ``memory`` or ``sqlite``
+  engine for :class:`~repro.core.debugger.NonAnswerDebugger`;
+* :mod:`repro.backends.latency` -- :class:`SimulatedLatencyBackend`, a
+  fixed per-probe sleep wrapped around an engine by ``repro bench serve``
+  and the service tests;
 * :mod:`repro.backends.pool` -- the generic bounded
-  :class:`ConnectionPool` (checkout/checkin, idle recycling, stats) the
+  :class:`ConnectionPool` (blocking checkout, LIFO reuse, stats) the
   sqlite engine draws its connections from;
-* :mod:`repro.backends.conformance` -- the shared suite every registered
-  backend must pass (a tier-1 test runs it for each name).
+* :mod:`repro.backends.conformance` -- the suite a built backend must
+  pass against in-memory ground truth (a tier-1 test runs it for both
+  engines).
 """
 
 from repro.backends.base import (
+    BACKEND_NAMES,
     AlivenessBackend,
-    BackendCapabilities,
     EnumeratingBackend,
     ProbeStore,
+    create_backend,
 )
 from repro.backends.pool import (
     DEFAULT_POOL_SIZE,
@@ -31,29 +29,16 @@ from repro.backends.pool import (
     PoolStats,
     PoolTimeout,
 )
-from repro.backends.registry import (
-    BackendRegistryError,
-    BackendSpec,
-    backend_names,
-    create_backend,
-    get_backend_spec,
-    register_backend,
-)
 
 __all__ = [
+    "BACKEND_NAMES",
     "AlivenessBackend",
-    "BackendCapabilities",
     "EnumeratingBackend",
     "ProbeStore",
+    "create_backend",
     "ConnectionPool",
     "DEFAULT_POOL_SIZE",
     "PoolError",
     "PoolStats",
     "PoolTimeout",
-    "BackendRegistryError",
-    "BackendSpec",
-    "backend_names",
-    "create_backend",
-    "get_backend_spec",
-    "register_backend",
 ]

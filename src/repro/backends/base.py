@@ -1,21 +1,27 @@
-"""Backend protocols and declared capabilities.
+"""Backend protocols and the factory that builds the two engines.
 
 The paper's system is backend-agnostic by construction: every traversal
 strategy talks to an :class:`AlivenessBackend` ("does this query return a
 tuple?") through the instrumented evaluator, and nothing else about the
 engine leaks upward.  This module is the contract layer: the protocols
-every backend implements, plus a :class:`BackendCapabilities` record each
-registered backend declares so callers (the service, the CLI, the
-conformance suite) can check what an engine supports *before*
-relying on it.
+every backend implements, plus :func:`create_backend`, which builds one of
+the two engines standing in for the paper's PostgreSQL: ``memory`` (the
+in-memory Yannakakis engine) or ``sqlite`` (the generated SQL on a pooled
+stdlib ``sqlite3`` mirror).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
 from repro.relational.jointree import BoundQuery
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.index.base import IndexBackend
+    from repro.relational.database import Database
+
+#: The names :func:`create_backend` accepts.
+BACKEND_NAMES = ("memory", "sqlite")
 
 
 @runtime_checkable
@@ -54,36 +60,34 @@ class ProbeStore(Protocol):
         ...
 
 
-@dataclass(frozen=True)
-class BackendCapabilities:
-    """What one registered backend supports, declared not probed.
+def create_backend(
+    name: str, database: "Database", index: "IndexBackend | None" = None
+) -> AlivenessBackend:
+    """Build the ``memory`` or ``sqlite`` engine over ``database``.
 
-    * ``thread_safe`` -- concurrent :meth:`is_alive` calls are allowed
-      (required for the backend to serve concurrent service sessions);
-    * ``enumeration`` -- implements :class:`EnumeratingBackend`
-      (``count``/``fetch``), needed for witnesses and answer display;
-    * ``pooling`` -- holds real per-connection resources behind a
-      :class:`~repro.backends.pool.ConnectionPool` (exposes
-      ``pool_stats``);
-    * ``deterministic_latency`` -- wall time per probe is a deterministic
-      function of the query (the simulated-latency stand-in), so timing
-      benchmarks against it are reproducible.
+    The memory engine resolves keyword predicates through ``index`` when
+    one is given; when that index is the disk-backed
+    :class:`~repro.index.sqlite_index.SqliteInvertedIndex` it also streams
+    tuple sets larger than the materialization cap off disk instead of
+    holding them on the heap.  The sqlite engine ignores ``index``.
     """
+    # Both engines import this package (protocols, pool), so they are
+    # imported here rather than at module level.
+    if name == "memory":
+        from repro.index.sqlite_index import SqliteInvertedIndex
+        from repro.relational.engine import InMemoryEngine
 
-    thread_safe: bool = False
-    enumeration: bool = False
-    pooling: bool = False
-    deterministic_latency: bool = False
+        return InMemoryEngine(
+            database,
+            tuple_set_provider=None if index is None else index.provider,
+            streaming_source=(
+                index if isinstance(index, SqliteInvertedIndex) else None
+            ),
+        )
+    if name == "sqlite":
+        from repro.relational.sqlite_backend import SqliteEngine
 
-    def describe(self) -> str:
-        flags = [
-            name
-            for name, value in (
-                ("thread-safe", self.thread_safe),
-                ("enumeration", self.enumeration),
-                ("pooling", self.pooling),
-                ("deterministic-latency", self.deterministic_latency),
-            )
-            if value
-        ]
-        return ", ".join(flags) if flags else "(none)"
+        return SqliteEngine(database)
+    raise ValueError(
+        f"unknown backend {name!r}; expected one of {', '.join(BACKEND_NAMES)}"
+    )

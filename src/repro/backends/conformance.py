@@ -1,14 +1,12 @@
-"""Shared conformance suite every registered backend must pass.
+"""Shared conformance suite every backend must pass.
 
-The registry lets anything claim to be a backend; this module is the
-teeth.  :func:`check_backend` builds the named backend, replays a set of
-probes whose ground truth comes from the in-memory engine, and verifies
-each *declared* capability actually holds: thread-safe backends answer a
-concurrent storm identically to the serial pass, enumerating backends
-agree between ``count`` and ``is_alive``, pooling backends expose pool
-stats and respect their cap.  A tier-1 test runs it for every
-registered name, so a new backend (or a regression in an old one) fails
-loudly.
+:func:`check_backend` replays a set of probes against a built backend,
+with ground truth from the in-memory engine, and verifies the whole
+contract: a concurrent storm answers identically to the serial pass,
+``count`` agrees with ``is_alive``, a pooled backend (one exposing
+``pool_stats``) kept its cap and checked every connection back in, and
+``close`` is idempotent.  A tier-1 test runs it for both engines under
+the lock-order monitor, so a regression in either fails loudly.
 """
 
 from __future__ import annotations
@@ -17,17 +15,16 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Sequence
 
 from repro.backends.base import EnumeratingBackend
-from repro.backends.registry import create_backend, get_backend_spec
 from repro.relational.database import Database
 from repro.relational.engine import InMemoryEngine
 from repro.relational.jointree import BoundQuery
 
-#: Worker count of the concurrent storm a thread-safe backend must survive.
+#: Worker count of the concurrent storm every backend must survive.
 CONFORMANCE_WORKERS = 8
 
 
 class ConformanceFailure(AssertionError):
-    """A backend violated the contract its registration declares."""
+    """A backend violated the backend contract."""
 
 
 def _fail(name: str, message: str) -> None:
@@ -52,7 +49,7 @@ def _instrument_pool_locks(backend: Any, lock_monitor: Any) -> None:
 
 
 def check_backend(
-    name: str,
+    backend: Any,
     database: Database,
     probes: Sequence[BoundQuery],
     repeat: int = 3,
@@ -60,18 +57,18 @@ def check_backend(
 ) -> dict[str, int]:
     """Run the conformance suite; returns check counters, raises on failure.
 
-    With a ``lock_monitor`` (a
-    :class:`repro.analysis.lockorder.LockOrderMonitor`), the backend's
-    connection-pool locks are instrumented for the whole run and an
-    observed acquisition-order cycle fails conformance like any other
-    contract violation.
+    ``backend`` must have been built over ``database``; the suite closes
+    it (twice: close must be idempotent) when it is done.  With a
+    ``lock_monitor`` (a :class:`repro.analysis.lockorder.LockOrderMonitor`),
+    the backend's connection-pool locks are instrumented for the whole run
+    and an observed acquisition-order cycle fails conformance like any
+    other contract violation.
     """
     if not probes:
         raise ValueError("conformance needs at least one probe")
-    spec = get_backend_spec(name)
+    name = type(backend).__name__
     truth_engine = InMemoryEngine(database)
     truth = [truth_engine.is_alive(query) for query in probes]
-    backend = create_backend(name, database)
     if lock_monitor is not None:
         _instrument_pool_locks(backend, lock_monitor)
     checks = {"probes": 0, "concurrent": 0, "counts": 0}
@@ -82,35 +79,31 @@ def check_backend(
                 _fail(name, f"wrong aliveness for {query.describe()}")
             checks["probes"] += 1
 
-        # 2. Declared thread safety: a concurrent storm matches serial.
-        if spec.capabilities.thread_safe:
-            storm = list(probes) * repeat
-            with ThreadPoolExecutor(max_workers=CONFORMANCE_WORKERS) as pool:
-                answers = list(pool.map(backend.is_alive, storm))
-            if answers != truth * repeat:
-                _fail(name, "concurrent answers diverge from serial")
-            checks["concurrent"] = len(storm)
+        # 2. Thread safety: a concurrent storm matches serial.
+        storm = list(probes) * repeat
+        with ThreadPoolExecutor(max_workers=CONFORMANCE_WORKERS) as pool:
+            answers = list(pool.map(backend.is_alive, storm))
+        if answers != truth * repeat:
+            _fail(name, "concurrent answers diverge from serial")
+        checks["concurrent"] = len(storm)
 
-        # 3. Declared enumeration: count agrees with aliveness.
-        if spec.capabilities.enumeration:
-            if not isinstance(backend, EnumeratingBackend):
-                _fail(name, "declares enumeration but has no count()")
-            for query, expected in zip(probes, truth):
-                count = backend.count(query)  # type: ignore[attr-defined]
-                if (count > 0) != expected:
-                    _fail(
-                        name,
-                        f"count()={count} contradicts aliveness "
-                        f"{expected} for {query.describe()}",
-                    )
-                checks["counts"] += 1
+        # 3. Enumeration: count agrees with aliveness.
+        if not isinstance(backend, EnumeratingBackend):
+            _fail(name, "has no count()")
+        for query, expected in zip(probes, truth):
+            count = backend.count(query)
+            if (count > 0) != expected:
+                _fail(
+                    name,
+                    f"count()={count} contradicts aliveness "
+                    f"{expected} for {query.describe()}",
+                )
+            checks["counts"] += 1
 
-        # 4. Declared pooling: pool stats exist and the cap held.
-        if spec.capabilities.pooling:
-            stats = getattr(backend, "pool_stats", None)
-            if stats is None:
-                _fail(name, "declares pooling but exposes no pool_stats")
-            snapshot = stats() if callable(stats) else stats
+        # 4. Pooling: wherever pool stats exist, the cap held.
+        stats = getattr(backend, "pool_stats", None)
+        if stats is not None:
+            snapshot = stats()
             if snapshot.max_in_use > getattr(backend, "pool_size", 1 << 30):
                 _fail(
                     name,

@@ -1,23 +1,22 @@
-"""A wall-clock analogue of the simulated cost model.
+"""A fixed per-probe wall-clock cost in front of a real engine.
 
-The in-memory engine answers probes in microseconds, so neither a warm
-cache nor concurrent sessions can show up in wall time against it -- a
-real DBMS charges milliseconds per round-trip.
-:class:`SimulatedLatencyBackend` reintroduces that cost
-deterministically: every probe sleeps a fixed floor plus (optionally) a
-multiple of the cost model's per-query estimate, then delegates to the
-wrapped backend.  Sleeping releases the GIL, so N concurrent sessions
-overlap N sleeps -- the same concurrency profile as N in-flight network
-queries -- while answers, counts, and classifications stay exactly those
-of the wrapped backend.  The ``simulated`` registry backend and the
-``cache``/``serve`` benches are built on it.
+The in-memory engine answers probes in microseconds, so concurrent
+sessions cannot show up in wall time against it -- a real DBMS charges
+milliseconds per round-trip.  :class:`SimulatedLatencyBackend`
+reintroduces that cost deterministically: every probe sleeps a fixed
+floor, then delegates to the wrapped backend.  Sleeping releases the
+GIL, so N concurrent sessions overlap N sleeps -- the same concurrency
+profile as N in-flight network queries -- while answers, counts, and
+classifications stay exactly those of the wrapped backend.
+``repro bench serve`` and the session-manager tests wrap the memory
+engine in it.
 """
 
 from __future__ import annotations
 
 import time
 
-from repro.relational.evaluator import AlivenessBackend, QueryCostModel
+from repro.relational.evaluator import AlivenessBackend
 from repro.relational.jointree import BoundQuery
 
 #: Default per-probe latency floor, seconds.  Chosen so a full DBLife
@@ -29,33 +28,13 @@ DEFAULT_LATENCY = 0.002
 class SimulatedLatencyBackend:
     """Delegating aliveness backend that charges wall time per probe."""
 
-    def __init__(
-        self,
-        inner: AlivenessBackend,
-        latency: float = DEFAULT_LATENCY,
-        cost_model: QueryCostModel | None = None,
-        cost_scale: float = 0.0,
-    ):
+    def __init__(self, inner: AlivenessBackend, latency: float = DEFAULT_LATENCY):
         if latency < 0:
             raise ValueError("latency must be >= 0")
-        if cost_scale < 0:
-            raise ValueError("cost_scale must be >= 0")
-        if cost_scale and cost_model is None:
-            raise ValueError("cost_scale needs a cost_model")
         self.inner = inner
         self.latency = latency
-        self.cost_model = cost_model
-        self.cost_scale = cost_scale
-
-    def delay_for(self, query: BoundQuery) -> float:
-        """Deterministic sleep the probe will pay, in seconds."""
-        delay = self.latency
-        if self.cost_scale and self.cost_model is not None:
-            delay += self.cost_scale * self.cost_model.cost(query)
-        return delay
 
     def is_alive(self, query: BoundQuery) -> bool:
-        delay = self.delay_for(query)
-        if delay > 0:
-            time.sleep(delay)
+        if self.latency > 0:
+            time.sleep(self.latency)
         return self.inner.is_alive(query)

@@ -11,17 +11,13 @@ generically:
   connection back in (or raises :class:`PoolTimeout` after ``timeout``
   seconds), so a burst of sessions can never exhaust backend resources.
 * **LIFO reuse.**  Checkins park the connection on an idle stack and the
-  next checkout pops the most recently used one -- the warmest cache,
-  the least likely to have been recycled away.
-* **Idle recycling.**  Connections idle longer than ``recycle_after``
-  (monotonic seconds) are closed instead of reused, so a long-lived pool
-  does not pin stale sessions; recycled slots are recreated on demand.
-* **Stats.**  :meth:`stats` snapshots created/reused/recycled counters
-  plus current and high-water in-use counts, for bench output and tests.
+  next checkout pops the most recently used one -- the warmest cache.
+* **Stats.**  :meth:`stats` snapshots created/reused counters plus
+  current and high-water in-use counts and blocked checkouts, for the
+  trace's ``pool_stats`` event, bench output and tests.
 
-The pool is deliberately generic (``ConnectionPool[T]``): the sqlite
-backend pools ``sqlite3.Connection`` objects, tests pool plain fakes,
-and a future PostgreSQL backend can pool DB-API connections unchanged.
+The pool is generic (``ConnectionPool[T]``): the sqlite backend pools
+``sqlite3.Connection`` objects and tests pool plain fakes.
 """
 
 from __future__ import annotations
@@ -53,7 +49,6 @@ class PoolStats:
 
     created: int
     reused: int
-    recycled: int
     in_use: int
     idle: int
     max_in_use: int
@@ -61,8 +56,8 @@ class PoolStats:
 
     def __str__(self) -> str:
         return (
-            f"{self.created} created, {self.reused} reused, "
-            f"{self.recycled} recycled; {self.in_use} in use "
+            f"{self.created} created, {self.reused} reused; "
+            f"{self.in_use} in use "
             f"(peak {self.max_in_use}), {self.idle} idle, "
             f"{self.waits} waits"
         )
@@ -72,9 +67,7 @@ class ConnectionPool(Generic[T]):
     """Bounded pool of connections produced by ``factory``.
 
     ``closer`` releases one connection (defaults to calling its
-    ``close()`` method); ``recycle_after`` is the idle age in seconds
-    beyond which a parked connection is closed rather than reused
-    (``None`` = never); ``timeout`` bounds how long a checkout may block
+    ``close()`` method); ``timeout`` bounds how long a checkout may block
     waiting for capacity (``None`` = forever).
     """
 
@@ -84,23 +77,18 @@ class ConnectionPool(Generic[T]):
         *,
         max_size: int = DEFAULT_POOL_SIZE,
         closer: Callable[[T], None] | None = None,
-        recycle_after: float | None = None,
         timeout: float | None = None,
     ):
         if max_size <= 0:
             raise ValueError("max_size must be positive")
-        if recycle_after is not None and recycle_after < 0:
-            raise ValueError("recycle_after must be >= 0 (or None)")
         self._factory = factory
         self.max_size = max_size
         self._closer = closer
-        self.recycle_after = recycle_after
         self.timeout = timeout
         self._lock = threading.Lock()
         self._available = threading.Condition(self._lock)
-        # LIFO idle stack of (connection, parked_at) pairs; parked_at is a
-        # monotonic perf_counter reading used only for recycling ages.
-        self._idle: list[tuple[T, float]] = []  # guarded-by: _lock
+        # LIFO stack of parked connections.
+        self._idle: list[T] = []  # guarded-by: _lock
         self._in_use: dict[int, T] = {}  # guarded-by: _lock
         self._closed = False
         #: Connections alive right now (idle + in use + factory in flight);
@@ -108,7 +96,6 @@ class ConnectionPool(Generic[T]):
         self._live = 0
         self._created = 0
         self._reused = 0
-        self._recycled = 0
         self._max_in_use = 0
         self._waits = 0
 
@@ -130,25 +117,17 @@ class ConnectionPool(Generic[T]):
             while True:
                 if self._closed:
                     raise PoolError("pool is closed")
-                now = time.perf_counter()
-                while self._idle:
-                    connection, parked_at = self._idle.pop()
-                    if (
-                        self.recycle_after is not None
-                        and now - parked_at > self.recycle_after
-                    ):
-                        self._recycled += 1
-                        self._live -= 1
-                        self._dispose(connection)
-                        continue
+                if self._idle:
                     self._reused += 1
-                    return self._track_checkout_locked(connection)
+                    return self._track_checkout_locked(self._idle.pop())
                 if self._live < self.max_size:
                     self._live += 1
                     self._created += 1
                     break  # room to create a fresh connection below
                 self._waits += 1
-                remaining = None if deadline is None else deadline - now
+                remaining = (
+                    None if deadline is None else deadline - time.perf_counter()
+                )
                 if remaining is not None and remaining <= 0:
                     raise PoolTimeout(
                         f"no connection available within {self.timeout}s "
@@ -186,7 +165,7 @@ class ConnectionPool(Generic[T]):
                 self._live -= 1
                 self._dispose(connection)
             else:
-                self._idle.append((connection, time.perf_counter()))
+                self._idle.append(connection)
             self._available.notify()
 
     @contextmanager
@@ -210,7 +189,7 @@ class ConnectionPool(Generic[T]):
             idle, self._idle = self._idle, []
             self._live -= len(idle)
             self._available.notify_all()
-        for connection, _ in idle:
+        for connection in idle:
             self._dispose(connection)
 
     def __enter__(self) -> "ConnectionPool[T]":
@@ -230,7 +209,6 @@ class ConnectionPool(Generic[T]):
             return PoolStats(
                 created=self._created,
                 reused=self._reused,
-                recycled=self._recycled,
                 in_use=len(self._in_use),
                 idle=len(self._idle),
                 max_in_use=self._max_in_use,

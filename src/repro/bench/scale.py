@@ -42,15 +42,15 @@ import time
 from repro.bench.tables import TextTable
 from repro.core.debugger import DebugReport, NonAnswerDebugger
 from repro.datasets.dblife import DBLifeConfig, dblife_database, scale_for_tuples
-from repro.index import create_index
+from repro.index import INDEX_NAMES, create_index
 from repro.obs import MemoryTracker
 from repro.relational.database import Database
 
 #: The sweep ladder: two orders of magnitude up from the small snapshot.
 DEFAULT_TUPLE_TARGETS: tuple[int, ...] = (10_000, 100_000, 1_000_000)
 
-#: Index backends compared by the sweep (the registry's built-ins).
-DEFAULT_BACKENDS: tuple[str, ...] = ("memory", "sqlite")
+#: Index backends compared by the sweep: both of them.
+DEFAULT_BACKENDS: tuple[str, ...] = INDEX_NAMES
 
 #: Workload slice: one alive-low, one dead-low, one person+conference
 #: query (Q1/Q4/Q5 of Table 2) -- enough to exercise both classification

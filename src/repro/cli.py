@@ -19,11 +19,13 @@ import argparse
 import sys
 import time
 
+from repro.backends import BACKEND_NAMES
 from repro.bench.context import BenchContext
 from repro.bench.experiments import EXPERIMENTS, run_experiment
 from repro.core.debugger import NonAnswerDebugger
 from repro.datasets.dblife import DBLifeConfig, dblife_database
 from repro.datasets.products import product_database
+from repro.index import INDEX_NAMES
 from repro.kws.discover import ClassicKWSSystem
 from repro.obs import ProbeBudget, ProbeTracer, validate_trace_record
 from repro.relational.predicates import MatchMode
@@ -38,23 +40,23 @@ def _load_database(args: argparse.Namespace):
 
 
 def _add_backend_options(parser: argparse.ArgumentParser) -> None:
-    from repro.backends import backend_names
-    from repro.index import index_backend_names
-
     parser.add_argument(
         "--backend",
-        choices=backend_names(),
+        choices=BACKEND_NAMES,
         default="memory",
-        help="aliveness backend from the repro.backends registry",
+        help=(
+            "engine that answers aliveness probes: memory (in-memory "
+            "Yannakakis engine) or sqlite (the generated SQL on a pooled "
+            "sqlite3 mirror)"
+        ),
     )
     parser.add_argument(
         "--index-backend",
-        choices=index_backend_names(),
+        choices=INDEX_NAMES,
         default="memory",
         help=(
-            "inverted-index backend from the repro.index registry: memory "
-            "(dict, fastest) or sqlite (disk-backed, flat RAM, persisted "
-            "and repaired inside --cache-dir)"
+            "inverted index: memory (dict, fastest) or sqlite (disk-backed, "
+            "flat RAM, persisted and repaired inside --cache-dir)"
         ),
     )
     parser.add_argument(

@@ -27,12 +27,12 @@ from repro.core.lattice import Lattice, generate_lattice
 from repro.core.mtn import ExplorationGraph, build_exploration_graph
 from repro.core.status import InconsistentStatusError, Status, StatusStore
 from repro.core.traversal import TraversalResult, TraversalStrategy, get_strategy
-from repro.index import IndexBackend, create_index, get_index_spec
+from repro.index import IndexBackend, create_index
 from repro.index.mapper import KeywordMapper, KeywordMapping
 from repro.obs.budget import ProbeBudget
 from repro.obs.trace import ProbeTracer
 from repro.relational.database import Database
-from repro.relational.engine import DEFAULT_MATERIALIZATION_CAP, InMemoryEngine
+from repro.relational.engine import InMemoryEngine
 from repro.relational.evaluator import InstrumentedEvaluator, QueryCostModel
 from repro.relational.jointree import BoundQuery
 from repro.relational.predicates import MatchMode
@@ -184,7 +184,6 @@ class NonAnswerDebugger:
         free_copies: int = 1,
         tracer: ProbeTracer | None = None,
         cache_dir: str | Path | None = None,
-        backend_options: dict[str, Any] | None = None,
         index_backend: str = "memory",
         index: IndexBackend | None = None,
     ):
@@ -198,27 +197,27 @@ class NonAnswerDebugger:
         multi-free-copy extension (direct mode only; see
         :mod:`repro.core.freecopies`).
 
-        ``backend`` is resolved through the :mod:`repro.backends` registry
-        (``memory``, ``sqlite``, ``simulated``, or anything registered);
-        ``backend_options`` is forwarded to its factory.  ``cache_dir``
-        attaches a persistent probe cache (:class:`repro.cache.ProbeCache`)
-        keyed by the relation-fingerprint vector of each probed join path
-        as the L2 tier of every reuse-enabled evaluator this debugger
-        makes, plus a :class:`repro.cache.StatusCache` of whole-run
-        classification facts: a second session over an unchanged database
-        answers previously probed nodes with zero backend queries and
-        skips Phase 3 entirely on an exact workload repeat; after a
-        mutation the caches are repaired (monotone survivors kept), not
-        discarded.
+        ``backend`` names the engine (``memory`` or ``sqlite``, see
+        :func:`repro.backends.create_backend`) and ``index_backend`` the
+        keyword index (``memory`` or ``sqlite``, see
+        :func:`repro.index.create_index`).  A memory engine over the sqlite
+        index streams tuple sets larger than the materialization cap off
+        disk instead of holding them in RAM.  ``index`` injects a prebuilt
+        index (the scale bench reuses one across phases); the debugger then
+        does not own (or close) it.
 
-        ``index_backend`` is resolved through the :mod:`repro.index`
-        registry (``memory`` or ``sqlite``): a persistent index backend
-        lives inside ``cache_dir`` (next to the probe cache) and is
-        repaired per relation on reopen, and a streaming one additionally
-        arms the engine's bounded-materialization semi-join so tuple sets
-        larger than the cap are streamed off disk instead of held in RAM.
-        ``index`` injects a prebuilt index (the scale bench reuses one
-        across phases); the debugger then does not own (or close) it.
+        ``cache_dir`` attaches a persistent probe cache
+        (:class:`repro.cache.ProbeCache`) keyed by the relation-fingerprint
+        vector of each probed join path as the L2 tier of every
+        reuse-enabled evaluator this debugger makes, plus a
+        :class:`repro.cache.StatusCache` of whole-run classification facts:
+        a second session over an unchanged database answers previously
+        probed nodes with zero backend queries and skips Phase 3 entirely
+        on an exact workload repeat; after a mutation the caches are
+        repaired (monotone survivors kept), not discarded.  The sqlite
+        index lives there too and is repaired per relation on reopen.
+
+        When construction raises, everything built so far is released.
         """
         self.database = database
         self.schema = database.schema
@@ -227,59 +226,50 @@ class NonAnswerDebugger:
         # Default tracer stamped onto every evaluator this debugger makes;
         # one tracer can accumulate spans across many queries/strategies.
         self.tracer = tracer
-        self.index_backend_name = index_backend
-        index_spec = get_index_spec(index_backend)
-        self._index_options: dict[str, Any] = {}
-        if cache_dir is not None and index_spec.capabilities.persistent:
-            self._index_options["cache_dir"] = cache_dir
-        if index is not None:
-            self.index: IndexBackend = index
-            self._owns_index = False
-        else:
-            self.index = create_index(index_backend, database, **self._index_options)
-            self._owns_index = True
-        self.mapper = KeywordMapper(self.index, mode=mode)
-        if free_copies > 1:
-            use_lattice = False
-            lattice = None
-        if lattice is None and use_lattice:
-            lattice = generate_lattice(self.schema, max_joins, max_keywords)
-        if lattice is not None and lattice.schema is not self.schema:
-            raise ValueError("lattice was generated for a different schema")
-        self.lattice = lattice
-        self.binder = KeywordBinder(
-            lattice=lattice,
-            schema=self.schema,
-            max_joins=max_joins,
-            max_keywords=max_keywords,
-            mode=mode,
-            free_copies=free_copies,
-        )
-        self.strategy = (
-            strategy if isinstance(strategy, TraversalStrategy) else get_strategy(strategy)
-        )
-        options: dict[str, Any] = {
-            "tuple_set_provider": self.index.provider,
-            "cost_model": cost_model,
-        }
-        if index_spec.capabilities.streaming:
-            # Arm the bounded-materialization semi-join: tuple sets over
-            # the cap stream from the index instead of living on the heap.
-            options["streaming_source"] = self.index
-            options["materialization_cap"] = DEFAULT_MATERIALIZATION_CAP
-        options.update(backend_options or {})
         # Remembered so refresh_after_mutation() can rebuild the
-        # snapshot-bound backend in place.
+        # snapshot-bound index and backend in place.
+        self.index_backend_name = index_backend
         self.backend_name = backend
-        self.backend_factory_options = options
-        self.backend: Any = create_backend(backend, database, **options)
+        self.cache_dir = cache_dir
+        self.backend: Any = None
         self.probe_cache: ProbeCache | None = None
         self.status_cache: StatusCache | None = None
-        if cache_dir is not None:
-            self.probe_cache = ProbeCache.open_dir(
-                cache_dir, database, tracer=self.tracer
+        self._owns_index = index is None
+        self.index: IndexBackend = (
+            create_index(index_backend, database, cache_dir) if index is None else index
+        )
+        try:
+            self.mapper = KeywordMapper(self.index, mode=mode)
+            if free_copies > 1:
+                use_lattice = False
+                lattice = None
+            if lattice is None and use_lattice:
+                lattice = generate_lattice(self.schema, max_joins, max_keywords)
+            if lattice is not None and lattice.schema is not self.schema:
+                raise ValueError("lattice was generated for a different schema")
+            self.lattice = lattice
+            self.binder = KeywordBinder(
+                lattice=lattice,
+                schema=self.schema,
+                max_joins=max_joins,
+                max_keywords=max_keywords,
+                mode=mode,
+                free_copies=free_copies,
             )
-            self.status_cache = StatusCache.open_dir(cache_dir, database)
+            self.strategy = (
+                strategy
+                if isinstance(strategy, TraversalStrategy)
+                else get_strategy(strategy)
+            )
+            self.backend = create_backend(backend, database, self.index)
+            if cache_dir is not None:
+                self.probe_cache = ProbeCache.open_dir(
+                    cache_dir, database, tracer=self.tracer
+                )
+                self.status_cache = StatusCache.open_dir(cache_dir, database)
+        except BaseException:
+            self._release()
+            raise
 
     # ------------------------------------------------------------- pipeline
     def make_evaluator(
@@ -646,19 +636,14 @@ class NonAnswerDebugger:
         if self._owns_index:
             self.index.close()
         self.index = create_index(
-            self.index_backend_name, self.database, **self._index_options
+            self.index_backend_name, self.database, self.cache_dir
         )
         self._owns_index = True
         self.mapper = KeywordMapper(self.index, mode=self.mode)
         closer = getattr(self.backend, "close", None)
         if closer is not None:
             closer()
-        options = dict(self.backend_factory_options)
-        options["tuple_set_provider"] = self.index.provider
-        if "streaming_source" in options:
-            options["streaming_source"] = self.index
-        self.backend_factory_options = options
-        self.backend = create_backend(self.backend_name, self.database, **options)
+        self.backend = create_backend(self.backend_name, self.database, self.index)
         if self.probe_cache is not None:
             self.probe_cache.refresh(self.tracer)
 
@@ -681,6 +666,10 @@ class NonAnswerDebugger:
                     max_in_use=stats.max_in_use,
                     max_size=getattr(self.backend, "pool_size", stats.max_in_use),
                 )
+        self._release()
+
+    def _release(self) -> None:
+        """Close the backend, the index if owned, and the caches."""
         closer = getattr(self.backend, "close", None)
         if closer is not None:
             closer()

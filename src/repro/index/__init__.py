@@ -5,40 +5,27 @@ used in Phase 1 to map keywords to the relations that contain them, and the
 tuple-set provider that lets the execution engine resolve keyword predicates
 without scanning tables.
 
-The index is a pluggable tier (:mod:`repro.index.base`): ``memory`` is the
-original dict-of-sets :class:`InvertedIndex`, ``sqlite`` is the disk-backed
-:class:`SqliteInvertedIndex` whose RAM footprint stays flat at million-tuple
-scale and which persists (and repairs per relation) next to the L2 probe
-cache.  Select one with ``--index-backend`` or :func:`create_index`.
+Two implementations share the :class:`IndexBackend` protocol: ``memory`` is
+the original dict-of-sets :class:`InvertedIndex`, ``sqlite`` is the
+disk-backed :class:`SqliteInvertedIndex` whose RAM footprint stays flat at
+million-tuple scale and which persists (and repairs per relation) next to
+the L2 probe cache.  Select one with ``--index-backend`` or
+:func:`create_index`.
 """
 
-from repro.index.base import (
-    IndexBackend,
-    IndexCapabilities,
-    IndexRegistryError,
-    IndexSpec,
-    create_index,
-    get_index_spec,
-    index_backend_names,
-    register_index_backend,
-)
+from repro.index.base import INDEX_NAMES, IndexBackend, create_index
 from repro.index.inverted import InvertedIndex, Posting
 from repro.index.mapper import KeywordMapper, KeywordMapping
 from repro.index.sqlite_index import IndexBuildStats, SqliteInvertedIndex
 
 __all__ = [
+    "INDEX_NAMES",
     "IndexBackend",
     "IndexBuildStats",
-    "IndexCapabilities",
-    "IndexRegistryError",
-    "IndexSpec",
     "InvertedIndex",
     "KeywordMapper",
     "KeywordMapping",
     "Posting",
     "SqliteInvertedIndex",
     "create_index",
-    "get_index_spec",
-    "index_backend_names",
-    "register_index_backend",
 ]

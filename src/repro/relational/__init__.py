@@ -19,7 +19,7 @@ evaluation.  It provides:
   (query counter, timings, two-tier probe cache) that every traversal
   strategy talks to.
 
-The pluggable backend protocol and registry live in :mod:`repro.backends`;
+The backend protocols and the engine factory live in :mod:`repro.backends`;
 the persistent L2 probe cache lives in :mod:`repro.cache`.
 """
 

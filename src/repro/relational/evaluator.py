@@ -32,9 +32,9 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Protocol
 
-# The backend protocol lives in repro.backends.base (the pluggable
-# backend layer); it is re-exported here because this module is where
-# every existing caller imports it from.
+# The backend protocol lives in repro.backends.base (the backend layer);
+# it is re-exported here because this module is where every existing
+# caller imports it from.
 from repro.backends.base import AlivenessBackend, ProbeStore
 from repro.obs.budget import ProbeBudget, ProbeBudgetExhausted
 from repro.obs.trace import ProbeTracer

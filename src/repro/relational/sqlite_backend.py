@@ -59,12 +59,7 @@ def _substring_match(keyword: str, text: Any) -> int:
 class SqliteEngine:
     """Mirror of a :class:`Database` inside an in-process sqlite3 instance."""
 
-    def __init__(
-        self,
-        database: Database,
-        pool_size: int = DEFAULT_POOL_SIZE,
-        recycle_after: float | None = None,
-    ):
+    def __init__(self, database: Database, pool_size: int = DEFAULT_POOL_SIZE):
         self.database = database
         self.schema = database.schema
         self.pool_size = pool_size
@@ -80,7 +75,6 @@ class SqliteEngine:
             self._connect,
             max_size=pool_size,
             closer=lambda connection: connection.close(),
-            recycle_after=recycle_after,
         )
 
     def _connect(self) -> sqlite3.Connection:

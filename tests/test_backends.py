@@ -1,4 +1,4 @@
-"""Tests for the pluggable backend layer: pool, registry, conformance."""
+"""Tests for the backend layer: pool, latency wrapper, factory, conformance."""
 
 from __future__ import annotations
 
@@ -10,22 +10,16 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro.backends import (
-    AlivenessBackend,
-    BackendCapabilities,
-    BackendRegistryError,
     ConnectionPool,
     PoolError,
     PoolTimeout,
-    backend_names,
     create_backend,
-    get_backend_spec,
-    register_backend,
 )
 from repro.backends.conformance import ConformanceFailure, check_backend
 from repro.backends.latency import SimulatedLatencyBackend
-from repro.backends.registry import _REGISTRY
 from repro.cache import ProbeCache
-from repro.relational.engine import InMemoryEngine
+from repro.index import InvertedIndex, SqliteInvertedIndex
+from repro.relational.engine import DEFAULT_MATERIALIZATION_CAP, InMemoryEngine
 from repro.relational.evaluator import InstrumentedEvaluator
 from repro.relational.jointree import BoundQuery, JoinTree, RelationInstance
 from repro.relational.sqlite_backend import SqliteEngine
@@ -91,18 +85,6 @@ class TestConnectionPool:
         pool.checkout()
         with pytest.raises(PoolTimeout):
             pool.checkout()
-
-    def test_idle_recycling(self):
-        pool = ConnectionPool(Resource, max_size=2, recycle_after=0.0)
-        connection = pool.checkout()
-        pool.checkin(connection)
-        time.sleep(0.01)  # let the parked connection age past the threshold
-        fresh = pool.checkout()
-        assert fresh is not connection
-        assert connection.closed
-        stats = pool.stats()
-        assert stats.recycled == 1
-        assert stats.created == 2
 
     def test_foreign_checkin_rejected(self):
         pool = ConnectionPool(Resource, max_size=1)
@@ -217,101 +199,43 @@ class TestSimulatedLatencyBackend:
         assert backend.is_alive(query("alive")) is True
         assert backend.is_alive(query("dead")) is False
 
-    def test_delay_includes_cost_model(self):
-        class Cost:
-            def cost(self, query):
-                return 2.0
-
-        backend = SimulatedLatencyBackend(
-            FakeBackend(), latency=0.001, cost_model=Cost(), cost_scale=0.01
-        )
-        assert backend.delay_for(query("a")) == pytest.approx(0.021)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             SimulatedLatencyBackend(FakeBackend(), latency=-1.0)
-        with pytest.raises(ValueError):
-            SimulatedLatencyBackend(FakeBackend(), cost_scale=1.0)
 
 
-# ----------------------------------------------------------------- registry
+# ------------------------------------------------------------------ factory
 class TestRegistry:
-    def test_builtin_backends_registered(self):
-        names = backend_names()
-        assert {"memory", "simulated", "sqlite"} <= set(names)
-        assert names == tuple(sorted(names))
-
-    def test_capabilities_declared(self):
-        assert get_backend_spec("memory").capabilities.enumeration
-        sqlite_caps = get_backend_spec("sqlite").capabilities
-        assert sqlite_caps.thread_safe and sqlite_caps.pooling
-        simulated = get_backend_spec("simulated").capabilities
-        assert simulated.deterministic_latency
-        assert "pooling" in sqlite_caps.describe()
+    """``create_backend`` builds exactly the two engines."""
 
     def test_unknown_backend_is_value_error(self, products_db):
-        with pytest.raises(BackendRegistryError, match="registered backends"):
+        with pytest.raises(ValueError, match="'oracle'.*memory, sqlite"):
             create_backend("oracle", products_db)
-        assert issubclass(BackendRegistryError, ValueError)
-
-    def test_duplicate_registration_refused(self):
-        spec = get_backend_spec("memory")
-        with pytest.raises(BackendRegistryError, match="already registered"):
-            register_backend("memory", spec.factory, spec.capabilities)
-
-    def test_third_party_registration(self, products_db):
-        class AlwaysDead:
-            def is_alive(self, query):
-                return False
-
-        name = "test-always-dead"
-        try:
-            register_backend(
-                name, lambda database, **options: AlwaysDead(),
-                BackendCapabilities(),
-            )
-            backend = create_backend(name, products_db)
-            assert isinstance(backend, AlivenessBackend)
-        finally:
-            _REGISTRY.pop(name, None)
-
-    def test_create_backend_forwards_options(self, products_db):
-        backend = create_backend("sqlite", products_db, pool_size=2)
-        try:
-            assert backend.pool_size == 2
-        finally:
-            backend.close()
 
     def test_memory_backend_is_in_memory_engine(self, products_db):
         assert isinstance(create_backend("memory", products_db), InMemoryEngine)
+        # It resolves keywords through the index it is given, and streams
+        # only off the disk-backed one.
+        dict_index = InvertedIndex(products_db)
+        classic = create_backend("memory", products_db, dict_index)
+        assert classic._tuple_set_provider == dict_index.provider
+        assert classic._streaming_source is None
+        with SqliteInvertedIndex(products_db) as disk_index:
+            streamed = create_backend("memory", products_db, disk_index)
+            assert streamed._streaming_source is disk_index
+            assert streamed._materialization_cap == DEFAULT_MATERIALIZATION_CAP
 
 
 # -------------------------------------------------------------- conformance
 class TestConformance:
-    @pytest.mark.parametrize("name", backend_names())
-    def test_every_registered_backend_conforms(
-        self, name, products_db, products_probes
-    ):
-        checks = check_backend(name, products_db, products_probes[:12])
-        assert checks["probes"] == min(12, len(products_probes))
-        if get_backend_spec(name).capabilities.thread_safe:
-            assert checks["concurrent"] > 0
-
     def test_lying_backend_fails(self, products_db, products_probes):
         class Liar:
             def is_alive(self, query):
                 return False  # the toy DB has alive probes, so this lies
 
-        name = "test-liar"
-        try:
-            register_backend(
-                name, lambda database, **options: Liar(), BackendCapabilities()
-            )
-            with pytest.raises(ConformanceFailure, match="wrong aliveness"):
-                check_backend(name, products_db, products_probes[:12])
-        finally:
-            _REGISTRY.pop(name, None)
+        with pytest.raises(ConformanceFailure, match="wrong aliveness"):
+            check_backend(Liar(), products_db, products_probes[:12])
 
     def test_needs_probes(self, products_db):
         with pytest.raises(ValueError, match="at least one probe"):
-            check_backend("memory", products_db, [])
+            check_backend(create_backend("memory", products_db), products_db, [])

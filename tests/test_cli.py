@@ -328,15 +328,15 @@ class TestLintContract:
 class TestTraceCheck:
     """`repro trace check FILE` validates schema + runtime invariants."""
 
-    @pytest.fixture()
-    def trace_file(self, tmp_path, capsys):
-        path = tmp_path / "trace.jsonl"
+    @staticmethod
+    def _write_trace(path, capsys, backend="memory"):
         assert (
             main(
                 [
                     "trace", "saffron scented candle",
                     "--strategy", "buwr",
                     "--budget-queries", "50",
+                    "--backend", backend,
                     "--output", str(path),
                 ]
             )
@@ -345,7 +345,15 @@ class TestTraceCheck:
         capsys.readouterr()
         return path
 
-    def test_fresh_trace_is_clean(self, trace_file, capsys):
+    @pytest.fixture()
+    def trace_file(self, tmp_path, capsys):
+        return self._write_trace(tmp_path / "trace.jsonl", capsys)
+
+    @pytest.mark.parametrize("backend", ["memory", "sqlite"])
+    def test_fresh_trace_is_clean(self, backend, tmp_path, capsys):
+        import json
+
+        trace_file = self._write_trace(tmp_path / "trace.jsonl", capsys, backend)
         assert (
             main(
                 [
@@ -356,6 +364,16 @@ class TestTraceCheck:
             == 0
         )
         assert "0 invariant violation(s)" in capsys.readouterr().err
+        if backend == "sqlite":
+            # The pooled run ends with the event the pool-release
+            # invariant reads: every connection checked back in.
+            pool_events = [
+                record
+                for record in map(json.loads, trace_file.read_text().splitlines())
+                if record["kind"] == "event" and record["name"] == "pool_stats"
+            ]
+            assert len(pool_events) == 1
+            assert pool_events[0]["in_use"] == 0
 
     def test_violated_trace_exits_one(self, trace_file, capsys):
         import json

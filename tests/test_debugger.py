@@ -1,5 +1,8 @@
 """End-to-end tests for the NonAnswerDebugger facade (Example 1 included)."""
 
+import gc
+import tempfile
+
 import pytest
 
 from repro.core.debugger import NonAnswerDebugger
@@ -130,6 +133,18 @@ class TestPipeline:
     def test_unknown_backend_rejected(self, products_db):
         with pytest.raises(ValueError):
             NonAnswerDebugger(products_db, backend="oracle")
+
+    def test_failed_construction_releases_the_index(
+        self, products_db, tmp_path, monkeypatch
+    ):
+        # The sqlite index (a temp file here) is built before the strategy
+        # and the backend are resolved; a failure there must release it.
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        for bad in ({"strategy": "nope"}, {"backend": "oracle"}):
+            with pytest.raises(ValueError):
+                NonAnswerDebugger(products_db, index_backend="sqlite", **bad)
+        gc.collect()
+        assert list(tmp_path.iterdir()) == []
 
     def test_substring_mode_end_to_end(self, products_db):
         debugger = NonAnswerDebugger(products_db, max_joins=2,

@@ -1,6 +1,6 @@
-"""Conformance suite for the index-backend registry (satellite of PR 9).
+"""Conformance suite for the two index backends.
 
-Every registered backend must answer the same questions identically: the
+Both backends must answer the same questions identically: the
 ``sqlite`` index is a different *representation* of the memory index, not
 a different semantics.  The suite runs the full lookup surface over both
 built-ins and diffs the answers, plus the backend-specific contracts
@@ -16,13 +16,10 @@ import pytest
 
 from repro.index import (
     IndexBackend,
-    IndexRegistryError,
     InvertedIndex,
     Posting,
     SqliteInvertedIndex,
     create_index,
-    get_index_spec,
-    index_backend_names,
 )
 from repro.relational.database import Database
 from repro.relational.predicates import MatchMode
@@ -46,19 +43,19 @@ def backend_pair(request, products_db):
 
 
 class TestRegistry:
-    def test_builtins_registered(self):
-        names = index_backend_names()
-        assert "memory" in names and "sqlite" in names
+    """``create_index`` builds exactly the two indexes."""
 
     def test_unknown_backend_raises(self, products_db):
-        with pytest.raises(IndexRegistryError, match="unknown index backend"):
+        with pytest.raises(ValueError, match="index backend 'bogus'.*memory, sqlite"):
             create_index("bogus", products_db)
 
-    def test_capability_declarations(self):
-        memory = get_index_spec("memory").capabilities
-        sqlite = get_index_spec("sqlite").capabilities
-        assert not memory.persistent and not memory.streaming
-        assert sqlite.persistent and sqlite.streaming
+    def test_cache_dir_places_only_the_sqlite_index(self, products_db, tmp_path):
+        memory = create_index("memory", products_db, tmp_path)
+        assert isinstance(memory, InvertedIndex)
+        assert list(tmp_path.iterdir()) == []
+        with create_index("sqlite", products_db, tmp_path) as sqlite:
+            assert sqlite.path.parent == tmp_path
+        assert sqlite.path.exists()  # persisted for the next session
 
     def test_created_indexes_satisfy_protocol(self, backend_pair):
         _, index = backend_pair

@@ -5,7 +5,7 @@ import threading
 import pytest
 
 from repro.analysis.lockorder import LockOrderMonitor, _ConditionProxy, _LockProxy
-from repro.backends import backend_names, get_backend_spec
+from repro.backends import BACKEND_NAMES, create_backend
 from repro.backends.conformance import check_backend
 from repro.cache import ProbeCache
 from repro.relational.evaluator import InstrumentedEvaluator
@@ -150,13 +150,15 @@ class TestCycleDetection:
 
 
 class TestRealComponents:
-    @pytest.mark.parametrize("name", backend_names())
+    @pytest.mark.parametrize("name", BACKEND_NAMES)
     def test_conformance_under_monitor(self, products_db, probes, name):
         monitor = LockOrderMonitor()
-        checks = check_backend(name, products_db, probes, lock_monitor=monitor)
+        backend = create_backend(name, products_db)
+        checks = check_backend(backend, products_db, probes, lock_monitor=monitor)
         assert checks["probes"] == len(probes)
         assert checks["concurrent"] > 0
-        if get_backend_spec(name).capabilities.pooling:
+        assert checks["counts"] == len(probes)
+        if name == "sqlite":
             # The pool condition was actually exercised by the storm ...
             assert monitor.acquisitions().get("backend.pool", 0) > 0
         # ... and no ordering cycle was observed anywhere in the run.

@@ -22,7 +22,7 @@ from repro.datasets.dblife import (
     dblife_database,
     scale_for_tuples,
 )
-from repro.index import create_index
+from repro.relational.engine import InMemoryEngine
 
 
 class TestScaleBench:
@@ -119,10 +119,7 @@ class TestStreamingEquivalence:
 
     QUERIES = ("Widom Trio", "DeRose VLDB", "Gray SIGMOD", "DeWitt tutorial")
 
-    def _signatures(self, database, **debugger_options):
-        debugger = NonAnswerDebugger(
-            database, max_joins=2, use_lattice=False, **debugger_options
-        )
+    def _signatures(self, debugger):
         try:
             signatures = []
             for text in self.QUERIES:
@@ -134,18 +131,20 @@ class TestStreamingEquivalence:
             debugger.close()
 
     def test_forced_streaming_matches_classic(self, dblife_db):
-        classic = self._signatures(dblife_db)
-        index = create_index("sqlite", dblife_db)
-        try:
-            streamed = self._signatures(
-                dblife_db,
-                index_backend="sqlite",
-                index=index,
-                backend_options={
-                    "streaming_source": index,
-                    "materialization_cap": 0,
-                },
-            )
-        finally:
-            index.close()
+        classic = self._signatures(
+            NonAnswerDebugger(dblife_db, max_joins=2, use_lattice=False)
+        )
+        debugger = NonAnswerDebugger(
+            dblife_db, max_joins=2, use_lattice=False, index_backend="sqlite"
+        )
+        # The sqlite index arms streaming; a cap of 0 forces every probe
+        # through it.
+        assert debugger.backend._streaming_source is debugger.index
+        debugger.backend = InMemoryEngine(
+            dblife_db,
+            tuple_set_provider=debugger.index.provider,
+            streaming_source=debugger.index,
+            materialization_cap=0,
+        )
+        streamed = self._signatures(debugger)
         assert streamed == classic
