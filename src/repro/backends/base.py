@@ -79,7 +79,7 @@ def create_backend(
 
         return InMemoryEngine(
             database,
-            tuple_set_provider=None if index is None else index.provider,
+            tuple_set_provider=None if index is None else index.tuple_set,
             streaming_source=(
                 index if isinstance(index, SqliteInvertedIndex) else None
             ),

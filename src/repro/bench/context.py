@@ -62,12 +62,6 @@ class PreparedQuery:
             trees.update(pruned.retained)
         return len(trees)
 
-    def mtns_by_level(self) -> dict[int, int]:
-        counts: dict[int, int] = {}
-        for node in self.graph.mtns():
-            counts[node.level] = counts.get(node.level, 0) + 1
-        return counts
-
 
 @dataclass
 class BenchContext:

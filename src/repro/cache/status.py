@@ -365,3 +365,29 @@ class StatusCache:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "closed" if self._closed else "open"
         return f"StatusCache({str(self.path)!r}, {state})"
+
+
+def count_status_file(cache_dir: str | Path, clear: bool = False) -> dict[str, int]:
+    """Workloads and facts in ``cache_dir``'s status file, emptied if ``clear``.
+
+    Needs no database (``repro cache stats|clear``); a missing file counts
+    zero of each.
+    """
+    path = Path(cache_dir) / STATUS_CACHE_FILENAME
+    if not path.exists():
+        return {"workloads": 0, "facts": 0}
+    connection = sqlite3.connect(str(path))
+    try:
+        workloads = int(connection.execute("SELECT COUNT(*) FROM runs").fetchone()[0])
+        facts = int(
+            connection.execute("SELECT COUNT(*) FROM status_facts").fetchone()[0]
+        )
+        if clear:
+            connection.execute("DELETE FROM status_facts")
+            connection.execute("DELETE FROM runs")
+            connection.commit()
+    except sqlite3.Error as exc:
+        raise StatusCacheError(f"{path} is not a status cache file: {exc}")
+    finally:
+        connection.close()
+    return {"workloads": workloads, "facts": facts}

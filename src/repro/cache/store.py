@@ -46,6 +46,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Mapping
 
 from repro.cache.keys import query_cache_key, relation_vector_key, relations_label
+from repro.cache.status import count_status_file
 from repro.relational.database import (
     Database,
     DatabaseDelta,
@@ -468,13 +469,20 @@ class ProbeCache:
 def inspect_cache_dir(cache_dir: str | Path) -> dict[str, object]:
     """Summary of a cache directory without needing a live database.
 
-    Used by ``repro cache stats``: reports the file, total entries, and
-    per-vector entry counts (one vector per distinct dataset state x
-    join-path relation set seen).
+    Used by ``repro cache stats``: reports the probe file, total entries,
+    and per-vector entry counts (one vector per distinct dataset state x
+    join-path relation set seen), and the status file's counts.
     """
     path = Path(cache_dir) / PROBE_CACHE_FILENAME
+    status = count_status_file(cache_dir)
     if not path.exists():
-        return {"path": str(path), "exists": False, "entries": 0, "vectors": {}}
+        return {
+            "path": str(path),
+            "exists": False,
+            "entries": 0,
+            "vectors": {},
+            "status": status,
+        }
     connection = sqlite3.connect(str(path))
     try:
         rows = connection.execute(
@@ -498,25 +506,31 @@ def inspect_cache_dir(cache_dir: str | Path) -> dict[str, object]:
         "size_bytes": path.stat().st_size,
         "entries": sum(int(entry["entries"]) for entry in vectors.values()),
         "vectors": vectors,
+        "status": status,
     }
 
 
-def clear_cache_dir(cache_dir: str | Path) -> int:
-    """Drop every cached probe in ``cache_dir``; returns rows removed.
+def clear_cache_dir(cache_dir: str | Path) -> dict[str, int]:
+    """Empty the probe file and the status file in ``cache_dir``.
 
-    The count comes from ``SELECT COUNT(*)`` *before* the delete:
+    Returns the rows removed (``probes``, ``workloads``, ``facts``).  A
+    status file left behind would still answer a repeat workload with
+    zero probes.  The index file holds no answers and stays.
+
+    The counts come from ``SELECT COUNT(*)`` *before* the delete:
     ``cursor.rowcount`` is documented to be ``-1`` whenever sqlite does
     not track the statement, which silently read as "0 evicted".
     """
+    status = count_status_file(cache_dir, clear=True)
     path = Path(cache_dir) / PROBE_CACHE_FILENAME
     if not path.exists():
-        return 0
+        return {"probes": 0, **status}
     connection = sqlite3.connect(str(path))
     try:
-        removed = int(connection.execute("SELECT COUNT(*) FROM probes").fetchone()[0])
+        probes = int(connection.execute("SELECT COUNT(*) FROM probes").fetchone()[0])
         connection.execute("DELETE FROM probes")
         connection.commit()
-        return removed
+        return {"probes": probes, **status}
     except sqlite3.Error as exc:
         raise ProbeCacheError(f"{path} is not a probe cache file: {exc}")
     finally:

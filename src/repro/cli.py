@@ -10,7 +10,7 @@ Subcommands::
     repro bench serve --json BENCH_serve.json        # concurrent-session QPS
     repro inspect --dataset dblife --scale 2         # dataset summary
     repro lint --dataset dblife --json               # static analysis
-    repro cache stats --cache-dir .repro-cache       # persistent probe cache
+    repro cache stats --cache-dir .repro-cache       # persistent caches
 """
 
 from __future__ import annotations
@@ -356,7 +356,11 @@ def _cmd_cache(args: argparse.Namespace) -> int:
 
     if args.action == "clear":
         removed = clear_cache_dir(args.cache_dir)
-        print(f"removed {removed} cached probe(s) from {args.cache_dir}")
+        print(
+            f"removed {removed['probes']} cached probe(s) and {removed['facts']} "
+            f"status fact(s) of {removed['workloads']} workload(s) "
+            f"from {args.cache_dir}"
+        )
         return 0
     info = inspect_cache_dir(args.cache_dir)
     if args.json:
@@ -364,6 +368,8 @@ def _cmd_cache(args: argparse.Namespace) -> int:
 
         print(json.dumps(info, indent=2))
         return 0
+    status = info["status"]
+    print(f"status cache: {status['workloads']} workload(s), {status['facts']} fact(s)")
     if not info["exists"]:
         print(f"no probe cache at {info['path']}")
         return 0
@@ -713,12 +719,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     cache = commands.add_parser(
         "cache",
-        help="inspect or clear the persistent probe cache",
+        help="inspect or clear the persistent probe and status caches",
         description=(
-            "Operate on a probe-cache directory (see --cache-dir on the "
-            "debug/trace commands): 'stats' summarizes the sqlite file and "
-            "its per-fingerprint entry counts, 'clear' drops every cached "
-            "probe.  Neither needs the dataset loaded."
+            "Operate on a cache directory (see --cache-dir on the "
+            "debug/trace commands): 'stats' summarizes the probe file's "
+            "per-fingerprint entry counts and the status file's workload "
+            "and fact counts, 'clear' empties both files (the index file "
+            "holds no answers and stays).  Neither needs the dataset loaded."
         ),
     )
     cache.add_argument("action", choices=("stats", "clear"))
@@ -726,7 +733,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache-dir",
         metavar="DIR",
         required=True,
-        help="the probe-cache directory to operate on",
+        help="the cache directory to operate on",
     )
     cache.add_argument(
         "--json", action="store_true", help="machine-readable stats output"

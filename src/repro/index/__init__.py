@@ -1,9 +1,9 @@
 """Full-text indexing substrate (the paper used Lucene here).
 
 Provides the inverted index over a :class:`~repro.relational.database.Database`
-used in Phase 1 to map keywords to the relations that contain them, and the
-tuple-set provider that lets the execution engine resolve keyword predicates
-without scanning tables.
+used in Phase 1 to map keywords to the relations that contain them.  The
+memory engine also resolves keyword predicates through the index's
+``tuple_set`` instead of scanning tables.
 
 Two implementations share the :class:`IndexBackend` protocol: ``memory`` is
 the original dict-of-sets :class:`InvertedIndex`, ``sqlite`` is the
@@ -14,7 +14,7 @@ the L2 probe cache.  Select one with ``--index-backend`` or
 """
 
 from repro.index.base import INDEX_NAMES, IndexBackend, create_index
-from repro.index.inverted import InvertedIndex, Posting
+from repro.index.inverted import InvertedIndex
 from repro.index.mapper import KeywordMapper, KeywordMapping
 from repro.index.sqlite_index import IndexBuildStats, SqliteInvertedIndex
 
@@ -25,7 +25,6 @@ __all__ = [
     "InvertedIndex",
     "KeywordMapper",
     "KeywordMapping",
-    "Posting",
     "SqliteInvertedIndex",
     "create_index",
 ]

@@ -19,7 +19,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, Protocol, runtime_checkable
 
-from repro.index.inverted import InvertedIndex, Posting
+from repro.index.inverted import InvertedIndex
 from repro.index.sqlite_index import SqliteInvertedIndex
 from repro.relational.predicates import MatchMode
 
@@ -32,13 +32,13 @@ INDEX_NAMES = ("memory", "sqlite")
 
 @runtime_checkable
 class IndexBackend(Protocol):
-    """The inverted-index surface every phase of the pipeline consumes.
+    """The inverted-index surface the pipeline consumes.
 
-    Phase 1 (keyword mapping) uses :meth:`relations_containing`; tuple-set
-    construction and the engines use :meth:`tuple_set` /
-    :meth:`iter_tuple_set` / :meth:`provider`; benches and cost models use
-    the size accessors.  ``tuple_set`` must return exactly the rows whose
-    text attributes match under the shared
+    Phase 1 (keyword mapping) uses :meth:`relations_containing`; the
+    memory engine resolves keyword predicates through :meth:`tuple_set`
+    (its ``tuple_set_provider``), and the cost model sizes a keyword
+    instance as ``len(tuple_set(...))``.  ``tuple_set`` must return
+    exactly the rows whose text attributes match under the shared
     :func:`~repro.relational.predicates.tokenize` casefolding, whatever
     the storage -- the conformance suite holds every backend to the
     ``memory`` implementation's answers.
@@ -58,24 +58,6 @@ class IndexBackend(Protocol):
     def tuple_set(
         self, relation: str, keyword: str, mode: MatchMode = MatchMode.TOKEN
     ) -> frozenset[int]: ...
-
-    def tuple_set_size(
-        self, relation: str, keyword: str, mode: MatchMode = MatchMode.TOKEN
-    ) -> int: ...
-
-    def iter_tuple_set(
-        self, relation: str, keyword: str, mode: MatchMode = MatchMode.TOKEN
-    ) -> Iterator[int]: ...
-
-    def postings(
-        self, keyword: str, mode: MatchMode = MatchMode.TOKEN
-    ) -> list[Posting]: ...
-
-    def provider(self, relation: str, keyword: str, mode: MatchMode) -> set[int]: ...
-
-    def document_frequency(
-        self, keyword: str, mode: MatchMode = MatchMode.TOKEN
-    ) -> int: ...
 
     def close(self) -> None: ...
 

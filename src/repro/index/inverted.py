@@ -18,61 +18,33 @@ dataset (the ``sqlite`` backend is the flat-memory alternative).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
 from repro.relational.database import Database
 from repro.relational.predicates import MatchMode, tokenize
 
 
-@dataclass(frozen=True)
-class Posting:
-    """One keyword occurrence: relation, attribute, and row id."""
-
-    relation: str
-    attribute: str
-    row_id: int
-
-
 class InvertedIndex:
-    """Token -> postings over every searchable attribute of every table."""
+    """Token -> relation -> row ids over the text attributes of every table.
+
+    Postings keep no attribute name: the pipeline only asks which rows
+    of a relation match a keyword, never where in the row it occurs.
+    """
 
     def __init__(self, database: Database):
         self.database = database
         # token -> relation -> set of row ids
         self._postings: dict[str, dict[str, set[int]]] = {}
-        # token -> full postings (with attribute), built on first use: only
-        # the display paths ask for attribute-level detail, and at scale the
-        # Posting objects would dominate the index footprint.
-        self._detailed: dict[str, list[Posting]] = {}
-        self._detailed_built = False
-        self._vocabulary_by_relation: dict[str, set[str]] = {}
         self._build()
 
     def _build(self) -> None:
         for table in self.database.iter_tables():
             relation = table.relation.name
-            vocabulary = self._vocabulary_by_relation.setdefault(relation, set())
             for row_id in range(len(table)):
                 for _attribute, text in table.text_cells(row_id):
                     for token in tokenize(text):
-                        vocabulary.add(token)
                         by_relation = self._postings.setdefault(token, {})
                         by_relation.setdefault(relation, set()).add(row_id)
-
-    def _build_detailed(self) -> None:
-        """Second pass adding attribute-level postings (display paths only)."""
-        if self._detailed_built:
-            return
-        for table in self.database.iter_tables():
-            relation = table.relation.name
-            for row_id in range(len(table)):
-                for attribute, text in table.text_cells(row_id):
-                    for token in tokenize(text):
-                        self._detailed.setdefault(token, []).append(
-                            Posting(relation, attribute, row_id)
-                        )
-        self._detailed_built = True
 
     # --------------------------------------------------------------- lookup
     @property
@@ -106,40 +78,6 @@ class InvertedIndex:
         for token in self._matching_tokens(keyword, mode):
             ids.update(self._postings[token].get(relation, ()))
         return frozenset(ids)
-
-    def tuple_set_size(
-        self, relation: str, keyword: str, mode: MatchMode = MatchMode.TOKEN
-    ) -> int:
-        """``len(tuple_set(...))`` without the frozenset copy."""
-        tokens = self._matching_tokens(keyword, mode)
-        if len(tokens) == 1:
-            return len(self._postings[tokens[0]].get(relation, ()))
-        return len(self.tuple_set(relation, keyword, mode))
-
-    def iter_tuple_set(
-        self, relation: str, keyword: str, mode: MatchMode = MatchMode.TOKEN
-    ) -> Iterator[int]:
-        """Stream the tuple set (already in RAM here; sorted for determinism)."""
-        return iter(sorted(self.tuple_set(relation, keyword, mode)))
-
-    def postings(self, keyword: str, mode: MatchMode = MatchMode.TOKEN) -> list[Posting]:
-        """Detailed postings (with attribute names) for a keyword."""
-        self._build_detailed()
-        found: list[Posting] = []
-        for token in self._matching_tokens(keyword, mode):
-            found.extend(self._detailed.get(token, ()))
-        return found
-
-    def provider(self, relation: str, keyword: str, mode: MatchMode) -> set[int]:
-        """Adapter matching the engine's ``TupleSetProvider`` signature."""
-        return set(self.tuple_set(relation, keyword, mode))
-
-    def document_frequency(self, keyword: str, mode: MatchMode = MatchMode.TOKEN) -> int:
-        """Total number of matching rows across all relations."""
-        return sum(
-            len(self.tuple_set(relation, keyword, mode))
-            for relation in self.relations_containing(keyword, mode)
-        )
 
     def close(self) -> None:
         """Nothing to release; present for :class:`IndexBackend` symmetry."""

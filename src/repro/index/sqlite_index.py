@@ -6,7 +6,9 @@ disk; this module does exactly that with the stdlib ``sqlite3``:
 
 * ``postings(token, relation, row_id, attribute)`` with that column order
   as its WITHOUT-ROWID primary key -- the PK *is* the covering index, so a
-  TOKEN lookup is one b-tree range scan and never touches a heap page;
+  TOKEN lookup is one b-tree range scan and never touches a heap page.
+  No lookup reads ``attribute``; it stays in the key because dropping it
+  would change the file format (:data:`INDEX_SCHEMA_VERSION`);
 * ``vocabulary(token, relation)`` -- a small distinct-token table that
   serves SUBSTRING mode with a ``LIKE``-driven scan (the paper's
   ``LIKE '%kw%'`` read against the vocabulary instead of every cell) and
@@ -41,7 +43,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Sequence
 
-from repro.index.inverted import Posting
 from repro.relational.database import Database
 from repro.relational.predicates import MatchMode, tokenize
 
@@ -53,8 +54,8 @@ INDEX_FILENAME = "index.sqlite"
 #: rebuilt from scratch (the index is only ever a derived artifact).
 INDEX_SCHEMA_VERSION = 1
 
-#: Posting rows buffered per ``executemany`` flush during a build.  Kept
-#: small enough that even a 10^4-tuple snapshot fills at least one batch:
+#: Postings-table rows buffered per ``executemany`` flush during a build.
+#: Kept small enough that even a 10^4-tuple snapshot fills at least one batch:
 #: the build's Python high-water is then one batch regardless of dataset
 #: size, which is what the scale bench's memory-ceiling gate asserts.
 BUILD_BATCH_ROWS = 4096
@@ -374,55 +375,6 @@ class SqliteInvertedIndex:
             for (row_id,) in rows:
                 yield row_id
             last = rows[-1][0]
-
-    def postings(
-        self, keyword: str, mode: MatchMode = MatchMode.TOKEN
-    ) -> list[Posting]:
-        """Detailed postings (with attribute names) for a keyword."""
-        found: list[Posting] = []
-        for tokens in _chunks(self._matching_tokens(keyword, mode), _IN_CHUNK):
-            marks = ", ".join("?" for _ in tokens)
-            with self._lock:
-                self._guard_locked()
-                rows = self._connection.execute(
-                    f"SELECT relation, attribute, row_id FROM postings "
-                    f"WHERE token IN ({marks}) "
-                    f"ORDER BY relation, row_id, attribute",
-                    tuple(tokens),
-                ).fetchall()
-            found.extend(
-                Posting(relation, attribute, row_id)
-                for relation, attribute, row_id in rows
-            )
-        return found
-
-    def provider(self, relation: str, keyword: str, mode: MatchMode) -> set[int]:
-        """Adapter matching the engine's ``TupleSetProvider`` signature."""
-        return set(self.tuple_set(relation, keyword, mode))
-
-    def document_frequency(
-        self, keyword: str, mode: MatchMode = MatchMode.TOKEN
-    ) -> int:
-        """Total number of matching rows across all relations."""
-        tokens = self._matching_tokens(keyword, mode)
-        if not tokens:
-            return 0
-        if len(tokens) > _IN_CHUNK:
-            # Chunked COUNT(DISTINCT) would double-count rows whose tokens
-            # straddle chunks; take the exact per-relation union instead.
-            return sum(
-                len(self.tuple_set(relation, keyword, mode))
-                for relation in self.relations_containing(keyword, mode)
-            )
-        marks = ", ".join("?" for _ in tokens)
-        with self._lock:
-            self._guard_locked()
-            rows = self._connection.execute(
-                f"SELECT relation, COUNT(DISTINCT row_id) FROM postings "
-                f"WHERE token IN ({marks}) GROUP BY relation",
-                tuple(tokens),
-            ).fetchall()
-        return sum(count for _, count in rows)
 
     # ------------------------------------------------------------ lifecycle
     def close(self) -> None:

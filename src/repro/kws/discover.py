@@ -62,7 +62,7 @@ class ClassicKWSSystem:
         self._binder = KeywordBinder(
             lattice=lattice, schema=self.schema, max_joins=max_joins
         )
-        self.engine = InMemoryEngine(database, tuple_set_provider=self.index.provider)
+        self.engine = InMemoryEngine(database, tuple_set_provider=self.index.tuple_set)
 
     def search(self, query: str, sample_limit: int = 3) -> KWSAnswer:
         """Run the classic pipeline; non-answers are simply not returned."""

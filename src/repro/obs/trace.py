@@ -148,20 +148,6 @@ class ProbeTracer:
         # shared by concurrent service sessions.
         self._lock = threading.Lock()
 
-    def set_listener(
-        self, listener: Callable[[TraceRecord], None] | None
-    ) -> None:
-        """Attach (or detach) a live record subscriber.
-
-        Every span/event recorded afterwards is handed to ``listener``
-        immediately after entering the ring, in seq order.  Unlike the
-        bounded ring, the listener sees *every* record -- it is how the
-        service layer keeps a gap-free per-session event log even when
-        the ring wraps.
-        """
-        with self._lock:
-            self._listener = listener
-
     # ------------------------------------------------------------- context
     def set_context(self, **attrs: Any) -> None:
         """Set (value) or clear (``None``) attributes stamped on new spans."""

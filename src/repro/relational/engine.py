@@ -12,9 +12,9 @@ Two operations matter to the paper's system:
   tuples, used to display answer queries and MPAN witnesses.
 
 Keyword predicates are resolved to row-id sets through a pluggable
-``tuple_set_provider`` so the inverted index can serve them; without one the
-engine falls back to a table scan (what ``LIKE '%kw%'`` would do without an
-index).
+``tuple_set_provider`` -- the inverted index's ``tuple_set`` -- so the index
+can serve them; without one the engine falls back to a table scan (what
+``LIKE '%kw%'`` would do without an index).
 
 At million-tuple scale the materialized tuple sets themselves become the
 memory ceiling, so the engine optionally takes a ``streaming_source`` (an
@@ -30,14 +30,14 @@ compute the same boolean, so classifications are byte-identical.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Iterator, Mapping, Protocol
+from typing import AbstractSet, Any, Callable, Iterable, Iterator, Mapping, Protocol
 
 from repro.relational.database import Database
 from repro.relational.jointree import BoundQuery, JoinEdge, JoinTree, RelationInstance
-from repro.relational.predicates import KeywordPredicate, MatchMode, cell_matches
+from repro.relational.predicates import MatchMode, cell_matches
 from repro.relational.table import Table
 
-TupleSetProvider = Callable[[str, str, MatchMode], "set[int] | None"]
+TupleSetProvider = Callable[[str, str, MatchMode], "AbstractSet[int] | None"]
 ResultRow = dict[RelationInstance, dict[str, Any]]
 
 #: Tuple sets larger than this many rows are streamed, not materialized,
@@ -103,7 +103,7 @@ class InMemoryEngine:
         cached = self._scan_cache.get(key)
         if cached is not None:
             return cached
-        ids: set[int] | None = None
+        ids: AbstractSet[int] | None = None
         if self._tuple_set_provider is not None:
             ids = self._tuple_set_provider(relation, needle, mode)
         if ids is None:
@@ -430,13 +430,3 @@ class InMemoryEngine:
                 zip(table.relation.attribute_names, table.row(row_id))
             )
         return result
-
-    # -------------------------------------------------------------- helpers
-    def predicate_for(self, query: BoundQuery, instance: RelationInstance) -> KeywordPredicate | None:
-        keyword = query.keyword_of(instance)
-        if keyword is None:
-            return None
-        return KeywordPredicate(keyword, query.mode)
-
-    def table_of(self, instance: RelationInstance) -> Table:
-        return self.database.table(instance.relation)

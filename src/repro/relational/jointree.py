@@ -260,14 +260,8 @@ class JoinTree:
             return list(self.instances)
         return sorted(i for i in self.instances if self.degree(i) == 1)
 
-    def neighbours(self, instance: RelationInstance) -> list[RelationInstance]:
-        return [edge.other(instance) for edge in self._adjacency[instance]]
-
     def relations(self) -> set[str]:
         return {instance.relation for instance in self.instances}
-
-    def contains_instance(self, instance: RelationInstance) -> bool:
-        return instance in self.instances
 
     def is_subtree_of(self, other: "JoinTree") -> bool:
         """Structural containment (same instances/edges, not isomorphism)."""

@@ -6,25 +6,35 @@ semantics -- simple, and exactly what the polling/streaming protocol
 needs).  Application handlers are blocking by design (they sit on
 condition variables and run traversals), so every ``app.handle`` call --
 and every pull on a streaming response iterator -- is shipped to the
-loop's default thread executor, keeping the event loop free to accept
-and serve other clients concurrently.  Sized responses go out with
-``Content-Length``; streams go out with ``Transfer-Encoding: chunked``,
-one chunk per JSON line, flushed as the session produces events.
+loop's own pool of :data:`MAX_HANDLER_THREADS` threads, keeping the
+event loop free to accept and serve other clients concurrently.  Sized
+responses go out with ``Content-Length``; streams go out with
+``Transfer-Encoding: chunked``, one chunk per JSON line, flushed as the
+session produces events.  A request the shell cannot parse is answered
+``400``, or ``413``/``431`` when its body/head is over the cap below.
 """
 
 from __future__ import annotations
 
 import asyncio
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Iterator
 from urllib.parse import parse_qsl, urlsplit
 
-from repro.service.app import Response, ServiceApp
+from repro.service.app import Response, ServiceApp, _error
 
 #: Hard cap on request head + body sizes: this is an ops/debugging
 #: service, not a general proxy target.
 MAX_HEAD_BYTES = 64 * 1024
 MAX_BODY_BYTES = 8 * 1024 * 1024
+
+#: Threads for ``app.handle`` calls and stream pulls.  A long-poll or a
+#: stream on an unfinished session holds its thread while it waits, so
+#: the loop's default executor (``min(32, cpu_count + 4)`` threads) would
+#: let a few parked clients starve every other request.  Threads start
+#: on demand; past this many parked clients, requests queue.
+MAX_HANDLER_THREADS = 64
 
 _REASONS = {
     200: "OK",
@@ -32,6 +42,8 @@ _REASONS = {
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
+    413: "Content Too Large",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error",
     503: "Service Unavailable",
 }
@@ -78,6 +90,10 @@ class ServiceServer:
 
     def _run_loop(self) -> None:
         loop = asyncio.new_event_loop()
+        # loop.close() shuts the pool down, as it would the default one.
+        loop.set_default_executor(
+            ThreadPoolExecutor(MAX_HANDLER_THREADS, "repro-serve-handler")
+        )
         asyncio.set_event_loop(loop)
         self._loop = loop
         try:
@@ -140,17 +156,16 @@ class ServiceServer:
             request = await self._read_request(reader)
             if request is None:
                 return
-            method, path, params, body = request
-            loop = asyncio.get_running_loop()
-            try:
-                response = await loop.run_in_executor(
-                    None, self.app.handle, method, path, params, body
-                )
-            except Exception as error:  # defensive: app.handle maps its own
-                response = Response(
-                    500,
-                    body=f'{{"error": "{type(error).__name__}"}}\n'.encode(),
-                )
+            if isinstance(request, Response):
+                response = request
+            else:
+                loop = asyncio.get_running_loop()
+                try:
+                    response = await loop.run_in_executor(
+                        None, self.app.handle, *request
+                    )
+                except Exception as error:  # defensive: app.handle maps its own
+                    response = _error(500, type(error).__name__)
             await self._write_response(writer, response)
         except (ConnectionResetError, BrokenPipeError, asyncio.IncompleteReadError):
             pass  # client went away; nothing to salvage
@@ -163,18 +178,25 @@ class ServiceServer:
 
     async def _read_request(
         self, reader: asyncio.StreamReader
-    ) -> tuple[str, str, dict[str, str], bytes] | None:
-        """Parse one HTTP/1.1 request head + sized body."""
+    ) -> tuple[str, str, dict[str, str], bytes] | Response | None:
+        """Parse one HTTP/1.1 request head + sized body.
+
+        Returns a 4xx :class:`Response` for a request that cannot be
+        served, ``None`` when the client left before sending a head.
+        """
+        head: bytes | None
         try:
             head = await reader.readuntil(b"\r\n\r\n")
-        except (asyncio.IncompleteReadError, asyncio.LimitOverrunError):
+        except asyncio.IncompleteReadError:
             return None
-        if len(head) > MAX_HEAD_BYTES:
-            return None
+        except asyncio.LimitOverrunError:
+            head = None
+        if head is None or len(head) > MAX_HEAD_BYTES:
+            return _error(431, f"request head exceeds {MAX_HEAD_BYTES} bytes")
         lines = head.decode("latin-1").split("\r\n")
         request_line = lines[0].split(" ")
         if len(request_line) != 3:
-            return None
+            return _error(400, "malformed request line")
         method, target, _version = request_line
         headers: dict[str, str] = {}
         for line in lines[1:]:
@@ -182,9 +204,12 @@ class ServiceServer:
                 continue
             name, _, value = line.partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
-        if length < 0 or length > MAX_BODY_BYTES:
-            return None
+        declared = headers.get("content-length", "0") or "0"
+        if not (declared.isascii() and declared.isdigit()):
+            return _error(400, f"bad Content-Length {declared!r}")
+        length = int(declared)
+        if length > MAX_BODY_BYTES:
+            return _error(413, f"request body exceeds {MAX_BODY_BYTES} bytes")
         body = await reader.readexactly(length) if length else b""
         split = urlsplit(target)
         params = dict(parse_qsl(split.query))

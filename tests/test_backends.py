@@ -218,7 +218,7 @@ class TestRegistry:
         # only off the disk-backed one.
         dict_index = InvertedIndex(products_db)
         classic = create_backend("memory", products_db, dict_index)
-        assert classic._tuple_set_provider == dict_index.provider
+        assert classic._tuple_set_provider == dict_index.tuple_set
         assert classic._streaming_source is None
         with SqliteInvertedIndex(products_db) as disk_index:
             streamed = create_backend("memory", products_db, disk_index)

@@ -128,7 +128,7 @@ class TestProbeCache:
 
     def test_dir_level_inspect_and_clear(self, tmp_path, products_probes):
         assert inspect_cache_dir(tmp_path)["exists"] is False
-        assert clear_cache_dir(tmp_path) == 0
+        assert clear_cache_dir(tmp_path) == {"probes": 0, "workloads": 0, "facts": 0}
         with ProbeCache.open_dir(tmp_path, product_database()) as cache:
             cache.put(products_probes[0], True)
             cache.put(products_probes[1], False)
@@ -138,7 +138,7 @@ class TestProbeCache:
         assert sum(v["alive"] for v in info["vectors"].values()) == 1
         for entry in info["vectors"].values():
             assert entry["relations"]  # the join path is recorded per row
-        assert clear_cache_dir(tmp_path) == 2
+        assert clear_cache_dir(tmp_path) == {"probes": 2, "workloads": 0, "facts": 0}
         assert inspect_cache_dir(tmp_path)["entries"] == 0
 
 

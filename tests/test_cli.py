@@ -411,3 +411,54 @@ class TestTraceCheck:
     def test_path_with_non_check_query_exits_two(self, trace_file, capsys):
         assert main(["trace", "red candle", str(trace_file)]) == 2
         capsys.readouterr()
+
+
+class TestCacheCommand:
+    """`repro cache clear` forgets every answer: probes and status facts."""
+
+    @staticmethod
+    def _executed(cache_dir, capsys):
+        """Backend queries one cached `repro debug` run executes."""
+        import re
+
+        argv = [
+            "debug", "saffron scented candle",
+            "--index-backend", "sqlite",
+            "--cache-dir", str(cache_dir),
+        ]
+        assert main(argv) == 0
+        match = re.search(r"SQL effort: (\d+) queries", capsys.readouterr().out)
+        assert match is not None
+        return int(match.group(1))
+
+    @staticmethod
+    def _stats(cache_dir, capsys):
+        import json
+
+        assert main(["cache", "stats", "--cache-dir", str(cache_dir), "--json"]) == 0
+        return json.loads(capsys.readouterr().out)
+
+    def test_clear_restores_the_cold_query_count(self, tmp_path, capsys):
+        cold = self._executed(tmp_path, capsys)
+        assert cold > 0
+        assert self._executed(tmp_path, capsys) == 0  # the status file answers
+        stats = self._stats(tmp_path, capsys)
+        assert set(stats) == {
+            "path", "exists", "size_bytes", "entries", "vectors", "status",
+        }
+        assert stats["entries"] == cold
+        assert set(stats["status"]) == {"workloads", "facts"}
+        assert stats["status"]["workloads"] == 1
+        facts = stats["status"]["facts"]
+        assert facts > 0
+
+        assert main(["cache", "clear", "--cache-dir", str(tmp_path)]) == 0
+        assert (
+            f"removed {cold} cached probe(s) and {facts} status fact(s) "
+            "of 1 workload(s)"
+        ) in capsys.readouterr().out
+        stats = self._stats(tmp_path, capsys)
+        assert stats["entries"] == 0
+        assert stats["status"] == {"workloads": 0, "facts": 0}
+        assert (tmp_path / "index.sqlite").exists()  # holds no answers
+        assert self._executed(tmp_path, capsys) == cold

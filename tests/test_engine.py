@@ -53,11 +53,11 @@ class TestTupleSets:
     def test_provider_used(self, products_db):
         calls = []
 
-        def provider(relation, keyword, mode):
+        def recording_provider(relation, keyword, mode):
             calls.append((relation, keyword))
             return {0}
 
-        engine = InMemoryEngine(products_db, tuple_set_provider=provider)
+        engine = InMemoryEngine(products_db, tuple_set_provider=recording_provider)
         assert engine.tuple_set("Item", "anything", MatchMode.TOKEN) == {0}
         assert calls == [("Item", "anything")]
 
@@ -86,7 +86,7 @@ class TestTupleSets:
         the same tuple sets as lowercase ones, in either call order."""
         index = InvertedIndex(products_db)
         for first, second in (("Scented", "scented"), ("candle", "CANDLE")):
-            engine = InMemoryEngine(products_db, tuple_set_provider=index.provider)
+            engine = InMemoryEngine(products_db, tuple_set_provider=index.tuple_set)
             expected = index.tuple_set("Item", first.lower(), MatchMode.TOKEN)
             assert expected
             assert engine.tuple_set("Item", first, MatchMode.TOKEN) == expected

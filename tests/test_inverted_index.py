@@ -31,22 +31,9 @@ class TestInvertedIndex:
         assert token == frozenset()
         assert substring == {0, 1, 2, 3}
 
-    def test_postings_have_attributes(self, products_index):
-        postings = products_index.postings("crimson")
-        locations = {(p.relation, p.attribute) for p in postings}
-        assert ("Color", "synonyms") in locations
-        assert ("Item", "name") in locations
-
-    def test_document_frequency(self, products_index):
-        assert products_index.document_frequency("candle") == 4  # 3 items + 1 ptype
-
     def test_vocabulary(self, products_index):
         assert products_index.vocabulary_size > 20
         assert "saffron" in set(products_index.tokens())
-
-    def test_provider_signature(self, products_index):
-        ids = products_index.provider("ProductType", "candle", MatchMode.TOKEN)
-        assert ids == {1}
 
 
 class TestCasefoldMatching:
@@ -84,7 +71,7 @@ class TestCasefoldMatching:
             JoinTree.single(instance), {instance: "straße"}, MatchMode.TOKEN
         )
         index = InvertedIndex(database)
-        with_index = InMemoryEngine(database, tuple_set_provider=index.provider)
+        with_index = InMemoryEngine(database, tuple_set_provider=index.tuple_set)
         scan_only = InMemoryEngine(database)
         assert with_index.is_alive(probe)
         assert scan_only.is_alive(probe)

@@ -6,29 +6,10 @@ from repro.core.mtn import find_mtns
 from repro.index.mapper import Interpretation
 from repro.kws.candidate_networks import enumerate_candidate_networks
 from repro.kws.discover import ClassicKWSSystem
-from repro.kws.tuplesets import compute_tuple_sets, free_tuple_set
 
 
 def interp(*pairs):
     return Interpretation(tuple(pairs))
-
-
-class TestTupleSets:
-    def test_keyword_tuple_sets(self, products_index):
-        sets = compute_tuple_sets(products_index, ("saffron", "candle"))
-        relations = {ts.relation for ts in sets["saffron"]}
-        assert relations == {"Attribute", "Color", "Item"}
-        assert all(ts.size > 0 for ts in sets["saffron"])
-
-    def test_missing_keyword_empty(self, products_index):
-        sets = compute_tuple_sets(products_index, ("sofa",))
-        assert sets["sofa"] == []
-
-    def test_free_tuple_set(self, products_index):
-        ts = free_tuple_set(products_index, "Item")
-        assert ts.is_free
-        assert ts.size == 4
-        assert ts.describe() == "Item^{}"
 
 
 class TestCandidateNetworks:

@@ -142,7 +142,7 @@ class TestStreamingEquivalence:
         assert debugger.backend._streaming_source is debugger.index
         debugger.backend = InMemoryEngine(
             dblife_db,
-            tuple_set_provider=debugger.index.provider,
+            tuple_set_provider=debugger.index.tuple_set,
             streaming_source=debugger.index,
             materialization_cap=0,
         )

@@ -2,6 +2,8 @@
 
 import http.client
 import json
+import socket
+import threading
 import time
 
 import pytest
@@ -14,6 +16,7 @@ from repro.service import (
     ServiceServer,
     SessionManager,
 )
+from repro.service.server import MAX_BODY_BYTES, MAX_HEAD_BYTES
 from repro.workloads.queries import TABLE2_QUERIES
 
 QUERY = "saffron scented candle"
@@ -361,3 +364,124 @@ class TestLiveServer:
             second.stop()
             first.stop()
             manager.shutdown(drain=True)
+
+
+class GatedBackend:
+    """Aliveness backend whose probes wait until the test opens ``gate``."""
+
+    def __init__(self, inner, gate):
+        self.inner = inner
+        self.gate = gate
+
+    def is_alive(self, query):
+        self.gate.wait(120)
+        return self.inner.is_alive(query)
+
+
+def raw_exchange(host, port, payload):
+    """Send raw bytes, return every byte the server answers before closing."""
+    with socket.create_connection((host, port), timeout=30) as client:
+        client.sendall(payload)
+        received = b""
+        while True:
+            try:
+                chunk = client.recv(65536)
+            except ConnectionResetError:  # closed on an unread request
+                break
+            if not chunk:
+                break
+            received += chunk
+    return received
+
+
+class TestServerShell:
+    """What the asyncio shell does before and around ``app.handle``."""
+
+    #: More than any default executor's ``min(32, cpu_count + 4)`` threads.
+    PARKED_STREAMS = 40
+
+    @pytest.fixture
+    def server(self, products_db):
+        debugger = NonAnswerDebugger(products_db, max_joins=2)
+        manager = SessionManager(debugger, workers=2)
+        server = ServiceServer(ServiceApp(manager))
+        server.start()
+        yield server
+        server.stop()
+        manager.shutdown(drain=True)
+
+    def test_parked_streams_leave_healthz_a_thread(self, products_db):
+        gate = threading.Event()
+        debugger = NonAnswerDebugger(products_db, max_joins=2)
+        debugger.backend = GatedBackend(debugger.backend, gate)
+        manager = SessionManager(debugger, workers=1)
+        server = ServiceServer(ServiceApp(manager))
+        server.start()
+        streams = []
+        try:
+            session_ids = [
+                http_request_json(
+                    server.host, server.port, "POST", "/sessions", {"query": QUERY}
+                )["session_id"]
+                for _ in range(self.PARKED_STREAMS)
+            ]
+            responses = []
+            for session_id in session_ids:
+                connection = http.client.HTTPConnection(
+                    server.host, server.port, timeout=30
+                )
+                streams.append(connection)
+                connection.request("GET", f"/sessions/{session_id}/stream")
+                response = connection.getresponse()
+                assert response.status == 200
+                # Every session waits on the gate (one probing, the rest
+                # queued), so after its first record each stream's next
+                # pull holds a handler thread.
+                first = json.loads(response.readline())
+                assert first["name"] == "session_submitted"
+                responses.append(response)
+            probe = http.client.HTTPConnection(server.host, server.port, timeout=2)
+            started = time.monotonic()
+            try:
+                probe.request("GET", "/healthz")
+                assert probe.getresponse().status == 200
+            finally:
+                probe.close()
+            assert time.monotonic() - started < 2
+            gate.set()
+            for response in responses:
+                records = [json.loads(line) for line in response]
+                assert records[-1]["name"] == "session_completed"
+        finally:
+            gate.set()
+            for connection in streams:
+                connection.close()
+            server.stop()
+            manager.shutdown(drain=True)
+
+    @pytest.mark.parametrize(
+        ("head", "status"),
+        [
+            (b"POST /sessions HTTP/1.1\r\nContent-Length: abc\r\n\r\n", 400),
+            (b"POST /sessions HTTP/1.1\r\nContent-Length: -5\r\n\r\n", 400),
+            (b"GET /healthz\r\n\r\n", 400),
+            (
+                b"POST /sessions HTTP/1.1\r\nContent-Length: %d\r\n\r\n"
+                % (MAX_BODY_BYTES + 1),
+                413,
+            ),
+            (
+                b"GET /healthz HTTP/1.1\r\nX-Pad: %s\r\n\r\n"
+                % (b"a" * MAX_HEAD_BYTES),
+                431,
+            ),
+        ],
+        ids=["length-abc", "length-negative", "request-line", "body-size", "head-size"],
+    )
+    def test_unservable_request_is_answered(self, server, head, status):
+        answer = raw_exchange(server.host, server.port, head)
+        assert answer.startswith(f"HTTP/1.1 {status} ".encode()), answer[:80]
+        body = answer.split(b"\r\n\r\n", 1)[1]
+        assert "error" in json.loads(body)
+        # The shell is still serving afterwards.
+        assert http_request(server.host, server.port, "GET", "/healthz")[0] == 200
