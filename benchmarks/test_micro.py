@@ -23,7 +23,7 @@ def test_aliveness_probe_memory(benchmark, context, prepared_q8):
 
 
 def test_aliveness_probe_sqlite(benchmark, context, prepared_q8):
-    """The same probe as real SQL on sqlite3 (LIMIT 1 existence check)."""
+    """The same probe as real SQL on sqlite3 (one ``SELECT EXISTS`` scalar)."""
     mtn = prepared_q8.graph.mtns()[0]
 
     with SqliteEngine(context.database) as engine:

@@ -59,6 +59,7 @@ from repro.analysis.sql_linter import (
     SqlDryRunner,
     find_unquoted_reserved,
     lint_ddl,
+    lint_lattice_probes,
     lint_lattice_templates,
     lint_statements,
 )
@@ -93,6 +94,7 @@ __all__ = [
     "SqlDryRunner",
     "find_unquoted_reserved",
     "lint_ddl",
+    "lint_lattice_probes",
     "lint_lattice_templates",
     "lint_statements",
     "apply_suppressions",

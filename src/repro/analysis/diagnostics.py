@@ -112,8 +112,9 @@ CODE_REGISTRY: dict[str, CodeInfo] = {
     ),
     "SQL002": CodeInfo(
         "template-fails-sqlite-prepare",
-        "a rendered SQL template does not compile under sqlite's prepare "
-        "step (dry run with no data loaded)",
+        "a rendered SQL statement (mirror DDL, node template or executed "
+        "probe) does not compile under sqlite's prepare step (dry run "
+        "with no data loaded)",
         "fix the rendering site; the hint carries the generated SQL and "
         "sqlite's compile error",
     ),

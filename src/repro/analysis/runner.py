@@ -2,9 +2,10 @@
 
 The runner is what the CLI and the pytest-collected check share.  A *plan*
 run builds the configured dataset's lattice and verifies: lattice structure
-(``PLAN*``), the schema DDL, and a sqlite prepare dry-run of **every**
-rendered node template (``SQL*``).  A *repo* run applies the AST rules
-(``LINT*``) to the source tree.  Results merge into one
+(``PLAN*``), the mirror DDL, and a sqlite prepare dry-run of **every**
+rendered node template and of every node's executed probe in both match
+modes (``SQL*``).  A *repo* run applies the AST rules (``LINT*``) to the
+source tree.  Results merge into one
 :class:`~repro.analysis.diagnostics.DiagnosticReport`; a nonzero exit means
 at least one error-severity finding.
 """
@@ -23,7 +24,11 @@ from repro.analysis.diagnostics import (
 from repro.analysis.plan_linter import lint_lattice
 from repro.analysis.repo_linter import lint_source
 from repro.analysis.resources import lint_resources_source
-from repro.analysis.sql_linter import lint_ddl, lint_lattice_templates
+from repro.analysis.sql_linter import (
+    lint_ddl,
+    lint_lattice_probes,
+    lint_lattice_templates,
+)
 from repro.analysis.suppressions import apply_suppressions
 from repro.core.lattice import Lattice, generate_lattice
 from repro.relational.schema import SchemaGraph
@@ -92,6 +97,7 @@ def lint_built_lattice(lattice: Lattice) -> DiagnosticReport:
     report = lint_lattice(lattice)
     report.merge(lint_ddl(lattice.schema))
     report.merge(lint_lattice_templates(lattice))
+    report.merge(lint_lattice_probes(lattice))
     return report
 
 

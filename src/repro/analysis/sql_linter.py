@@ -8,9 +8,12 @@ or column renders double-quoted; any bare reserved word outside the allowed
 grammar therefore marks a rendering site that bypassed quoting.
 
 ``SQL002`` compiles every statement with sqlite's prepare step -- via
-``EXPLAIN`` on a ``:memory:`` database holding the schema's DDL and *no
-data* -- so a template that cannot execute verbatim is a build-time
-diagnostic rather than a runtime failure.
+``EXPLAIN`` on a ``:memory:`` database holding the schema's DDL, the
+mirror's postings tables and foreign-key indexes, and *no data* -- so a
+statement that cannot execute verbatim is a build-time diagnostic rather
+than a runtime failure.  It covers the DDL itself, each lattice node's
+Phase-0 template, and each node's executed probe
+(:func:`~repro.relational.sql.render_exists_probe`) in both match modes.
 """
 
 from __future__ import annotations
@@ -22,7 +25,13 @@ from typing import Iterable
 from repro.analysis.diagnostics import Diagnostic, DiagnosticReport
 from repro.core.lattice import Lattice
 from repro.relational.identifiers import RESERVED_WORDS
-from repro.relational.sql import render_ddl
+from repro.relational.jointree import BoundQuery
+from repro.relational.predicates import MatchMode
+from repro.relational.sql import (
+    render_access_path_ddl,
+    render_ddl,
+    render_exists_probe,
+)
 from repro.relational.schema import SchemaGraph
 
 #: Reserved words the SQL renderers legitimately emit bare, as grammar.
@@ -30,17 +39,22 @@ GRAMMAR_KEYWORDS: frozenset[str] = frozenset(
     {
         "SELECT", "FROM", "WHERE", "AS", "AND", "OR", "LIKE", "LIMIT",
         "CREATE", "TABLE", "INSERT", "INTO", "VALUES", "NOT", "NULL",
-        "IS", "EXPLAIN",
+        "IS", "EXPLAIN", "EXISTS", "IN", "INDEX", "ON", "PRIMARY", "KEY",
+        "WITHOUT",
     }
 )
+
+#: The keyword bound to every keyword slot when the probes are prepared;
+#: a single token, so TOKEN mode renders its postings lookup.
+PROBE_KEYWORD = "kw"
 
 _STRING_LITERAL = re.compile(r"'(?:[^']|'')*'")
 _QUOTED_IDENTIFIER = re.compile(r'"(?:[^"]|"")*"')
 _BARE_WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
-def _token_match_stub(keyword: object, text: object) -> int:
-    """Prepare-time stand-in for the backend's TOKEN_MATCH function."""
+def _substring_match_stub(keyword: object, text: object) -> int:
+    """Prepare-time stand-in for the backend's SUBSTRING_MATCH function."""
     return 0
 
 
@@ -67,11 +81,13 @@ class SqlDryRunner:
     def __init__(self, schema: SchemaGraph):
         self.schema = schema
         self.connection = sqlite3.connect(":memory:")
-        # The predicates call TOKEN_MATCH/SUBSTRING_MATCH; sqlite resolves
-        # functions at prepare time, so register stubs for the dry run.
-        self.connection.create_function("TOKEN_MATCH", 2, _token_match_stub)
-        self.connection.create_function("SUBSTRING_MATCH", 2, _token_match_stub)
-        for statement in render_ddl(schema):
+        # SUBSTRING predicates call SUBSTRING_MATCH; sqlite resolves
+        # functions at prepare time, so register a stub for the dry run.
+        self.connection.create_function(
+            "SUBSTRING_MATCH", 2, _substring_match_stub
+        )
+        # The same statements the sqlite engine loads its mirror with.
+        for statement in render_ddl(schema) + render_access_path_ddl(schema):
             self.connection.execute(statement)
 
     def prepare_error(self, sql: str) -> str | None:
@@ -126,11 +142,16 @@ def lint_statements(
 
 
 def lint_ddl(schema: SchemaGraph) -> DiagnosticReport:
-    """Verify the schema's CREATE TABLE statements on a fresh database."""
+    """Verify the mirror's DDL on a fresh database.
+
+    The schema's CREATE TABLE statements come first, then the postings
+    tables and foreign-key indexes, numbered on from them.
+    """
     report = DiagnosticReport()
     connection = sqlite3.connect(":memory:")
     try:
-        for index, statement in enumerate(render_ddl(schema)):
+        statements = render_ddl(schema) + render_access_path_ddl(schema)
+        for index, statement in enumerate(statements):
             location = f"ddl statement {index}"
             for offender in find_unquoted_reserved(statement):
                 report.add(
@@ -169,5 +190,31 @@ def lint_lattice_templates(lattice: Lattice) -> DiagnosticReport:
     def statements() -> Iterable[tuple[str, str]]:
         for node, template in lattice.iter_templates():
             yield f"template of lattice node {node.node_id}", template
+
+    return lint_statements(statements(), lattice.schema)
+
+
+def lint_lattice_probes(lattice: Lattice) -> DiagnosticReport:
+    """Dry-run every lattice node's executed probe, in both match modes.
+
+    Each keyword slot of the node is bound to :data:`PROBE_KEYWORD` and the
+    query is rendered as the ``SELECT EXISTS`` probe the sqlite backend
+    runs: the postings lookup in TOKEN mode, ``SUBSTRING_MATCH`` in
+    SUBSTRING mode.
+    """
+
+    def statements() -> Iterable[tuple[str, str]]:
+        for node in lattice.nodes:
+            slots = {
+                instance: PROBE_KEYWORD
+                for instance in node.tree.instances
+                if not instance.is_free
+            }
+            for mode in MatchMode:
+                query = BoundQuery.from_mapping(node.tree, slots, mode)
+                yield (
+                    f"{mode.value}-mode probe of lattice node {node.node_id}",
+                    render_exists_probe(query, lattice.schema),
+                )
 
     return lint_statements(statements(), lattice.schema)

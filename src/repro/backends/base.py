@@ -69,7 +69,8 @@ def create_backend(
     one is given; when that index is the disk-backed
     :class:`~repro.index.sqlite_index.SqliteInvertedIndex` it also streams
     tuple sets larger than the materialization cap off disk instead of
-    holding them on the heap.  The sqlite engine ignores ``index``.
+    holding them on the heap.  The sqlite engine fills its postings
+    tables from ``index`` (or builds an inverted index when none is given).
     """
     # Both engines import this package (protocols, pool), so they are
     # imported here rather than at module level.
@@ -87,7 +88,7 @@ def create_backend(
     if name == "sqlite":
         from repro.relational.sqlite_backend import SqliteEngine
 
-        return SqliteEngine(database)
+        return SqliteEngine(database, index)
     raise ValueError(
         f"unknown backend {name!r}; expected one of {', '.join(BACKEND_NAMES)}"
     )

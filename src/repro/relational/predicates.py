@@ -6,6 +6,12 @@ through a Lucene index (token match).  Both semantics are supported here and
 selected by :class:`MatchMode`; the inverted index and the executors must be
 configured with the *same* mode so that "keyword k maps to relation R" and
 "the predicate on R matches at least one row" stay consistent.
+
+Every engine matches through :func:`tokenize` and :func:`cell_matches`.
+The in-memory engine reads the inverted index's tuple sets (or scans).
+The sqlite backend answers TOKEN predicates from postings tables filled
+from that same index, and SUBSTRING predicates through a
+``SUBSTRING_MATCH`` SQL function that calls :func:`cell_matches`.
 """
 
 from __future__ import annotations
@@ -79,28 +85,32 @@ class KeywordPredicate:
         return any(cell_matches(self.keyword, text, self.mode) for _, text in cells)
 
     def sql_condition(self, alias: str, columns: tuple[str, ...]) -> str:
-        """Render the disjunction as a SQL condition for ``alias``.
+        """Render the SUBSTRING-mode disjunction as a SQL condition for ``alias``.
 
-        Both modes render through SQL functions the sqlite backend
-        registers (``TOKEN_MATCH``, ``SUBSTRING_MATCH``) that delegate to
-        :func:`cell_matches`, so the Python engine and the SQL backend
-        share one matching semantics -- including Unicode case folding,
-        which sqlite's ASCII-only ``LOWER()``/``LIKE`` cannot express
-        (the paper's ``LIKE '%kw%'`` form survives in spirit as the
-        substring semantics of :func:`cell_matches`).
+        Each column is tested by ``SUBSTRING_MATCH``, a SQL function the
+        sqlite backend registers that delegates to :func:`cell_matches`, so
+        the Python engine and the SQL backend share one matching semantics
+        -- including Unicode case folding, which sqlite's ASCII-only
+        ``LOWER()``/``LIKE`` cannot express (the paper's ``LIKE '%kw%'``
+        form survives in spirit as the substring semantics of
+        :func:`cell_matches`).  TOKEN mode has no per-row form: it reads the
+        sqlite mirror's postings tables
+        (:func:`repro.relational.sql.render_keyword_condition`).
         """
+        if self.mode is not MatchMode.SUBSTRING:
+            raise ValueError(
+                "token-mode predicates render against the postings tables; "
+                "use repro.relational.sql.render_keyword_condition"
+            )
         if not columns:
             return "0 = 1"
         from repro.relational.identifiers import quote_identifier
 
         escaped = self.keyword.replace("'", "''")
         quoted_alias = quote_identifier(alias)
-        quoted = [quote_identifier(column) for column in columns]
-        function = (
-            "SUBSTRING_MATCH" if self.mode is MatchMode.SUBSTRING else "TOKEN_MATCH"
-        )
         parts = [
-            f"{function}('{escaped.casefold()}', {quoted_alias}.{column})"
-            for column in quoted
+            f"SUBSTRING_MATCH('{escaped.casefold()}', "
+            f"{quoted_alias}.{quote_identifier(column)})"
+            for column in columns
         ]
         return "(" + " OR ".join(parts) + ")"

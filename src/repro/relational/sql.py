@@ -5,16 +5,54 @@ only); binding keywords at run time instantiates the WHERE clause.  The
 generated SQL is real SQL: :mod:`repro.relational.sqlite_backend` executes it
 verbatim against a stdlib ``sqlite3`` database to cross-check the in-memory
 engine.
+
+Token-mode keyword predicates run on the mirror's own access paths: every
+relation with searchable text gets a postings table (one row per token,
+holding the ascending mirror row ids of the rows containing it), and both
+ends of every foreign key get an index.  :func:`render_access_path_ddl`
+creates those structures for the engine and for the SQL linter's dry run
+alike.
 """
 
 from __future__ import annotations
 
 from repro.relational.identifiers import quote_identifier
 from repro.relational.jointree import BoundQuery, JoinTree
-from repro.relational.predicates import KeywordPredicate
-from repro.relational.schema import SchemaGraph
+from repro.relational.predicates import KeywordPredicate, MatchMode, tokenize
+from repro.relational.schema import Relation, SchemaError, SchemaGraph
 
 KEYWORD_PLACEHOLDER = "?kw"
+
+#: The names sqlite answers with a table's row id, in order of preference.
+#: A declared column of the same name (compared case-insensitively, as
+#: sqlite does) shadows the row id, so the mirror uses the first one the
+#: relation leaves free.
+ROWID_NAMES = ("rowid", "_rowid_", "oid")
+
+
+def rowid_name(relation: Relation) -> str:
+    """The name addressing the mirror row id of ``relation``.
+
+    Raises :class:`SchemaError` when the relation declares a column under
+    every name in :data:`ROWID_NAMES`: its row ids cannot be addressed.
+    """
+    declared = {name.lower() for name in relation.attribute_names}
+    for name in ROWID_NAMES:
+        if name not in declared:
+            return name
+    raise SchemaError(
+        f"relation {relation.name!r} declares columns named "
+        f"{', '.join(ROWID_NAMES)}; the sqlite mirror cannot address its rows"
+    )
+
+
+def postings_table(relation: str) -> str:
+    """Name of the mirror's postings table for ``relation``.
+
+    Relation names are alphanumeric, so the ``:`` keeps it from colliding
+    with any mirrored relation (the name is always rendered quoted).
+    """
+    return f"postings:{relation}"
 
 
 def _from_clause(tree: JoinTree) -> str:
@@ -61,6 +99,37 @@ def render_template(tree: JoinTree, schema: SchemaGraph) -> str:
     return f"SELECT * FROM {_from_clause(tree)} WHERE {where}"
 
 
+def render_keyword_condition(
+    relation: Relation, alias: str, keyword: str, mode: MatchMode
+) -> str:
+    """The condition binding ``keyword`` to ``alias``, an instance of ``relation``.
+
+    SUBSTRING mode is :meth:`KeywordPredicate.sql_condition`'s
+    ``SUBSTRING_MATCH`` disjunction over the text attributes.  TOKEN mode
+    keeps the rows whose mirror row id the relation's postings table lists
+    under the casefolded keyword -- exactly the rows whose text attributes
+    :func:`tokenize` to a list containing it.  A keyword that is not a
+    single token matches no row, so it renders ``0 = 1`` and its text
+    (quotes, NUL characters) never reaches the statement.
+    """
+    predicate = KeywordPredicate(keyword, mode)
+    columns = tuple(attribute.name for attribute in relation.text_attributes)
+    if not columns:
+        return "0 = 1"
+    if mode is MatchMode.SUBSTRING:
+        return predicate.sql_condition(alias, columns)
+    needle = keyword.casefold()
+    if tokenize(needle) != [needle]:
+        return "0 = 1"
+    # needle is [a-z0-9]+ here, so the literal needs no escaping.
+    return (
+        f"{quote_identifier(alias)}.{rowid_name(relation)} IN "
+        f"(SELECT value FROM json_each((SELECT rids FROM "
+        f"{quote_identifier(postings_table(relation.name))} "
+        f"WHERE token = '{needle}')))"
+    )
+
+
 def render_sql(
     query: BoundQuery,
     schema: SchemaGraph,
@@ -69,18 +138,23 @@ def render_sql(
 ) -> str:
     """Executable SQL for a bound query.
 
-    ``select`` and ``limit`` let callers render the existence-check form the
-    traversals actually issue (``SELECT 1 ... LIMIT 1``).
+    ``select`` and ``limit`` let callers render other forms, such as the
+    ``SELECT 1 ... LIMIT 1`` existence check; the sqlite backend's probe
+    wraps this statement in ``SELECT EXISTS`` (:func:`render_exists_probe`).
     """
     conditions = _join_conditions(query.tree)
     for instance in query.tree.sorted_instances():
         keyword = query.keyword_of(instance)
         if keyword is None:
             continue
-        relation = schema.relation(instance.relation)
-        columns = tuple(a.name for a in relation.text_attributes)
-        predicate = KeywordPredicate(keyword, query.mode)
-        conditions.append(predicate.sql_condition(instance.alias, columns))
+        conditions.append(
+            render_keyword_condition(
+                schema.relation(instance.relation),
+                instance.alias,
+                keyword,
+                query.mode,
+            )
+        )
     where = " AND ".join(conditions) if conditions else "1 = 1"
     sql = f"SELECT {select} FROM {_from_clause(query.tree)} WHERE {where}"
     if limit is not None:
@@ -113,5 +187,35 @@ def render_ddl(schema: SchemaGraph) -> list[str]:
         )
         statements.append(
             f"CREATE TABLE {quote_identifier(relation.name)} ({columns})"
+        )
+    return statements
+
+
+def render_access_path_ddl(schema: SchemaGraph) -> list[str]:
+    """The postings tables and foreign-key indexes of the sqlite mirror.
+
+    One ``(token PRIMARY KEY, rids)`` table per relation with searchable
+    text, where ``rids`` is a JSON array of ascending mirror row ids, and
+    one index per column at either end of a foreign key.  Run after
+    :func:`render_ddl` (and, when loading data, after the rows are in, so
+    each index is built in one pass).
+    """
+    statements = [
+        f"CREATE TABLE {quote_identifier(postings_table(relation.name))} "
+        f"(token TEXT PRIMARY KEY, rids TEXT) WITHOUT ROWID"
+        for relation in schema.iter_relations()
+        if relation.text_attributes
+    ]
+    ends: set[tuple[str, str]] = set()
+    for foreign_key in schema.foreign_keys.values():
+        ends.add((foreign_key.child, foreign_key.child_column))
+        ends.add((foreign_key.parent, foreign_key.parent_column))
+    for relation, column in sorted(ends):
+        # Relation names cannot hold "." or ":", so index names cannot
+        # collide with each other or with any table.
+        index = quote_identifier(f"index:{relation}.{column}")
+        statements.append(
+            f"CREATE INDEX {index} "
+            f"ON {quote_identifier(relation)} ({quote_identifier(column)})"
         )
     return statements

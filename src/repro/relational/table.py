@@ -45,6 +45,12 @@ class Table:
 
     def __init__(self, relation: Relation, rows: Iterable[Sequence[Any]] = ()):
         self.relation = relation
+        # (name, position) of each searchable attribute, resolved once:
+        # text_cells runs for every row of every index build.
+        self._text_positions = tuple(
+            (attribute.name, relation.index_of(attribute.name))
+            for attribute in relation.text_attributes
+        )
         self._rows: list[Row] = []
         self._indexes: dict[str, dict[Any, list[int]]] = {}
         # Memoized content digest: None while dirty, recomputed lazily by
@@ -174,10 +180,10 @@ class Table:
     def text_cells(self, row_id: int) -> Iterator[tuple[str, str]]:
         """Yield ``(column, text)`` for the searchable cells of one row."""
         row = self._rows[row_id]
-        for attribute in self.relation.text_attributes:
-            value = row[self.relation.index_of(attribute.name)]
+        for name, position in self._text_positions:
+            value = row[position]
             if value is not None:
-                yield attribute.name, value
+                yield name, value
 
     # --------------------------------------------------------- fingerprint
     def fingerprint(self) -> str:

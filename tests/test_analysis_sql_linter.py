@@ -14,6 +14,7 @@ from repro.analysis import (
     find_unquoted_reserved,
     lint_built_lattice,
     lint_ddl,
+    lint_lattice_probes,
     lint_lattice_templates,
 )
 from repro.core.lattice import generate_lattice
@@ -32,7 +33,12 @@ from repro.relational.schema import (
     Relation,
     SchemaGraph,
 )
-from repro.relational.sql import render_ddl, render_sql, render_template
+from repro.relational.sql import (
+    render_access_path_ddl,
+    render_ddl,
+    render_sql,
+    render_template,
+)
 from repro.relational.sqlite_backend import SqliteEngine
 
 
@@ -132,8 +138,17 @@ class TestReservedWordSchema:
             reserved_query.tree, reserved_query.bindings, MatchMode.TOKEN
         )
         sql = render_sql(token_query, reserved_schema)
-        assert "TOKEN_MATCH('vip', group_2.\"select\")" in sql
+        assert 'group_2.id = order_1."group"' in sql
+        assert (
+            "group_2.rowid IN (SELECT value FROM json_each((SELECT rids FROM "
+            "\"postings:group\" WHERE token = 'vip')))"
+        ) in sql
         assert find_unquoted_reserved(sql) == []
+        database = Database(reserved_schema)
+        database.insert("group", (7, "vip customers"))
+        database.insert("order", (1, 7, "rush"))
+        with SqliteEngine(database) as engine:
+            assert engine.is_alive(token_query)
 
     def test_reserved_lattice_lints_clean(self, reserved_schema):
         lattice = generate_lattice(reserved_schema, max_joins=1)
@@ -166,6 +181,35 @@ class TestPrepareDryRun:
         assert report.ok, "\n" + report.render()
         assert len(report) == 0
 
+    def test_all_products_probes_prepare_in_both_modes(self, products_schema):
+        lattice = generate_lattice(products_schema, max_joins=2)
+        report = lint_lattice_probes(lattice)
+        assert report.ok, "\n" + report.render()
+        assert len(report) == 0
+
+    def test_probe_without_postings_is_reported(
+        self, products_schema, monkeypatch
+    ):
+        """The probes are prepared against the engine's access paths."""
+        import repro.analysis.sql_linter as sql_linter
+
+        monkeypatch.setattr(sql_linter, "render_access_path_ddl", lambda _: [])
+        lattice = generate_lattice(products_schema, max_joins=1)
+        report = lint_built_lattice(lattice)
+        assert not report.ok
+        assert {d.code for d in report} == {"SQL002"}
+        assert all(d.location.startswith("token-mode probe") for d in report)
+        assert any("postings:" in d.message for d in report)
+
+    def test_ddl_covers_postings_and_foreign_key_indexes(self, products_schema):
+        statements = render_ddl(products_schema) + render_access_path_ddl(
+            products_schema
+        )
+        assert len(statements) == 4 + 4 + 6
+        assert 'CREATE INDEX "index:Item.ptype" ON Item (ptype)' in statements
+        report = lint_ddl(products_schema)
+        assert report.ok and len(report) == 0, "\n" + report.render()
+
     def test_broken_template_is_reported(self, products_schema):
         with SqlDryRunner(products_schema) as runner:
             error = runner.prepare_error("SELECT * FROM NoSuchTable")
@@ -174,5 +218,11 @@ class TestPrepareDryRun:
 
     def test_dry_runner_accepts_token_match(self, products_schema):
         with SqlDryRunner(products_schema) as runner:
-            sql = "SELECT 1 FROM Item WHERE TOKEN_MATCH('kw', Item.name)"
+            sql = (
+                "SELECT 1 FROM Item WHERE Item.rowid IN (SELECT value FROM "
+                "json_each((SELECT rids FROM \"postings:Item\" "
+                "WHERE token = 'kw')))"
+            )
+            assert runner.prepare_error(sql) is None
+            sql = "SELECT 1 FROM Item WHERE SUBSTRING_MATCH('kw', Item.name)"
             assert runner.prepare_error(sql) is None

@@ -2,12 +2,15 @@
 
 import pytest
 
+from repro.datasets.products import product_schema
 from repro.relational.predicates import (
     KeywordPredicate,
     MatchMode,
     cell_matches,
     tokenize,
 )
+from repro.relational.schema import Attribute, AttributeType, Relation
+from repro.relational.sql import render_keyword_condition
 
 
 class TestTokenize:
@@ -56,20 +59,45 @@ class TestKeywordPredicate:
         assert "OR" in sql
 
     def test_sql_condition_casefolds_keyword(self):
-        predicate = KeywordPredicate("STRASSE", MatchMode.TOKEN)
+        predicate = KeywordPredicate("STRASSE", MatchMode.SUBSTRING)
         sql = predicate.sql_condition("item_1", ("name",))
-        assert "TOKEN_MATCH('strasse', item_1.name)" in sql
-        folded = KeywordPredicate("straße", MatchMode.TOKEN)
+        assert "SUBSTRING_MATCH('strasse', item_1.name)" in sql
+        folded = KeywordPredicate("straße", MatchMode.SUBSTRING)
         assert folded.sql_condition("item_1", ("name",)) == sql
+        # The token form looks the casefolded keyword up in the postings.
+        relation = product_schema().relation("Item")
+        token = render_keyword_condition(
+            relation, "item_1", "STRASSE", MatchMode.TOKEN
+        )
+        assert "token = 'strasse'" in token
+        assert render_keyword_condition(
+            relation, "item_1", "straße", MatchMode.TOKEN
+        ) == token
 
     def test_sql_condition_token(self):
         predicate = KeywordPredicate("saffron", MatchMode.TOKEN)
-        sql = predicate.sql_condition("item_1", ("name",))
-        assert "TOKEN_MATCH('saffron', item_1.name)" in sql
+        with pytest.raises(ValueError, match="postings"):
+            predicate.sql_condition("item_1", ("name",))
+        sql = render_keyword_condition(
+            product_schema().relation("Item"), "item_1", "saffron", MatchMode.TOKEN
+        )
+        assert sql == (
+            "item_1.rowid IN (SELECT value FROM json_each((SELECT rids FROM "
+            "\"postings:Item\" WHERE token = 'saffron')))"
+        )
 
     def test_sql_condition_escapes_quotes(self):
         predicate = KeywordPredicate("o'neil", MatchMode.SUBSTRING)
         assert "o''neil" in predicate.sql_condition("t", ("name",))
+        # No token holds a quote, so the token form never quotes one.
+        relation = product_schema().relation("Item")
+        assert render_keyword_condition(
+            relation, "t", "o'neil", MatchMode.TOKEN
+        ) == "0 = 1"
 
     def test_sql_condition_no_columns(self):
-        assert KeywordPredicate("x").sql_condition("t", ()) == "0 = 1"
+        predicate = KeywordPredicate("x", MatchMode.SUBSTRING)
+        assert predicate.sql_condition("t", ()) == "0 = 1"
+        no_text = Relation("Link", (Attribute("id", AttributeType.INTEGER),))
+        for mode in MatchMode:
+            assert render_keyword_condition(no_text, "t", "x", mode) == "0 = 1"

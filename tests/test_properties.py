@@ -5,7 +5,9 @@ These pin down the claims DESIGN.md makes:
 1. canonical labels are construction-order independent and coincide with
    tree equality on copy-labeled trees;
 2. aliveness is monotone (R1/R2 are sound) on random databases;
-3. the in-memory engine and the sqlite3 backend agree on aliveness;
+3. the in-memory engine and the sqlite3 backend agree on aliveness, and
+   the sqlite postings select exactly the rows a scan matches, whatever
+   the Unicode in the cells and the keyword;
 4. all five traversal strategies produce identical classifications and
    MPANs, and the reuse variants never execute more queries;
 5. lattice MTNs equal independently-generated candidate networks.
@@ -26,7 +28,9 @@ from repro.datasets.products import product_schema
 from repro.kws.candidate_networks import enumerate_candidate_networks
 from repro.relational.database import Database
 from repro.relational.engine import InMemoryEngine
-from repro.relational.jointree import JoinTree
+from repro.relational.jointree import BoundQuery, JoinTree, RelationInstance
+from repro.relational.predicates import MatchMode, tokenize
+from repro.relational.schema import Attribute, AttributeType, Relation, SchemaGraph
 from repro.relational.sqlite_backend import SqliteEngine
 
 SETTINGS = settings(
@@ -175,6 +179,90 @@ class TestBackendAgreement:
                     assert memory.is_alive(node.query) == sqlite_engine.is_alive(
                         node.query
                     ), node.query.describe()
+
+
+#: Cells where casefolding and tokenizing disagree with naive lowercasing:
+#: "ß" folds to "ss", "İ" to "i" + a combining dot (so "İstanbul" is the
+#: tokens "i" and "stanbul"), the "ﬁ" ligature to "fi", and combining
+#: marks, non-ASCII digits and punctuation split or vanish.
+UNICODE_CELLS = (
+    "Straße", "STRASSE", "İstanbul", "ﬁle", "FILE", "cafe\u0301", "café",
+    "x² ⅻ ٣", "50 hrs", "3.4 oz.", "o'neil", "a-b_c", "Σίσυφος", "",
+)
+UNICODE_KEYWORDS = (
+    "strasse", "STRASSE", "straße", "ss", "i", "stanbul", "İstanbul",
+    "ﬁle", "file", "fi", "cafe", "café", "oz", "o'neil", "neil", "σίσυφοσ",
+)
+
+unicode_cells = st.one_of(
+    st.none(),
+    st.sampled_from(UNICODE_CELLS),
+    st.text(max_size=12),
+    st.lists(
+        st.one_of(st.sampled_from(UNICODE_CELLS), st.text(max_size=6)),
+        max_size=3,
+    ).map(" ".join),
+)
+
+
+class TestTokenProbeAgreement:
+    @settings(
+        max_examples=100,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        rows=st.lists(st.tuples(unicode_cells, unicode_cells), max_size=6),
+        data=st.data(),
+    )
+    def test_postings_match_a_scan(self, rows, data):
+        """A single-instance token probe on sqlite selects the scan's rows."""
+        schema = SchemaGraph.build(
+            [
+                Relation(
+                    "Doc",
+                    (
+                        Attribute("id", AttributeType.INTEGER),
+                        Attribute("title", AttributeType.TEXT),
+                        Attribute("body", AttributeType.TEXT),
+                    ),
+                )
+            ],
+            [],
+        )
+        database = Database(schema)
+        for row_id, (title, body) in enumerate(rows):
+            database.insert("Doc", (row_id, title, body))
+        # The cells' tokens, and their raw words ("Straße", "ﬁle"), which
+        # match only through the same casefolding.
+        words = sorted(
+            {
+                word
+                for row in rows
+                for cell in row
+                if cell
+                for word in tokenize(cell) + cell.split()
+            }
+        )
+        keyword = st.one_of(
+            st.sampled_from(UNICODE_KEYWORDS), st.text(min_size=1, max_size=8)
+        )
+        if words:
+            keyword = st.one_of(st.sampled_from(words), keyword)
+        keywords = data.draw(
+            st.lists(keyword.filter(str.strip), min_size=1, max_size=6)
+        )
+        scan = InMemoryEngine(database)
+        doc = RelationInstance("Doc", 1)
+        with SqliteEngine(database) as engine:
+            for text in keywords:
+                query = BoundQuery.from_mapping(
+                    JoinTree.single(doc), {doc: text}, MatchMode.TOKEN
+                )
+                expected = sorted(scan.tuple_set("Doc", text, MatchMode.TOKEN))
+                found = sorted(row[0] for row in engine.fetch(query, limit=None))
+                assert found == expected, text
+                assert engine.is_alive(query) == scan.is_alive(query), text
 
 
 class TestStrategyEquivalence:

@@ -64,11 +64,16 @@ class TestRenderSql:
         assert sql.startswith("SELECT 1")
         assert sql.endswith("LIMIT 1")
 
-    def test_token_mode_uses_function(self, schema, two_table_query):
+    def test_token_mode_reads_postings(self, schema, two_table_query):
         token_query = BoundQuery(
             two_table_query.tree, two_table_query.bindings, MatchMode.TOKEN
         )
-        assert "TOKEN_MATCH" in render_sql(token_query, schema)
+        sql = render_sql(token_query, schema)
+        assert "SUBSTRING_MATCH" not in sql
+        assert (
+            "producttype_2.rowid IN (SELECT value FROM json_each((SELECT rids "
+            "FROM \"postings:ProductType\" WHERE token = 'candle')))"
+        ) in sql
 
     def test_free_query_has_joins_only(self, schema):
         fk = schema.foreign_key("item_color")
@@ -77,7 +82,7 @@ class TestRenderSql:
             frozenset([item, color]), frozenset([JoinEdge.from_fk(fk, item, color)])
         )
         sql = render_sql(BoundQuery.from_mapping(tree, {}), schema)
-        assert "LIKE" not in sql and "TOKEN_MATCH" not in sql
+        assert "LIKE" not in sql and "postings" not in sql
         assert "color_0.id = item_0.color" in sql
 
 

@@ -5,10 +5,22 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from repro.core.debugger import NonAnswerDebugger
+from repro.index import create_index
+from repro.relational.database import Database
 from repro.relational.engine import InMemoryEngine
 from repro.relational.jointree import BoundQuery, JoinEdge, JoinTree, RelationInstance
 from repro.relational.predicates import MatchMode
+from repro.relational.schema import (
+    Attribute,
+    AttributeType,
+    Relation,
+    SchemaError,
+    SchemaGraph,
+)
+from repro.relational.sql import render_exists_probe, render_sql
 from repro.relational.sqlite_backend import SqliteEngine
+from repro.workloads import TABLE2_QUERIES
 
 
 def inst(relation, copy):
@@ -73,10 +85,10 @@ class TestSqliteEngine:
         assert sqlite_engine.count(query) == 4  # item 4: "rose scented" desc
         assert len(sqlite_engine.fetch(query, limit=2)) == 2
 
-    def test_token_match_function_handles_null(self, sqlite_engine):
-        # Item 1's color is NULL; TOKEN_MATCH on NULL must not error.
+    def test_substring_match_function_handles_null(self, sqlite_engine):
+        # Item 1's color is NULL; SUBSTRING_MATCH on NULL must not error.
         rows = sqlite_engine.connection.execute(
-            "SELECT COUNT(*) FROM Item WHERE TOKEN_MATCH('x', NULL)"
+            "SELECT COUNT(*) FROM Item WHERE SUBSTRING_MATCH('x', NULL)"
         ).fetchone()
         assert rows[0] == 0
 
@@ -101,13 +113,118 @@ class TestSqliteEngine:
     def test_debugger_context_manager_closes_sqlite_backend(self, products_db):
         import sqlite3
 
-        from repro.core.debugger import NonAnswerDebugger
-
         with NonAnswerDebugger(products_db, backend="sqlite") as debugger:
             report = debugger.debug("red candle")
             assert report.traversal is not None
         with pytest.raises(sqlite3.ProgrammingError):
             debugger.backend.connection.execute("SELECT 1")
+
+
+def doc_database(*columns):
+    """One ``Doc`` relation: the given integer columns, then a text title."""
+    attributes = [Attribute(name, AttributeType.INTEGER) for name in columns]
+    attributes.append(Attribute("title", AttributeType.TEXT))
+    schema = SchemaGraph.build([Relation("Doc", tuple(attributes))], [])
+    return Database(schema)
+
+
+class TestMirrorAccessPaths:
+    def test_postings_hold_mirror_row_ids(self, sqlite_engine, products_db):
+        rows = dict(
+            sqlite_engine.connection.execute(
+                'SELECT token, rids FROM "postings:Item"'
+            )
+        )
+        # "scented" is in the descriptions of Item rows 0-3 (ids 1-4).
+        assert rows["scented"] == "[1,2,3,4]"
+
+    @pytest.mark.parametrize(
+        "cell, keyword, matches",
+        [
+            ("Straße", "STRASSE", True),
+            ("STRASSE", "straße", True),
+            ("ﬁle", "FILE", True),
+            ("file", "ﬁle", True),
+            ("İstanbul", "stanbul", True),
+            ("İstanbul", "İstanbul", False),
+            ("O'Neil", "o'neil", False),
+        ],
+    )
+    def test_token_probe_casefolds_like_the_scan(self, cell, keyword, matches):
+        database = doc_database("id")
+        database.insert("Doc", (1, cell))
+        doc = inst("Doc", 1)
+        query = BoundQuery.from_mapping(JoinTree.single(doc), {doc: keyword})
+        assert InMemoryEngine(database).is_alive(query) is matches
+        with SqliteEngine(database) as engine:
+            assert engine.is_alive(query) is matches
+
+    def test_postings_are_the_same_from_either_index(self, dblife_db):
+        def postings(engine):
+            return {
+                relation: engine.connection.execute(
+                    f'SELECT token, rids FROM "postings:{relation}" ORDER BY token'
+                ).fetchall()
+                for relation in dblife_db.schema.searchable_relations()
+            }
+
+        with create_index("sqlite", dblife_db) as index:
+            with SqliteEngine(dblife_db, index) as from_disk:
+                on_disk = postings(from_disk)
+        with SqliteEngine(dblife_db) as built:
+            assert postings(built) == on_disk
+        assert sum(len(rows) for rows in on_disk.values()) > 100
+
+    def test_probes_use_no_automatic_index(self, dblife_db):
+        """Every Q1-Q10 probe joins through a foreign-key index."""
+        with NonAnswerDebugger(
+            dblife_db, max_joins=2, use_lattice=False, backend="sqlite"
+        ) as debugger:
+            checked = 0
+            for query in TABLE2_QUERIES:
+                report = debugger.debug(query.text)
+                if report.graph is None:
+                    continue
+                for node in report.graph.nodes:
+                    sql = render_exists_probe(node.query, dblife_db.schema)
+                    plan = debugger.backend.connection.execute(
+                        f"EXPLAIN QUERY PLAN {sql}"
+                    ).fetchall()
+                    details = [row[3] for row in plan]
+                    assert not any("AUTOMATIC" in d for d in details), (
+                        node.query.describe(),
+                        details,
+                    )
+                    checked += 1
+        assert checked > 50
+
+    def test_rowid_column_does_not_shadow_the_mirror_row(self):
+        """A declared ``rowid`` column moves the lookup to ``_rowid_``."""
+        database = doc_database("rowid")
+        database.insert("Doc", (5, "alpha beta"))
+        database.insert("Doc", (1, "gamma"))
+        doc = inst("Doc", 1)
+        query = BoundQuery.from_mapping(JoinTree.single(doc), {doc: "gamma"})
+        assert "doc_1._rowid_ IN" in render_sql(query, database.schema)
+        with SqliteEngine(database) as engine:
+            assert engine.is_alive(query) == InMemoryEngine(database).is_alive(
+                query
+            ) is True
+            assert engine.fetch(query) == [(1, "gamma")]
+
+    def test_oid_is_the_last_row_id_name(self):
+        database = doc_database("rowid", "_ROWID_")
+        database.insert("Doc", (7, 8, "gamma"))
+        doc = inst("Doc", 1)
+        query = BoundQuery.from_mapping(JoinTree.single(doc), {doc: "gamma"})
+        assert "doc_1.oid IN" in render_sql(query, database.schema)
+        with SqliteEngine(database) as engine:
+            assert engine.is_alive(query)
+
+    def test_all_row_id_names_declared_raises_at_load(self):
+        database = doc_database("rowid", "_rowid_", "OID")
+        with pytest.raises(SchemaError, match="cannot address its rows"):
+            SqliteEngine(database)
 
 
 class TestSqliteThreadSafety:
