@@ -1,9 +1,9 @@
 """Static lock-discipline lint (``CONC001``-``CONC004``).
 
 One run probes serially, but the service runs sessions concurrently --
-session threads share the :class:`~repro.backends.pool.ConnectionPool`,
-the persistent :class:`~repro.cache.ProbeCache`, and the status store,
-a session's :class:`~repro.obs.budget.ProbeBudget` is aborted from
+session threads share the :class:`~repro.backends.pool.ConnectionPool`
+and the persistent :class:`~repro.cache.ProbeCache` (probe answers and
+status facts behind one lock), a session's :class:`~repro.obs.budget.ProbeBudget` is aborted from
 another thread, and its :class:`~repro.obs.trace.ProbeTracer` is read
 while it records -- so the lock discipline those classes document must
 hold *everywhere*, not just on the paths the threaded

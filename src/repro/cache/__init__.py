@@ -1,21 +1,21 @@
-"""Persistent cross-session caches (the L2 tier and the status store).
+"""Persistent cross-session caches: one store for probes and status facts.
 
 Two tiers serve aliveness probes before the backend does:
 
 * **L1** -- the evaluator's bounded in-process LRU (what the paper calls
   *reuse*), per evaluator, dies with the process;
-* **L2** -- :class:`ProbeCache`, a sqlite file keyed by canonical query
-  code + the relation-fingerprint vector of the probed join path, shared
-  by every session pointed at the same ``--cache-dir``.  Mutations are
-  *repaired* (monotone survivor re-keying), not nuked.
+* **L2** -- :class:`ProbeCache`, one sqlite file per ``--cache-dir``
+  keyed by canonical query code + the relation-fingerprint vector of the
+  probed join path, shared by every session pointed at the directory.
 
-Above them, :class:`StatusCache` persists whole-run classification facts
-per workload so an exact repeat skips Phase 3 and a mutated repeat
-pre-seeds the status store with everything still provable.
+The same file persists whole-run classification facts per workload, so
+an exact repeat skips Phase 3 and a mutated repeat pre-seeds the status
+store with everything still provable.  Mutations are *repaired* by one
+monotone rule (:func:`monotone_survives`), not nuked.
 
-See :mod:`repro.cache.store` for the probe store and invalidation
-semantics, :mod:`repro.cache.status` for the persisted classifications,
-and :mod:`repro.cache.keys` for the canonical key construction.
+See :mod:`repro.cache.store` for the store and its invalidation
+semantics, and :mod:`repro.cache.keys` for the canonical key
+construction.
 """
 
 from repro.cache.keys import (
@@ -24,23 +24,20 @@ from repro.cache.keys import (
     relations_label,
     workload_cache_key,
 )
-from repro.cache.status import (
-    STATUS_CACHE_FILENAME,
-    StatusCache,
-    StatusCacheError,
-    StatusFact,
-    StatusLoad,
-    fact_survives,
-)
 from repro.cache.store import (
-    PROBE_CACHE_FILENAME,
-    PROBE_CACHE_SCHEMA_VERSION,
+    CACHE_FILENAME,
+    CACHE_SCHEMA_VERSION,
     ProbeCache,
     ProbeCacheError,
     ProbeCacheStats,
     RepairReport,
+    StatusCache,
+    StatusFact,
+    StatusLoad,
     clear_cache_dir,
+    fact_survives,
     inspect_cache_dir,
+    monotone_survives,
 )
 
 __all__ = [
@@ -48,18 +45,17 @@ __all__ = [
     "relation_vector_key",
     "relations_label",
     "workload_cache_key",
-    "PROBE_CACHE_FILENAME",
-    "PROBE_CACHE_SCHEMA_VERSION",
-    "STATUS_CACHE_FILENAME",
+    "CACHE_FILENAME",
+    "CACHE_SCHEMA_VERSION",
     "ProbeCache",
     "ProbeCacheError",
     "ProbeCacheStats",
     "RepairReport",
     "StatusCache",
-    "StatusCacheError",
     "StatusFact",
     "StatusLoad",
-    "fact_survives",
     "clear_cache_dir",
+    "fact_survives",
     "inspect_cache_dir",
+    "monotone_survives",
 ]

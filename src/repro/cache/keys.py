@@ -76,7 +76,7 @@ def workload_cache_key(
 ) -> str:
     """Stable key for one workload query + lattice configuration.
 
-    Namespaces persisted :class:`~repro.cache.status.StatusCache` rows:
+    Namespaces the status facts :meth:`~repro.cache.ProbeCache.save` persists:
     an "exact repeat" means the same casefolded keyword multiset debugged
     under the same match mode and lattice shape parameters.
     """

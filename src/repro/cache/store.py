@@ -1,52 +1,56 @@
-"""The persistent probe-result store: the L2 tier of the two-tier cache.
+"""The persistent cache store: L2 probe answers and status facts, one file.
 
 The paper treats Phase 0 as "computed offline ... a one-time cost"
 (§3.1), but probe results -- the expensive part on a DISCOVER-style
-engine, where each candidate network is a real SQL round-trip -- died
-with the process.  :class:`ProbeCache` persists them in a small sqlite
-file keyed by
+engine, where each candidate network is a real SQL round-trip -- and the
+classifications Phase 3 derives from them died with the process.
+:class:`ProbeCache` persists both in one sqlite file
+(:data:`CACHE_FILENAME`) behind one connection and one lock:
 
-* the **relation-fingerprint vector** of the probed query's join path
-  (:func:`relation_vector_key`): the namespace.  A mutation to
+* ``probes`` -- one answer per probed query, keyed by the
+  **relation-fingerprint vector** of its join path
+  (:func:`relation_vector_key`, the namespace: a mutation to
   ``publication`` changes only the vectors of probes touching
-  ``publication``; every ``person``-only probe keeps its key and stays
-  warm with no repair work at all.
-* the **canonical query key** (:func:`query_cache_key`): the row key,
-  stable across processes and isomorphic relabelings.
+  ``publication``, so every ``person``-only probe stays warm with no
+  repair work at all) and the **canonical query key**
+  (:func:`query_cache_key`, stable across processes and isomorphic
+  relabelings).  The evaluator consults it after missing its in-process
+  LRU (L1) and writes through on every executed probe.
+* ``runs`` and ``status_facts`` -- after a complete, unbudgeted traversal
+  the debugger saves one fact per classified exploration node (canonical
+  key, join-path relations, aliveness, whether it was probed) under a
+  **workload key** (keyword multiset + match mode + lattice shape),
+  stamped with the database snapshot the run saw.  An exact repeat
+  (same composite fingerprint, complete run) skips Phase 3 outright.
 
-On attach (and on :meth:`refresh` after an in-session mutation) the
-store compares the persisted per-relation snapshot against the live
-database and **repairs** the stale rows instead of evicting them
-wholesale.  The repair rule is the paper's own monotonicity read at the
-dataset boundary: an insert can only flip a probe dead -> alive, so
-under an insert-only delta every cached ``alive=True`` row is still
-correct and is re-keyed to the new vector, while ``alive=False`` rows
-touching the mutated relation are dropped; a delete-only delta is the
-exact dual; a mixed (or undecidable) delta evicts both polarities.
-Eviction counts are taken from the explicit row lists the repair scan
-builds -- never from ``cursor.rowcount``, whose ``-1`` sentinel sqlite
-is free to return for any statement.
+A mutated database *repairs* both instead of evicting them wholesale,
+by one rule (:func:`monotone_survives`): the paper's monotonicity read
+at the dataset boundary.  An insert can only flip a probe dead -> alive,
+so alive answers survive insert-only deltas; a delete only alive ->
+dead, so dead answers survive delete-only deltas; a mixed (or
+undecidable) delta keeps neither.  Probe rows are repaired on attach and
+on :meth:`ProbeCache.refresh` against the file's snapshot (survivors are
+re-keyed to the new vector); facts are repaired lazily at
+:meth:`ProbeCache.load` against their own run's snapshot.  Both
+snapshots use one JSON encoding.  Counts come from explicit row lists or
+``SELECT COUNT(*)`` -- never from ``cursor.rowcount``, whose ``-1``
+sentinel sqlite is free to return for any statement.
 
-The evaluator consults the store only after missing its in-process LRU
-(L1) and writes through on every executed probe, so a second debugging
-session over an unchanged database starts warm: previously probed nodes
-cost zero backend queries and classifications are byte-identical.
-
-All methods are thread-safe (one internal lock around one connection):
-concurrent service sessions share one store, and interactive sessions
-may probe from arbitrary threads.
+All methods are thread-safe: concurrent service sessions share one
+store, and interactive sessions may probe from arbitrary threads.
 """
 
 from __future__ import annotations
 
+import contextlib
+import json
 import sqlite3
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 from repro.cache.keys import query_cache_key, relation_vector_key, relations_label
-from repro.cache.status import count_status_file
 from repro.relational.database import (
     Database,
     DatabaseDelta,
@@ -60,23 +64,16 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.obs.trace import ProbeTracer
 
 #: File name used inside a ``--cache-dir`` directory.
-PROBE_CACHE_FILENAME = "probes.sqlite"
+CACHE_FILENAME = "cache.sqlite"
 
-#: Bumped whenever the on-disk layout changes; mismatched files are
-#: rebuilt from scratch (cached probes are only ever an optimization).
-PROBE_CACHE_SCHEMA_VERSION = 2
+#: Bumped whenever the on-disk layout changes; a mismatched file is
+#: rebuilt from scratch (cached answers are only ever an optimization).
+CACHE_SCHEMA_VERSION = 1
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS meta (
     key   TEXT NOT NULL PRIMARY KEY,
     value TEXT NOT NULL
-) WITHOUT ROWID;
-CREATE TABLE IF NOT EXISTS relation_state (
-    relation    TEXT NOT NULL PRIMARY KEY,
-    fingerprint TEXT NOT NULL,
-    row_count   INTEGER NOT NULL,
-    inserts     INTEGER NOT NULL,
-    deletes     INTEGER NOT NULL
 ) WITHOUT ROWID;
 CREATE TABLE IF NOT EXISTS probes (
     vector_key TEXT NOT NULL,
@@ -84,6 +81,19 @@ CREATE TABLE IF NOT EXISTS probes (
     alive      INTEGER NOT NULL,
     relations  TEXT NOT NULL,
     PRIMARY KEY (vector_key, query_key)
+) WITHOUT ROWID;
+CREATE TABLE IF NOT EXISTS runs (
+    workload_key TEXT NOT NULL PRIMARY KEY,
+    snapshot     TEXT NOT NULL,
+    complete     INTEGER NOT NULL
+) WITHOUT ROWID;
+CREATE TABLE IF NOT EXISTS status_facts (
+    workload_key TEXT NOT NULL,
+    node_key     TEXT NOT NULL,
+    alive        INTEGER NOT NULL,
+    evaluated    INTEGER NOT NULL,
+    relations    TEXT NOT NULL,
+    PRIMARY KEY (workload_key, node_key)
 ) WITHOUT ROWID
 """
 
@@ -111,7 +121,7 @@ class RepairReport:
 
 @dataclass(frozen=True)
 class ProbeCacheStats:
-    """Counters of one :class:`ProbeCache` (session + file)."""
+    """Probe counters of one :class:`ProbeCache` (session + file)."""
 
     path: str
     composite: str
@@ -130,15 +140,124 @@ class ProbeCacheStats:
         )
 
 
+@dataclass(frozen=True)
+class StatusFact:
+    """One persisted node classification."""
+
+    node_key: str
+    relations: tuple[str, ...]
+    alive: bool
+    evaluated: bool
+
+
+@dataclass(frozen=True)
+class StatusLoad:
+    """Facts recovered for one workload, already repaired if stale.
+
+    ``exact`` means the persisted run saw byte-identical content
+    (composite fingerprints match); combined with ``complete`` it
+    licenses skipping Phase 3 outright.  Otherwise ``facts`` holds only
+    the classifications the monotone repair rule could keep, and
+    ``dropped`` counts the casualties.
+    """
+
+    workload_key: str
+    exact: bool
+    complete: bool
+    facts: tuple[StatusFact, ...]
+    directions: Mapping[str, str]
+    dropped: int
+
+
+def _encode_snapshot(snapshot: DatabaseSnapshot) -> str:
+    return json.dumps(
+        {
+            "composite": snapshot.composite,
+            "lineage": snapshot.lineage,
+            "relations": [
+                [
+                    state.relation,
+                    state.fingerprint,
+                    state.row_count,
+                    state.inserts_total,
+                    state.deletes_total,
+                ]
+                for state in snapshot.relations
+            ],
+        }
+    )
+
+
+def _decode_snapshot(payload: str) -> DatabaseSnapshot:
+    data = json.loads(payload)
+    return DatabaseSnapshot(
+        composite=data["composite"],
+        lineage=data["lineage"],
+        relations=tuple(
+            RelationState(
+                relation=relation,
+                fingerprint=fingerprint,
+                row_count=row_count,
+                inserts_total=inserts,
+                deletes_total=deletes,
+            )
+            for relation, fingerprint, row_count, inserts, deletes in data[
+                "relations"
+            ]
+        ),
+    )
+
+
+def _directions_label(delta: DatabaseDelta) -> dict[str, str]:
+    return {
+        name: direction.value for name, direction in sorted(delta.directions.items())
+    }
+
+
+def monotone_survives(
+    alive: bool,
+    relations: Iterable[str],
+    directions: Mapping[str, MutationDirection],
+) -> bool:
+    """The repair rule: does an answer survive the changes on its join path?
+
+    An alive answer survives iff every changed relation among
+    ``relations`` moved insert-only, a dead one iff every one moved
+    delete-only.  An answer touching no changed relation proves nothing
+    here and gets False; each caller decides what that case means (see
+    :func:`fact_survives`, and the probe repair :meth:`ProbeCache.refresh`
+    runs).
+    """
+    touched = {directions[name] for name in relations if name in directions}
+    wanted = MutationDirection.INSERT_ONLY if alive else MutationDirection.DELETE_ONLY
+    return touched == {wanted}
+
+
+def fact_survives(
+    fact: StatusFact, directions: Mapping[str, MutationDirection]
+) -> bool:
+    """Whether a persisted fact still holds under ``directions``.
+
+    A fact touching no changed relation is still exact: it was compared
+    against its own run's snapshot, so its join path holds the content
+    it was computed on.  Otherwise :func:`monotone_survives` decides.
+    """
+    return directions.keys().isdisjoint(fact.relations) or monotone_survives(
+        fact.alive, fact.relations, directions
+    )
+
+
 class ProbeCache:
-    """Persistent ``query -> aliveness`` store with per-relation identity.
+    """Persistent probe answers and status facts with per-relation identity.
 
     Implements the :class:`~repro.backends.base.ProbeStore` protocol the
-    evaluator consumes.  The cache holds a reference to the live
-    :class:`Database` and computes every row's vector key from the
-    *current* per-relation fingerprints, so reads after an in-session
-    mutation can never return an answer recorded against stale content
-    -- at worst they miss until :meth:`refresh` repairs the old rows.
+    evaluator consumes (:meth:`get`/:meth:`put`) and the per-workload
+    status store the debugger reads and writes (:meth:`load`/:meth:`save`).
+    The cache holds a reference to the live :class:`Database` and keys
+    every probe on the *current* per-relation fingerprints, so reads after
+    an in-session mutation can never return an answer recorded against
+    stale content -- at worst they miss until :meth:`refresh` repairs the
+    old rows.
     """
 
     def __init__(
@@ -156,6 +275,7 @@ class ProbeCache:
         self.hits = 0
         self.misses = 0
         self.writes = 0
+        self.saves = 0
         self.repaired_total = 0
         self.evicted_total = 0
         self.last_repair: RepairReport | None = None
@@ -167,7 +287,7 @@ class ProbeCache:
             self._migrate_locked()
             self.last_repair = self._repair_locked(tracer)
         except sqlite3.Error as exc:  # pragma: no cover - disk-level failures
-            raise ProbeCacheError(f"cannot open probe cache at {path}: {exc}")
+            raise ProbeCacheError(f"cannot open cache at {path}: {exc}")
 
     @classmethod
     def open_dir(
@@ -177,11 +297,11 @@ class ProbeCache:
         tracer: "ProbeTracer | None" = None,
     ) -> "ProbeCache":
         """Open (creating if needed) the cache file inside ``cache_dir``."""
-        return cls(Path(cache_dir) / PROBE_CACHE_FILENAME, database, tracer=tracer)
+        return cls(Path(cache_dir) / CACHE_FILENAME, database, tracer=tracer)
 
     # ---------------------------------------------------------- migration
     def _migrate_locked(self) -> None:
-        """Create the v2 layout, dropping any unrecognized prior layout."""
+        """Create the layout, dropping a file written under another version."""
         tables = {
             name
             for (name,) in self._connection.execute(
@@ -193,98 +313,40 @@ class ProbeCache:
             row = self._connection.execute(
                 "SELECT value FROM meta WHERE key = 'schema_version'"
             ).fetchone()
-            version = int(row[0]) if row else None
-        if tables and version != PROBE_CACHE_SCHEMA_VERSION:
-            # v1 files (fingerprint-namespaced) or anything unknown: the
-            # content is only an optimization, rebuilding is always safe.
-            for name in ("probes", "relation_state", "meta"):
+            version = None if row is None else row[0]
+        if tables and version != str(CACHE_SCHEMA_VERSION):
+            for name in ("probes", "runs", "status_facts", "meta"):
                 self._connection.execute(f"DROP TABLE IF EXISTS {name}")
         self._connection.executescript(_SCHEMA)
         self._connection.execute(
             "INSERT OR REPLACE INTO meta (key, value) VALUES ('schema_version', ?)",
-            (str(PROBE_CACHE_SCHEMA_VERSION),),
+            (str(CACHE_SCHEMA_VERSION),),
         )
         self._connection.commit()
 
     # ------------------------------------------------------------- repair
-    def _load_snapshot_locked(self) -> DatabaseSnapshot | None:
-        """Snapshot persisted by the previous attach/refresh, if any."""
-        meta = dict(
-            self._connection.execute(
-                "SELECT key, value FROM meta WHERE key IN ('composite', 'lineage')"
-            ).fetchall()
-        )
-        if "composite" not in meta:
-            return None
-        states = tuple(
-            RelationState(
-                relation=relation,
-                fingerprint=fingerprint,
-                row_count=row_count,
-                inserts_total=inserts,
-                deletes_total=deletes,
-            )
-            for relation, fingerprint, row_count, inserts, deletes in (
-                self._connection.execute(
-                    "SELECT relation, fingerprint, row_count, inserts, deletes "
-                    "FROM relation_state ORDER BY relation"
-                )
-            )
-        )
-        return DatabaseSnapshot(
-            composite=meta["composite"],
-            lineage=meta.get("lineage", ""),
-            relations=states,
-        )
-
-    def _store_snapshot_locked(self, snapshot: DatabaseSnapshot) -> None:
-        self._connection.execute(
-            "INSERT OR REPLACE INTO meta (key, value) VALUES ('composite', ?)",
-            (snapshot.composite,),
-        )
-        self._connection.execute(
-            "INSERT OR REPLACE INTO meta (key, value) VALUES ('lineage', ?)",
-            (snapshot.lineage,),
-        )
-        self._connection.execute("DELETE FROM relation_state")
-        self._connection.executemany(
-            "INSERT INTO relation_state "
-            "(relation, fingerprint, row_count, inserts, deletes) "
-            "VALUES (?, ?, ?, ?, ?)",
-            [
-                (
-                    state.relation,
-                    state.fingerprint,
-                    state.row_count,
-                    state.inserts_total,
-                    state.deletes_total,
-                )
-                for state in snapshot.relations
-            ],
-        )
-
     def _repair_locked(self, tracer: "ProbeTracer | None") -> RepairReport:
-        """Reconcile stored rows with the live database's current identity.
+        """Reconcile stored probe rows with the live database's identity.
 
         Rows whose vector key already matches the current fingerprints
-        are untouched.  Stale rows survive (re-keyed) iff the paper's
-        monotonicity guarantees their answer: every changed relation
-        they touch moved insert-only and the row is alive, or every one
-        moved delete-only and the row is dead.  Everything else --
-        mixed deltas, foreign-lineage counters, unknown relations --
-        is evicted.
+        are untouched.  A stale row is re-keyed iff
+        :func:`monotone_survives` keeps its answer.  A stale row touching
+        no changed relation was recorded between two repairs, against
+        content the file's snapshot never saw, so it is evicted -- as are
+        rows over unknown relations and everything a mixed or
+        foreign-lineage delta touches.
         """
         current = self.database.snapshot()
-        persisted = self._load_snapshot_locked()
+        row = self._connection.execute(
+            "SELECT value FROM meta WHERE key = 'snapshot'"
+        ).fetchone()
+        persisted = None if row is None else _decode_snapshot(row[0])
         directions: dict[str, str] = {}
         repaired = 0
         evicted = 0
         if persisted is not None and persisted.composite != current.composite:
             delta = DatabaseDelta.between(persisted, current)
-            directions = {
-                name: direction.value
-                for name, direction in sorted(delta.directions.items())
-            }
+            directions = _directions_label(delta)
             fingerprints = {
                 state.relation: state.fingerprint for state in current.relations
             }
@@ -301,20 +363,8 @@ class ProbeCache:
                 expected = relation_vector_key(relations, fingerprints)
                 if expected == vector_key:
                     continue
-                touched = {
-                    delta.directions[name]
-                    for name in relations
-                    if name in delta.directions
-                }
-                survives = bool(touched) and (
-                    (touched == {MutationDirection.INSERT_ONLY} and bool(alive))
-                    or (
-                        touched == {MutationDirection.DELETE_ONLY}
-                        and not bool(alive)
-                    )
-                )
                 deletes.append((vector_key, query_key))
-                if survives:
+                if monotone_survives(bool(alive), relations, delta.directions):
                     upserts.append((expected, query_key, int(alive), label))
             self._connection.executemany(
                 "DELETE FROM probes WHERE vector_key = ? AND query_key = ?",
@@ -327,7 +377,10 @@ class ProbeCache:
             )
             repaired = len(upserts)
             evicted = len(deletes) - len(upserts)
-        self._store_snapshot_locked(current)
+        self._connection.execute(
+            "INSERT OR REPLACE INTO meta (key, value) VALUES ('snapshot', ?)",
+            (_encode_snapshot(current),),
+        )
         self._connection.commit()
         self.repaired_total += repaired
         self.evicted_total += evicted
@@ -350,11 +403,13 @@ class ProbeCache:
         return report
 
     def refresh(self, tracer: "ProbeTracer | None" = None) -> RepairReport:
-        """Repair against the live database's *current* state.
+        """Repair the probe rows against the live database's *current* state.
 
         Call after in-session mutations to recover the still-sound rows
         recorded under the pre-mutation vector (reads were already safe:
-        they key on current fingerprints and simply missed).
+        they key on current fingerprints and simply missed).  Status
+        facts need nothing here: :meth:`load` repairs them against their
+        own run's snapshot.
         """
         with self._lock:
             self._ensure_open_locked()
@@ -403,48 +458,128 @@ class ProbeCache:
             self._connection.commit()
             self.writes += 1
 
+    # ------------------------------------------------------ status facts
+    def save(
+        self,
+        workload_key: str,
+        facts: Iterable[StatusFact],
+        complete: bool = True,
+    ) -> int:
+        """Persist the classification facts of one finished run.
+
+        Replaces whatever the workload key held before (last run wins)
+        and stamps the database snapshot the run was computed against.
+        Returns the number of facts stored.
+        """
+        rows = [
+            (
+                workload_key,
+                fact.node_key,
+                int(fact.alive),
+                int(fact.evaluated),
+                ",".join(sorted(fact.relations)),
+            )
+            for fact in facts
+        ]
+        snapshot = _encode_snapshot(self.database.snapshot())
+        with self._lock:
+            self._ensure_open_locked()
+            self._connection.execute(
+                "DELETE FROM status_facts WHERE workload_key = ?", (workload_key,)
+            )
+            self._connection.executemany(
+                "INSERT INTO status_facts "
+                "(workload_key, node_key, alive, evaluated, relations) "
+                "VALUES (?, ?, ?, ?, ?)",
+                rows,
+            )
+            self._connection.execute(
+                "INSERT OR REPLACE INTO runs (workload_key, snapshot, complete) "
+                "VALUES (?, ?, ?)",
+                (workload_key, snapshot, int(complete)),
+            )
+            self._connection.commit()
+            self.saves += 1
+        return len(rows)
+
+    def load(self, workload_key: str) -> StatusLoad | None:
+        """Recover (and, if stale, repair) the facts of one workload.
+
+        Returns None when nothing was persisted for the key.  Stale facts
+        are filtered through :func:`fact_survives`; for a cross-lineage
+        or mixed delta that keeps only the untouched-relation facts,
+        which is exactly what remains provable.
+        """
+        current = self.database.snapshot()
+        with self._lock:
+            self._ensure_open_locked()
+            run = self._connection.execute(
+                "SELECT snapshot, complete FROM runs WHERE workload_key = ?",
+                (workload_key,),
+            ).fetchone()
+            if run is None:
+                return None
+            rows = self._connection.execute(
+                "SELECT node_key, alive, evaluated, relations "
+                "FROM status_facts WHERE workload_key = ? ORDER BY node_key",
+                (workload_key,),
+            ).fetchall()
+        stored = _decode_snapshot(run[0])
+        facts = tuple(
+            StatusFact(
+                node_key=node_key,
+                relations=tuple(label.split(",")) if label else (),
+                alive=bool(alive),
+                evaluated=bool(evaluated),
+            )
+            for node_key, alive, evaluated, label in rows
+        )
+        # Equal composites give an empty delta, so every fact survives.
+        delta = DatabaseDelta.between(stored, current)
+        survivors = tuple(
+            fact for fact in facts if fact_survives(fact, delta.directions)
+        )
+        return StatusLoad(
+            workload_key=workload_key,
+            exact=stored.composite == current.composite,
+            complete=bool(run[1]),
+            facts=survivors,
+            directions=_directions_label(delta),
+            dropped=len(facts) - len(survivors),
+        )
+
     # ------------------------------------------------------- housekeeping
     def _ensure_open_locked(self) -> None:
         if self._closed:
-            raise ProbeCacheError("probe cache is closed")
+            raise ProbeCacheError("cache is closed")
 
-    def _count_locked(self) -> int:
-        self._ensure_open_locked()
-        row = self._connection.execute("SELECT COUNT(*) FROM probes").fetchone()
-        return int(row[0])
-
-    def __len__(self) -> int:
-        """Entries currently stored (all of them valid for some vector)."""
+    def counts(self) -> dict[str, int]:
+        """Rows held: ``probes``, ``workloads`` (persisted runs), ``facts``."""
         with self._lock:
-            return self._count_locked()
+            self._ensure_open_locked()
+            return _count_rows(self._connection)
 
-    def clear(self) -> int:
-        """Drop every entry; returns rows removed (counted, not rowcount)."""
+    def clear(self) -> dict[str, int]:
+        """Drop every probe, run and fact; returns :meth:`counts` from before."""
         with self._lock:
-            removed = self._count_locked()
-            self._connection.execute("DELETE FROM probes")
-            self._connection.commit()
-            return removed
+            self._ensure_open_locked()
+            return _clear_rows(self._connection)
 
     def stats(self) -> ProbeCacheStats:
         # One lock acquisition for the whole snapshot: the session
         # counters and the entry count must be read consistently.
         with self._lock:
+            self._ensure_open_locked()
             return ProbeCacheStats(
                 path=str(self.path),
                 composite=self.database.fingerprint(),
-                entries=self._count_locked(),
+                entries=_count_rows(self._connection)["probes"],
                 repaired=self.repaired_total,
                 evicted=self.evicted_total,
                 hits=self.hits,
                 misses=self.misses,
                 writes=self.writes,
             )
-
-    def flush(self) -> None:
-        with self._lock:
-            self._ensure_open_locked()
-            self._connection.commit()
 
     def close(self) -> None:
         with self._lock:
@@ -460,39 +595,64 @@ class ProbeCache:
     def __exit__(self, *exc_info: object) -> None:
         self.close()
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "closed" if self._closed else "open"
-        return f"ProbeCache({str(self.path)!r}, {state})"
+
+#: The status-store name of :class:`ProbeCache`.  ``perfbench/tracing.py``
+#: imports both names and wraps ``ProbeCache.get/put/refresh`` and
+#: ``StatusCache.load/save``; the alias keeps that harness working.
+StatusCache = ProbeCache
 
 
 # ---------------------------------------------------------- file-level ops
+def _count_rows(connection: sqlite3.Connection) -> dict[str, int]:
+    probes, workloads, facts = connection.execute(
+        "SELECT (SELECT COUNT(*) FROM probes), (SELECT COUNT(*) FROM runs), "
+        "(SELECT COUNT(*) FROM status_facts)"
+    ).fetchone()
+    return {"probes": int(probes), "workloads": int(workloads), "facts": int(facts)}
+
+
+def _clear_rows(connection: sqlite3.Connection) -> dict[str, int]:
+    """Empty the answer tables, counting first (``rowcount`` may be -1)."""
+    counts = _count_rows(connection)
+    for table in ("probes", "runs", "status_facts"):
+        connection.execute(f"DELETE FROM {table}")
+    connection.commit()
+    return counts
+
+
+@contextlib.contextmanager
+def _open_file(path: Path) -> Iterator[sqlite3.Connection]:
+    connection = sqlite3.connect(str(path))
+    try:
+        yield connection
+    except sqlite3.Error as exc:
+        raise ProbeCacheError(f"{path} is not a cache file: {exc}")
+    finally:
+        connection.close()
+
+
 def inspect_cache_dir(cache_dir: str | Path) -> dict[str, object]:
     """Summary of a cache directory without needing a live database.
 
-    Used by ``repro cache stats``: reports the probe file, total entries,
-    and per-vector entry counts (one vector per distinct dataset state x
-    join-path relation set seen), and the status file's counts.
+    Used by ``repro cache stats``: reports the cache file, its probe
+    entries per vector (one vector per distinct dataset state x join-path
+    relation set seen), and its persisted workloads and facts.
     """
-    path = Path(cache_dir) / PROBE_CACHE_FILENAME
-    status = count_status_file(cache_dir)
+    path = Path(cache_dir) / CACHE_FILENAME
     if not path.exists():
         return {
             "path": str(path),
             "exists": False,
             "entries": 0,
             "vectors": {},
-            "status": status,
+            "status": {"workloads": 0, "facts": 0},
         }
-    connection = sqlite3.connect(str(path))
-    try:
+    with _open_file(path) as connection:
         rows = connection.execute(
             "SELECT vector_key, relations, COUNT(*), SUM(alive) FROM probes "
             "GROUP BY vector_key, relations ORDER BY vector_key, relations"
         ).fetchall()
-    except sqlite3.Error as exc:
-        raise ProbeCacheError(f"{path} is not a probe cache file: {exc}")
-    finally:
-        connection.close()
+        counts = _count_rows(connection)
     vectors: dict[str, dict[str, object]] = {}
     for vector_key, relations, count, alive in rows:
         vectors[vector_key] = {
@@ -504,34 +664,21 @@ def inspect_cache_dir(cache_dir: str | Path) -> dict[str, object]:
         "path": str(path),
         "exists": True,
         "size_bytes": path.stat().st_size,
-        "entries": sum(int(entry["entries"]) for entry in vectors.values()),
+        "entries": counts["probes"],
         "vectors": vectors,
-        "status": status,
+        "status": {"workloads": counts["workloads"], "facts": counts["facts"]},
     }
 
 
 def clear_cache_dir(cache_dir: str | Path) -> dict[str, int]:
-    """Empty the probe file and the status file in ``cache_dir``.
+    """Empty the cache file in ``cache_dir``; returns the rows removed.
 
-    Returns the rows removed (``probes``, ``workloads``, ``facts``).  A
-    status file left behind would still answer a repeat workload with
-    zero probes.  The index file holds no answers and stays.
-
-    The counts come from ``SELECT COUNT(*)`` *before* the delete:
-    ``cursor.rowcount`` is documented to be ``-1`` whenever sqlite does
-    not track the statement, which silently read as "0 evicted".
+    The counts (``probes``, ``workloads``, ``facts``) are what ``repro
+    cache clear`` prints.  A run left behind would still answer a repeat
+    workload with zero probes.  The index file holds no answers and stays.
     """
-    status = count_status_file(cache_dir, clear=True)
-    path = Path(cache_dir) / PROBE_CACHE_FILENAME
+    path = Path(cache_dir) / CACHE_FILENAME
     if not path.exists():
-        return {"probes": 0, **status}
-    connection = sqlite3.connect(str(path))
-    try:
-        probes = int(connection.execute("SELECT COUNT(*) FROM probes").fetchone()[0])
-        connection.execute("DELETE FROM probes")
-        connection.commit()
-        return {"probes": probes, **status}
-    except sqlite3.Error as exc:
-        raise ProbeCacheError(f"{path} is not a probe cache file: {exc}")
-    finally:
-        connection.close()
+        return {"probes": 0, "workloads": 0, "facts": 0}
+    with _open_file(path) as connection:
+        return _clear_rows(connection)

@@ -64,8 +64,10 @@ def _add_backend_options(parser: argparse.ArgumentParser) -> None:
         metavar="DIR",
         default=None,
         help=(
-            "persist probe results here (keyed by the dataset fingerprint); "
-            "a second run over an unchanged dataset starts warm"
+            "persist probe results and status facts here, in one "
+            "cache.sqlite (keyed by per-relation fingerprints, repaired "
+            "after writes); a repeat run over an unchanged dataset skips "
+            "its probes"
         ),
     )
 
@@ -615,7 +617,7 @@ def build_parser() -> argparse.ArgumentParser:
             "terminal event, GET /sessions/<id>/result returns answers, "
             "non-answers, and MPANs.  Sessions run concurrently on a "
             "worker pool sharing the backend connection pool and (with "
-            "--cache-dir) the persistent probe/status caches, so repeat "
+            "--cache-dir) the persistent cache store, so repeat "
             "queries skip Phase 3 entirely.  Ctrl-C drains active "
             "sessions before exiting."
         ),
@@ -719,13 +721,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     cache = commands.add_parser(
         "cache",
-        help="inspect or clear the persistent probe and status caches",
+        help="inspect or clear the persistent cache store",
         description=(
             "Operate on a cache directory (see --cache-dir on the "
-            "debug/trace commands): 'stats' summarizes the probe file's "
-            "per-fingerprint entry counts and the status file's workload "
-            "and fact counts, 'clear' empties both files (the index file "
-            "holds no answers and stays).  Neither needs the dataset loaded."
+            "debug/trace commands): 'stats' summarizes cache.sqlite's "
+            "per-fingerprint probe counts and its workload and status "
+            "fact counts, 'clear' empties it (the index file holds no "
+            "answers and stays).  Neither needs the dataset loaded."
         ),
     )
     cache.add_argument("action", choices=("stats", "clear"))

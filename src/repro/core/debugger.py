@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Any, Iterable
 
 from repro.backends import create_backend
-from repro.cache import ProbeCache, StatusCache, StatusFact, query_cache_key, workload_cache_key
+from repro.cache import ProbeCache, StatusFact, query_cache_key, workload_cache_key
 from repro.core.binding import KeywordBinder, PrunedLattice
 from repro.core.constraints import UNCONSTRAINED, SearchConstraints
 from repro.core.lattice import Lattice, generate_lattice
@@ -206,16 +206,16 @@ class NonAnswerDebugger:
         index (the scale bench reuses one across phases); the debugger then
         does not own (or close) it.
 
-        ``cache_dir`` attaches a persistent probe cache
-        (:class:`repro.cache.ProbeCache`) keyed by the relation-fingerprint
-        vector of each probed join path as the L2 tier of every
-        reuse-enabled evaluator this debugger makes, plus a
-        :class:`repro.cache.StatusCache` of whole-run classification facts:
-        a second session over an unchanged database answers previously
-        probed nodes with zero backend queries and skips Phase 3 entirely
-        on an exact workload repeat; after a mutation the caches are
-        repaired (monotone survivors kept), not discarded.  The sqlite
-        index lives there too and is repaired per relation on reopen.
+        ``cache_dir`` attaches one persistent cache store
+        (:class:`repro.cache.ProbeCache`): probe answers keyed by the
+        relation-fingerprint vector of each probed join path, the L2 tier
+        of every reuse-enabled evaluator this debugger makes, and
+        whole-run classification facts per workload.  A second session
+        over an unchanged database answers previously probed nodes with
+        zero backend queries and skips Phase 3 entirely on an exact
+        workload repeat; after a mutation both are repaired (monotone
+        survivors kept), not discarded.  The sqlite index lives there too
+        and is repaired per relation on reopen.
 
         When construction raises, everything built so far is released.
         """
@@ -232,8 +232,7 @@ class NonAnswerDebugger:
         self.backend_name = backend
         self.cache_dir = cache_dir
         self.backend: Any = None
-        self.probe_cache: ProbeCache | None = None
-        self.status_cache: StatusCache | None = None
+        self.cache: ProbeCache | None = None
         self._owns_index = index is None
         self.index: IndexBackend = (
             create_index(index_backend, database, cache_dir) if index is None else index
@@ -263,10 +262,9 @@ class NonAnswerDebugger:
             )
             self.backend = create_backend(backend, database, self.index)
             if cache_dir is not None:
-                self.probe_cache = ProbeCache.open_dir(
+                self.cache = ProbeCache.open_dir(
                     cache_dir, database, tracer=self.tracer
                 )
-                self.status_cache = StatusCache.open_dir(cache_dir, database)
         except BaseException:
             self._release()
             raise
@@ -286,7 +284,7 @@ class NonAnswerDebugger:
             use_cache=use_cache,
             budget=budget,
             tracer=tracer if tracer is not None else self.tracer,
-            probe_cache=self.probe_cache,
+            probe_cache=self.cache,
         )
 
     def map_keywords(self, query: str) -> KeywordMapping:
@@ -333,13 +331,10 @@ class NonAnswerDebugger:
             by_key.setdefault(key, []).append(index)
         return by_key
 
-    def _facts_from_result(self, result: TraversalResult) -> list[StatusFact]:
-        """Merge every store's classifications into per-node facts."""
-        return self._facts_from_stores(result.graph, result.stores.values())
-
     def _facts_from_stores(
         self, graph: ExplorationGraph, stores: "Iterable[StatusStore]"
     ) -> list[StatusFact]:
+        """Merge every store's classifications into per-node facts."""
         merged: dict[int, tuple[bool, bool]] = {}
         for store in stores:
             known = (store.alive_mask | store.dead_mask) & store.domain
@@ -364,6 +359,38 @@ class NonAnswerDebugger:
             )
         return facts
 
+    def _replay_facts(
+        self,
+        graph: ExplorationGraph,
+        facts: tuple[StatusFact, ...],
+        keep_evaluated: bool,
+    ) -> tuple[StatusStore, int] | None:
+        """Record ``facts`` onto a fresh store of ``graph``.
+
+        Each fact classifies every node with its canonical key that the
+        replay has not classified yet (R1/R2 closure may have).  With
+        ``keep_evaluated`` the facts keep their probed flag; without it
+        they count as inferred.  Returns the store and the number of nodes
+        recorded, or None when the facts contradict each other (a
+        corrupt file).
+        """
+        store = StatusStore(graph)
+        by_key = self._node_key_index(graph)
+        applied = 0
+        try:
+            for fact in facts:
+                for index in by_key.get(fact.node_key, []):
+                    if not store.is_known(index):
+                        store.record(
+                            index,
+                            fact.alive,
+                            evaluated=keep_evaluated and fact.evaluated,
+                        )
+                        applied += 1
+        except InconsistentStatusError:  # pragma: no cover - corrupt file
+            return None
+        return store, applied
+
     def _result_from_facts(
         self,
         graph: ExplorationGraph,
@@ -376,26 +403,18 @@ class NonAnswerDebugger:
         defensive fallback -- an exact, complete run always can): the
         caller then traverses cold instead of reporting partial output.
         """
-        store = StatusStore(graph)
-        by_key = self._node_key_index(graph)
-        try:
-            for fact in facts:
-                for index in by_key.get(fact.node_key, []):
-                    if not store.is_known(index):
-                        store.record(index, fact.alive, evaluated=fact.evaluated)
-        except InconsistentStatusError:  # pragma: no cover - corrupt file
+        replayed = self._replay_facts(graph, facts, keep_evaluated=True)
+        if replayed is None:
+            return None
+        store, _ = replayed
+        if not self._store_resolves_graph(graph, store):
             return None
         result = TraversalResult(strategy_name, graph)
         for mtn_index in graph.mtn_indexes:
-            status = store.status(mtn_index)
-            if status is Status.POSSIBLY_ALIVE:
-                return None
             result.stores[mtn_index] = store
-            if status is Status.ALIVE:
+            if store.status(mtn_index) is Status.ALIVE:
                 result.alive_mtns.append(mtn_index)
             else:
-                if store.unknown_mask & graph.desc_mask[mtn_index]:
-                    return None
                 result.dead_mtns.append(mtn_index)
                 result.mpans[mtn_index] = store.mpans_of(mtn_index)
         result.alive_mtns.sort()
@@ -412,27 +431,23 @@ class NonAnswerDebugger:
         """Seed an interactive session's store from persisted facts.
 
         Exact facts load verbatim; stale ones arrive already repaired by
-        :meth:`StatusCache.load` and are replayed through
+        :meth:`ProbeCache.load` and are replayed through
         ``mark_alive``/``mark_dead``, so R1/R2 closure re-derives every
         implication on the survivors.  The replay happens on a scratch
         store first -- an inconsistency (corrupt file) discards the whole
         preload instead of poisoning the session.  Returns the number of
         nodes classified.
         """
-        if self.status_cache is None:
+        if self.cache is None:
             return 0
-        load = self.status_cache.load(self.workload_key(mapping))
+        load = self.cache.load(self.workload_key(mapping))
         if load is None or not load.facts:
             return 0
-        scratch = StatusStore(graph)
-        by_key = self._node_key_index(graph)
-        applied = 0
+        replayed = self._replay_facts(graph, load.facts, keep_evaluated=False)
+        if replayed is None:
+            return 0
+        scratch, applied = replayed
         try:
-            for fact in load.facts:
-                for index in by_key.get(fact.node_key, []):
-                    if not scratch.is_known(index):
-                        scratch.record(index, fact.alive, evaluated=False)
-                        applied += 1
             store.apply_delta(scratch.export_delta())
         except InconsistentStatusError:  # pragma: no cover - corrupt file
             return 0
@@ -520,11 +535,11 @@ class NonAnswerDebugger:
             nodes=len(report.graph),
         )
 
-        # Exact repeat: the status cache holds a complete run of this very
+        # Exact repeat: the cache holds a complete run of this very
         # workload against byte-identical content, so Phase 3 is implied
         # rather than recomputed -- zero probes, zero backend queries.
-        if self.status_cache is not None and constraints is UNCONSTRAINED:
-            load = self.status_cache.load(self.workload_key(mapping))
+        if self.cache is not None and constraints is UNCONSTRAINED:
+            load = self.cache.load(self.workload_key(mapping))
             if load is not None and load.exact and load.complete:
                 started = time.perf_counter()
                 rebuilt = self._result_from_facts(
@@ -572,15 +587,16 @@ class NonAnswerDebugger:
         a different graph, so neither licenses a future Phase-3 skip.
         """
         if (
-            self.status_cache is None
+            self.cache is None
             or constraints is not UNCONSTRAINED
             or report.traversal is None
             or report.traversal.exhausted
         ):
             return
-        facts = self._facts_from_result(report.traversal)
+        traversal = report.traversal
+        facts = self._facts_from_stores(traversal.graph, traversal.stores.values())
         if facts:
-            self.status_cache.save(self.workload_key(mapping), facts, complete=True)
+            self.cache.save(self.workload_key(mapping), facts, complete=True)
 
     def _store_resolves_graph(
         self, graph: ExplorationGraph, store: StatusStore
@@ -610,15 +626,13 @@ class NonAnswerDebugger:
         marked *complete*, which is what licenses a later exact repeat
         to skip Phase 3 outright.
         """
-        if self.status_cache is None:
+        if self.cache is None:
             return
         facts = self._facts_from_stores(graph, [store])
         if not facts:
             return
         complete = not exhausted and self._store_resolves_graph(graph, store)
-        self.status_cache.save(
-            self.workload_key(mapping), facts, complete=complete
-        )
+        self.cache.save(self.workload_key(mapping), facts, complete=complete)
 
     # ------------------------------------------------------------ utilities
     def refresh_after_mutation(self) -> None:
@@ -627,9 +641,10 @@ class NonAnswerDebugger:
         The inverted index, keyword mapper, and backend all read the
         dataset at construction time; a :meth:`Table.insert`/``delete``
         leaves them stale, so mutating callers must refresh before the
-        next query.  The probe cache is *repaired* in place (monotone
-        survivors re-keyed to the new fingerprints), not reopened, and
-        the status cache needs nothing -- it repairs at load time.  A
+        next query.  The cache's probe rows are *repaired* in place
+        (monotone survivors re-keyed to the new fingerprints), not
+        reopened; its status facts need nothing -- they repair at load
+        time.  A
         persistent index backend (sqlite) likewise rebuilds only the
         relations whose fingerprint changed when it is recreated here.
         """
@@ -644,11 +659,11 @@ class NonAnswerDebugger:
         if closer is not None:
             closer()
         self.backend = create_backend(self.backend_name, self.database, self.index)
-        if self.probe_cache is not None:
-            self.probe_cache.refresh(self.tracer)
+        if self.cache is not None:
+            self.cache.refresh(self.tracer)
 
     def close(self) -> None:
-        """Release backend resources (connection pool, probe cache).
+        """Release backend resources (connection pool, cache store).
 
         When a tracer is attached and the backend pools connections, a
         final ``pool_stats`` event is stamped into the trace first --
@@ -669,16 +684,14 @@ class NonAnswerDebugger:
         self._release()
 
     def _release(self) -> None:
-        """Close the backend, the index if owned, and the caches."""
+        """Close the backend, the index if owned, and the cache store."""
         closer = getattr(self.backend, "close", None)
         if closer is not None:
             closer()
         if self._owns_index:
             self.index.close()
-        if self.probe_cache is not None:
-            self.probe_cache.close()
-        if self.status_cache is not None:
-            self.status_cache.close()
+        if self.cache is not None:
+            self.cache.close()
 
     def __enter__(self) -> "NonAnswerDebugger":
         return self

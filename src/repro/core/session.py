@@ -230,7 +230,7 @@ class DebugSession:
         Partial knowledge is saved too -- the next session over
         byte-identical content preloads it through R1/R2 replay, so no
         probe this session paid for is ever re-executed.  Idempotent,
-        and safe after :meth:`explain_all` (the status cache keeps the
+        and safe after :meth:`explain_all` (the cache store keeps the
         newest facts for the workload either way).  The session borrows
         the debugger's backend and caches, so nothing else needs
         releasing here.

@@ -13,7 +13,7 @@ disk; this module does exactly that with the stdlib ``sqlite3``:
   serves SUBSTRING mode with a ``LIKE``-driven scan (the paper's
   ``LIKE '%kw%'`` read against the vocabulary instead of every cell) and
   answers ``relations_containing`` without touching postings;
-* ``relation_state(relation, fingerprint)`` -- the PR-8 per-relation
+* ``relation_fingerprints(relation, fingerprint)`` -- the per-relation
   content fingerprints.  On (re)open the index compares them against the
   live database and rebuilds **only the relations whose fingerprint
   changed**: the mutation-repair story of the L2 probe cache extended to
@@ -21,7 +21,7 @@ disk; this module does exactly that with the stdlib ``sqlite3``:
 
 The build streams each table through batched ``executemany`` inserts, so
 the Python-side high-water stays flat (one batch) no matter the dataset
-size.  The file lives next to the L2 probe cache inside a ``cache_dir``
+size.  The file lives next to the cache store inside a ``cache_dir``
 (:data:`INDEX_FILENAME`), or in an owned temporary file removed on
 ``close()`` when no directory is given.  Durability pragmas are relaxed
 (``journal_mode=MEMORY``, ``synchronous=OFF``): the index is a derived
@@ -46,13 +46,15 @@ from typing import Iterator, Sequence
 from repro.relational.database import Database
 from repro.relational.predicates import MatchMode, tokenize
 
-#: File name used inside a ``--cache-dir`` directory (next to the L2
-#: probe cache and the status cache).
+#: File name used inside a ``--cache-dir`` directory (next to the cache
+#: store, :data:`repro.cache.CACHE_FILENAME`).
 INDEX_FILENAME = "index.sqlite"
 
 #: Bumped whenever the on-disk layout changes; mismatched files are
 #: rebuilt from scratch (the index is only ever a derived artifact).
-INDEX_SCHEMA_VERSION = 1
+#: Version 2 renamed the fingerprint table; a version-1 file is rebuilt
+#: and keeps its old table as a few dead rows.
+INDEX_SCHEMA_VERSION = 2
 
 #: Postings-table rows buffered per ``executemany`` flush during a build.
 #: Kept small enough that even a 10^4-tuple snapshot fills at least one batch:
@@ -68,7 +70,7 @@ CREATE TABLE IF NOT EXISTS meta (
     key   TEXT NOT NULL PRIMARY KEY,
     value TEXT NOT NULL
 ) WITHOUT ROWID;
-CREATE TABLE IF NOT EXISTS relation_state (
+CREATE TABLE IF NOT EXISTS relation_fingerprints (
     relation    TEXT NOT NULL PRIMARY KEY,
     fingerprint TEXT NOT NULL
 ) WITHOUT ROWID;
@@ -162,7 +164,7 @@ class SqliteInvertedIndex:
         if row is not None and row[0] == str(INDEX_SCHEMA_VERSION):
             return
         if row is not None:
-            for table in ("postings", "vocabulary", "relation_state", "meta"):
+            for table in ("postings", "vocabulary", "relation_fingerprints", "meta"):
                 self._connection.execute(f"DELETE FROM {table}")
         self._connection.execute(
             "INSERT OR REPLACE INTO meta (key, value) VALUES ('schema_version', ?)",
@@ -176,7 +178,7 @@ class SqliteInvertedIndex:
         current = self.database.relation_fingerprints()
         persisted = dict(
             self._connection.execute(
-                "SELECT relation, fingerprint FROM relation_state"
+                "SELECT relation, fingerprint FROM relation_fingerprints"
             ).fetchall()
         )
         stale = sorted(
@@ -193,13 +195,14 @@ class SqliteInvertedIndex:
                 "DELETE FROM vocabulary WHERE relation = ?", (name,)
             )
             self._connection.execute(
-                "DELETE FROM relation_state WHERE relation = ?", (name,)
+                "DELETE FROM relation_fingerprints WHERE relation = ?", (name,)
             )
         written = 0
         for name in stale:
             written += self._build_relation_locked(name)
             self._connection.execute(
-                "INSERT INTO relation_state (relation, fingerprint) VALUES (?, ?)",
+                "INSERT INTO relation_fingerprints (relation, fingerprint) "
+                "VALUES (?, ?)",
                 (name, current[name]),
             )
         self._connection.commit()

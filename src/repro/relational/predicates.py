@@ -106,10 +106,15 @@ class KeywordPredicate:
             return "0 = 1"
         from repro.relational.identifiers import quote_identifier
 
-        escaped = self.keyword.replace("'", "''")
+        # sqlite rejects a NUL inside a statement's text: splice it in.
+        literal = (
+            self.keyword.replace("'", "''")
+            .casefold()
+            .replace("\x00", "' || char(0) || '")
+        )
         quoted_alias = quote_identifier(alias)
         parts = [
-            f"SUBSTRING_MATCH('{escaped.casefold()}', "
+            f"SUBSTRING_MATCH('{literal}', "
             f"{quoted_alias}.{quote_identifier(column)})"
             for column in columns
         ]

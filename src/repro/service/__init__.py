@@ -5,8 +5,8 @@ is the serving half of that claim.  The event-driven core
 (:mod:`repro.service.events`) turns each run's
 :class:`~repro.obs.trace.ProbeTracer` stream into a typed, gap-free
 per-session event log; :class:`~repro.service.manager.SessionManager`
-runs many such sessions concurrently over one shared backend, probe
-cache, and status cache; :class:`~repro.service.app.ServiceApp` exposes
+runs many such sessions concurrently over one shared backend and cache
+store; :class:`~repro.service.app.ServiceApp` exposes
 the whole thing over HTTP (stdlib-only asyncio server in
 :mod:`repro.service.server`).
 """

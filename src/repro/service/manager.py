@@ -3,9 +3,9 @@
 A :class:`SessionManager` turns a :class:`~repro.core.debugger.
 NonAnswerDebugger` into a system serving traffic: submitted queries run
 on a bounded worker pool, concurrently, sharing the debugger's backend
-(pooled connections), its persistent L2
-:class:`~repro.cache.ProbeCache`, and the :class:`~repro.cache.
-StatusCache` -- all individually thread-safe, which is what makes N
+(pooled connections) and its persistent cache store
+(:class:`~repro.cache.ProbeCache`: L2 probe answers and status facts)
+-- both individually thread-safe, which is what makes N
 concurrent sessions byte-identical to N serial runs (each session still
 owns its evaluator, its L1 LRU, and its
 :class:`~repro.obs.budget.ProbeBudget`).
@@ -462,8 +462,8 @@ class SessionManager:
 
         Deletes are applied by row id in descending order (each delete
         shifts later ids), inserts after.  Then the PR-8 repair path
-        runs: index/mapper/backend rebuilt, probe cache repaired in
-        place, status cache repaired lazily at next load.  Sessions
+        runs: index/mapper/backend rebuilt, the cache store's probe rows
+        repaired in place, its status facts lazily at next load.  Sessions
         submitted during the mutation queue behind the gate and see only
         the post-mutation snapshot.
         """
@@ -510,9 +510,9 @@ class SessionManager:
             "sessions_evicted": evicted,
             "sessions_by_state": by_state,
         }
-        probe_cache = self.debugger.probe_cache
-        if probe_cache is not None:
-            stats = probe_cache.stats()
+        cache = self.debugger.cache
+        if cache is not None:
+            stats = cache.stats()
             payload["probe_cache"] = {
                 "entries": stats.entries,
                 "hits": stats.hits,
@@ -521,11 +521,10 @@ class SessionManager:
                 "repaired": stats.repaired,
                 "evicted": stats.evicted,
             }
-        status_cache = self.debugger.status_cache
-        if status_cache is not None:
+            counts = cache.counts()
             payload["status_cache"] = {
-                "workloads": status_cache.workload_count(),
-                "facts": len(status_cache),
+                "workloads": counts["workloads"],
+                "facts": counts["facts"],
             }
         pool_stats = getattr(self.debugger.backend, "pool_stats", None)
         if callable(pool_stats):

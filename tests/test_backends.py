@@ -151,7 +151,7 @@ class TestPooledSqliteUnderConcurrentSessions:
     ):
         """8 threads, each with its own evaluator, over one pooled engine
         and one L2 probe cache -- how concurrent service sessions share."""
-        cache = ProbeCache(tmp_path / "probes.sqlite", products_db)
+        cache = ProbeCache(tmp_path / "cache.sqlite", products_db)
         with SqliteEngine(products_db, pool_size=3) as engine:
             serial = [engine.is_alive(probe) for probe in products_probes]
             evaluators = [

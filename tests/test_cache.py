@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import sqlite3
 import threading
 
 import pytest
 
 from repro.bench.context import BenchContext
 from repro.cache import (
-    STATUS_CACHE_FILENAME,
+    CACHE_FILENAME,
     ProbeCache,
     ProbeCacheError,
     clear_cache_dir,
@@ -20,6 +21,7 @@ from repro.core.session import DebugSession
 from repro.core.traversal import get_strategy
 from repro.datasets.products import product_database
 from repro.obs import ProbeBudget, ProbeTracer
+from repro.relational.engine import InMemoryEngine
 from repro.relational.evaluator import InstrumentedEvaluator
 from repro.relational.jointree import BoundQuery, JoinTree, RelationInstance
 from repro.relational.predicates import MatchMode
@@ -106,21 +108,21 @@ class TestProbeCache:
             assert cache.get(probe) is True
             cache.put(probe, False)  # last write wins
             assert cache.get(probe) is False
-            assert len(cache) == 1
+            assert cache.counts()["probes"] == 1
             stats = cache.stats()
             assert stats.hits == 2 and stats.misses == 1 and stats.writes == 2
             assert stats.composite == database.fingerprint()
         # A fresh process sees the same answers.
         with ProbeCache.open_dir(tmp_path, database) as reopened:
             assert reopened.get(probe) is False
-            assert len(reopened) == 1
+            assert reopened.counts()["probes"] == 1
             assert not reopened.last_repair.changed
 
     def test_clear_and_closed_errors(self, tmp_path, products_probes):
         cache = ProbeCache.open_dir(tmp_path, product_database())
         cache.put(products_probes[0], True)
-        assert cache.clear() == 1
-        assert len(cache) == 0
+        assert cache.clear() == {"probes": 1, "workloads": 0, "facts": 0}
+        assert cache.counts()["probes"] == 0
         cache.close()
         cache.close()  # idempotent
         with pytest.raises(ProbeCacheError, match="closed"):
@@ -243,6 +245,33 @@ class TestMonotoneRepair:
             assert dict(report.directions) == {"Item": "insert_only"}
             assert cache.get(probe_alive) is True
             assert cache.get(probe_dead) is None
+
+    def test_untouched_stale_row_is_evicted_not_rekeyed(self, tmp_path):
+        """The one case where probe rows and status facts part ways.
+
+        The row is put between two repairs, against an Item row the
+        file's snapshot never saw.  The next refresh compares the
+        snapshot with content whose Item part is back to the snapshot's,
+        so the delta names only ProductType and the row's stale vector
+        touches no changed relation.  An untouched status fact survives
+        (it carries its own run's snapshot); re-keying this row instead
+        would serve a stale ``True``.
+        """
+        database = product_database()
+        probe = single_relation_probe("Item", "zebrawood")
+        with ProbeCache.open_dir(tmp_path, database) as cache:
+            rows = len(database.table("Item"))
+            database.insert(
+                "Item", (rows + 100, "zebrawood box", None, None, None, 1.0, "")
+            )
+            cache.put(probe, True)
+            database.insert("ProductType", (4, "soap"))
+            database.delete("Item", rows)
+            report = cache.refresh()
+            assert dict(report.directions) == {"ProductType": "insert_only"}
+            assert report.repaired == 0 and report.evicted == 1
+            assert cache.get(probe) is None
+        assert InMemoryEngine(database).is_alive(probe) is False
 
     def test_concurrent_mutation_never_serves_stale_dead(self, tmp_path):
         """Two threads -- one inserts, one probes -- across a repair.
@@ -409,9 +438,11 @@ class TestWarmStart:
             product_database(), max_joins=2, cache_dir=cache_dir
         ) as cold:
             cold_report = cold.debug(self.QUERY)
-        # Without the status store the skip is off the table; the L2
+        # Without the status rows the skip is off the table; the L2
         # probe tier must carry the whole warm run by itself.
-        (cache_dir / STATUS_CACHE_FILENAME).unlink()
+        connection = sqlite3.connect(str(cache_dir / CACHE_FILENAME))
+        connection.executescript("DELETE FROM runs; DELETE FROM status_facts;")
+        connection.close()
         with NonAnswerDebugger(
             product_database(), max_joins=2, cache_dir=cache_dir
         ) as warm:
@@ -441,7 +472,7 @@ class TestWarmStart:
         with NonAnswerDebugger(
             database, max_joins=2, cache_dir=cache_dir
         ) as warm:
-            report = warm.probe_cache.last_repair
+            report = warm.cache.last_repair
             assert dict(report.directions) == {"Item": "insert_only"}
             assert report.repaired > 0
             warm_report = warm.debug(self.QUERY)
@@ -466,7 +497,7 @@ class TestWarmStart:
         with NonAnswerDebugger(
             mutated, max_joins=2, cache_dir=cache_dir
         ) as fresh:
-            report = fresh.probe_cache.last_repair
+            report = fresh.cache.last_repair
             # Rebuilt database: the insert cannot be proven insert-only.
             assert report.directions.get("Item") == "mixed"
             assert report.evicted > 0
@@ -490,8 +521,7 @@ class TestWarmStart:
                 assert warm_session.evaluator.stats.queries_executed == 0
 
     def test_debugger_without_cache_dir_has_no_store(self, products_debugger):
-        assert products_debugger.probe_cache is None
-        assert products_debugger.status_cache is None
+        assert products_debugger.cache is None
         assert products_debugger.make_evaluator().probe_cache is None
 
 

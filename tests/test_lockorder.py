@@ -1,5 +1,6 @@
 """Dynamic lock-order detector: proxy units, cycles, and real components."""
 
+import sys
 import threading
 
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from repro.analysis.lockorder import LockOrderMonitor, _ConditionProxy, _LockProxy
 from repro.backends import BACKEND_NAMES, create_backend
 from repro.backends.conformance import check_backend
-from repro.cache import ProbeCache
+from repro.cache import ProbeCache, StatusFact
 from repro.relational.evaluator import InstrumentedEvaluator
 from repro.relational.sqlite_backend import SqliteEngine
 
@@ -168,13 +169,13 @@ class TestRealComponents:
         self, products_db, probes, tmp_path
     ):
         monitor = LockOrderMonitor()
-        cache = ProbeCache(tmp_path / "probes.sqlite", products_db)
+        cache = ProbeCache(tmp_path / "cache.sqlite", products_db)
         with SqliteEngine(products_db, pool_size=3) as engine:
             serial = [engine.is_alive(probe) for probe in probes]
             monitor.instrument(engine._pool, "_available", "pool.available")
             monitor.instrument(engine._pool, "_lock", "pool.lock")
-            monitor.instrument(cache, "_lock", "cache.l2")
-            # One evaluator per thread over the shared pool and L2 cache:
+            monitor.instrument(cache, "_lock", "cache.store")
+            # One evaluator per thread over the shared pool and cache store:
             # the way concurrent service sessions share them.
             evaluators = [
                 InstrumentedEvaluator(engine, probe_cache=cache) for _ in range(6)
@@ -182,24 +183,48 @@ class TestRealComponents:
             for evaluator in evaluators:
                 monitor.instrument(evaluator, "_lock", "evaluator.l1")
             answers: list[list[bool] | None] = [None] * len(evaluators)
+            # Even slots also save and reload their own workload's status
+            # facts between probes, on the same store and lock.
+            reloads: list[list[bool]] = [[] for _ in evaluators]
 
             def session(slot: int) -> None:
                 evaluator = evaluators[slot]
-                answers[slot] = [evaluator.is_alive(probe) for probe in probes * 3]
+                seen = []
+                for step, probe in enumerate(probes * 3):
+                    seen.append(evaluator.is_alive(probe))
+                    if slot % 2 == 0:
+                        workload = f"workload-{slot}"
+                        facts = (
+                            StatusFact(f"{slot}:{step}", ("Item",), seen[-1], True),
+                        )
+                        cache.save(workload, facts)
+                        load = cache.load(workload)
+                        reloads[slot].append(load.exact and load.facts == facts)
+                answers[slot] = seen
 
             threads = [
                 threading.Thread(target=session, args=(slot,))
                 for slot in range(len(evaluators))
             ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)  # interleave the threads finely
+            try:
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in threads)
         cache.close()
         assert answers == [serial * 3] * len(evaluators)
+        # Each saving thread read back exactly its own last save, exact.
+        for slot, checks in enumerate(reloads):
+            assert checks == ([True] * len(probes) * 3 if slot % 2 == 0 else [])
         # Every monitored lock participated, and the combined evaluator /
-        # L2-cache / pool path never nested two of them in both orders.
+        # cache-store / pool path never nested two of them in both orders.
         held = monitor.acquisitions()
         assert held.get("evaluator.l1", 0) > 0
         assert held.get("pool.available", 0) > 0
+        assert held.get("cache.store", 0) > 0
         monitor.assert_clean()

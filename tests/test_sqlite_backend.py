@@ -6,6 +6,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro.core.debugger import NonAnswerDebugger
+from repro.datasets.products import product_database
 from repro.index import create_index
 from repro.relational.database import Database
 from repro.relational.engine import InMemoryEngine
@@ -91,6 +92,19 @@ class TestSqliteEngine:
             "SELECT COUNT(*) FROM Item WHERE SUBSTRING_MATCH('x', NULL)"
         ).fetchone()
         assert rows[0] == 0
+
+    @pytest.mark.parametrize("cell, alive", [("xa\x00by", True), ("xab", False)])
+    def test_nul_keyword_agrees_across_engines(self, cell, alive):
+        """A SUBSTRING keyword holding a NUL reaches SUBSTRING_MATCH whole."""
+        database = product_database()
+        database.insert("Item", (9, cell, None, None, None, 1.0, ""))
+        item = inst("Item", 1)
+        query = BoundQuery.from_mapping(
+            JoinTree.single(item), {item: "A\x00B"}, MatchMode.SUBSTRING
+        )
+        with SqliteEngine(database) as engine:
+            assert engine.is_alive(query) is alive
+        assert InMemoryEngine(database).is_alive(query) is alive
 
     def test_full_workload_agreement(self, products_debugger, products_db):
         """Every exploration-graph query agrees across backends."""

@@ -7,7 +7,7 @@ import tempfile
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.cache import StatusCache, StatusFact, fact_survives, workload_cache_key
+from repro.cache import ProbeCache, StatusFact, fact_survives, workload_cache_key
 from repro.core.debugger import NonAnswerDebugger
 from repro.core.traversal import STRATEGY_NAMES
 from repro.datasets.products import product_database
@@ -88,7 +88,7 @@ class TestStatusCache:
 
     def test_save_load_exact_roundtrip(self, tmp_path):
         database = product_database()
-        with StatusCache.open_dir(tmp_path, database) as cache:
+        with ProbeCache.open_dir(tmp_path, database) as cache:
             assert cache.load("w") is None
             assert cache.save("w", self.facts()) == 3
             load = cache.load("w")
@@ -97,16 +97,16 @@ class TestStatusCache:
 
     def test_persists_across_reopen(self, tmp_path):
         database = product_database()
-        with StatusCache.open_dir(tmp_path, database) as cache:
+        with ProbeCache.open_dir(tmp_path, database) as cache:
             cache.save("w", self.facts(), complete=False)
-        with StatusCache.open_dir(tmp_path, database) as reopened:
+        with ProbeCache.open_dir(tmp_path, database) as reopened:
             load = reopened.load("w")
         assert load.exact and not load.complete
         assert len(load.facts) == 3
 
     def test_stale_load_repairs_with_directions(self, tmp_path):
         database = product_database()
-        with StatusCache.open_dir(tmp_path, database) as cache:
+        with ProbeCache.open_dir(tmp_path, database) as cache:
             cache.save("w", self.facts())
             database.insert("Item", list(database.table("Item"))[0])
             load = cache.load("w")
@@ -118,25 +118,26 @@ class TestStatusCache:
 
     def test_last_save_wins_per_workload(self, tmp_path):
         database = product_database()
-        with StatusCache.open_dir(tmp_path, database) as cache:
+        with ProbeCache.open_dir(tmp_path, database) as cache:
             cache.save("w", self.facts())
             cache.save("w", self.facts()[:1])
-            assert len(cache) == 1
+            assert cache.counts()["facts"] == 1
             load = cache.load("w")
         assert [f.node_key for f in load.facts] == ["n1"]
 
     def test_workloads_count_runs_and_len_counts_facts(self, tmp_path):
-        with StatusCache.open_dir(tmp_path, product_database()) as cache:
+        with ProbeCache.open_dir(tmp_path, product_database()) as cache:
             cache.save("w", self.facts())
             cache.save("v", self.facts()[:1])
             cache.save("w", self.facts())
-            assert cache.workload_count() == 2
-            assert len(cache) == 4
+            counts = cache.counts()
+            assert counts["workloads"] == 2
+            assert counts["facts"] == 4
 
     def test_clear_counts_before_delete(self, tmp_path):
-        with StatusCache.open_dir(tmp_path, product_database()) as cache:
+        with ProbeCache.open_dir(tmp_path, product_database()) as cache:
             cache.save("w", self.facts())
-            assert cache.clear() == 3
+            assert cache.clear() == {"probes": 0, "workloads": 1, "facts": 3}
             assert cache.load("w") is None
 
 
@@ -187,11 +188,11 @@ class TestPhase3Skip:
             product_database(), max_joins=2, cache_dir=tmp_path
         ) as debugger:
             debugger.debug(self.QUERY, constraints=constraints)
-            assert debugger.status_cache.saves == 0
+            assert debugger.cache.saves == 0
             debugger.debug(self.QUERY)
-            assert debugger.status_cache.saves == 1
+            assert debugger.cache.saves == 1
             report = debugger.debug(self.QUERY, constraints=constraints)
-            assert debugger.status_cache.saves == 1  # still only the full run
+            assert debugger.cache.saves == 1  # still only the full run
         # The constrained graph was traversed for real, not skipped: its
         # probes ran (answered by the L2 tier, not implied from facts).
         assert report.traversal.stats.cache_hits > 0
@@ -202,7 +203,7 @@ class TestPhase3Skip:
         ) as debugger:
             report = debugger.debug(self.QUERY, budget=ProbeBudget(max_queries=1))
             assert report.traversal.exhausted
-            assert debugger.status_cache.saves == 0
+            assert debugger.cache.saves == 0
 
 
 class TestMutationProperty:
