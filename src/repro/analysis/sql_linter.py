@@ -199,8 +199,11 @@ def lint_lattice_probes(lattice: Lattice) -> DiagnosticReport:
 
     Each keyword slot of the node is bound to :data:`PROBE_KEYWORD` and the
     query is rendered as the ``SELECT EXISTS`` probe the sqlite backend
-    runs: the postings lookup in TOKEN mode, ``SUBSTRING_MATCH`` in
-    SUBSTRING mode.
+    runs (:func:`~repro.relational.sql.render_exists_probe`): nested ``IN``
+    semi-joins for a node with a same-row fan-in
+    (:func:`~repro.relational.sql.has_same_row_fan_in`), the flat join for
+    every other node.  Keywords are the postings lookup in TOKEN mode and
+    ``SUBSTRING_MATCH`` in SUBSTRING mode.
     """
 
     def statements() -> Iterable[tuple[str, str]]:

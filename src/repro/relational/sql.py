@@ -12,12 +12,24 @@ holding the ascending mirror row ids of the rows containing it), and both
 ends of every foreign key get an index.  :func:`render_access_path_ddl`
 creates those structures for the engine and for the SQL linter's dry run
 alike.
+
+The aliveness probe (:func:`render_exists_probe`) takes one of two forms,
+chosen from the tree's shape.  Most trees keep the paper's flat join.  A
+tree with a *same-row fan-in* (:func:`has_same_row_fan_in`) is rendered as
+nested ``IN`` semi-joins instead, the SQL form of the memory engine's
+Yannakakis pass.  ``count``, ``fetch`` (:func:`render_sql`) and the
+Phase-0 templates (:func:`render_template`) always use the join form.
 """
 
 from __future__ import annotations
 
 from repro.relational.identifiers import quote_identifier
-from repro.relational.jointree import BoundQuery, JoinTree
+from repro.relational.jointree import (
+    BoundQuery,
+    JoinEdge,
+    JoinTree,
+    RelationInstance,
+)
 from repro.relational.predicates import KeywordPredicate, MatchMode, tokenize
 from repro.relational.schema import Relation, SchemaError, SchemaGraph
 
@@ -136,11 +148,11 @@ def render_sql(
     select: str = "*",
     limit: int | None = None,
 ) -> str:
-    """Executable SQL for a bound query.
+    """Executable SQL for a bound query, in the paper's flat join form.
 
     ``select`` and ``limit`` let callers render other forms, such as the
-    ``SELECT 1 ... LIMIT 1`` existence check; the sqlite backend's probe
-    wraps this statement in ``SELECT EXISTS`` (:func:`render_exists_probe`).
+    ``SELECT 1`` inner statement of the flat aliveness probe
+    (:func:`render_exists_probe`) or the sqlite backend's ``count``.
     """
     conditions = _join_conditions(query.tree)
     for instance in query.tree.sorted_instances():
@@ -162,19 +174,95 @@ def render_sql(
     return sql
 
 
-def render_existence_check(query: BoundQuery, schema: SchemaGraph) -> str:
-    """The aliveness probe: ``SELECT 1 ... LIMIT 1``."""
-    return render_sql(query, schema, select="1", limit=1)
+def has_same_row_fan_in(tree: JoinTree, schema: SchemaGraph) -> bool:
+    """True when one instance holds a foreign key's child column on two edges.
+
+    Both edges then join the *same* child row to two copies of the parent,
+    as ``Publication[1] ← PublishedIn[0] → Publication[2]`` on
+    ``PublishedIn.pub_id``, so the two copies are one parent row and a flat
+    join loops over one copy's candidates once per row of the other.
+    """
+    for instance in tree.instances:
+        child_columns: set[str] = set()
+        for edge in tree.edges_of(instance):
+            foreign_key = schema.foreign_key(edge.fk)
+            column = edge.column_of(instance)
+            if (
+                instance.relation != foreign_key.child
+                or column != foreign_key.child_column
+            ):
+                continue
+            if column in child_columns:
+                return True
+            child_columns.add(column)
+    return False
+
+
+def _semi_join_conditions(
+    query: BoundQuery,
+    schema: SchemaGraph,
+    node: RelationInstance,
+    children: dict[RelationInstance, list[tuple[JoinEdge, RelationInstance]]],
+) -> list[str]:
+    """``node``'s keyword plus one uncorrelated ``IN`` per child subtree."""
+    conditions = []
+    keyword = query.keyword_of(node)
+    if keyword is not None:
+        conditions.append(
+            render_keyword_condition(
+                schema.relation(node.relation), node.alias, keyword, query.mode
+            )
+        )
+    for edge, child in sorted(children[node], key=lambda pair: pair[1]):
+        alias = quote_identifier(child.alias)
+        subquery = (
+            f"SELECT {alias}.{quote_identifier(edge.column_of(child))} "
+            f"FROM {quote_identifier(child.relation)} AS {alias}"
+        )
+        child_conditions = _semi_join_conditions(query, schema, child, children)
+        if child_conditions:
+            subquery += f" WHERE {' AND '.join(child_conditions)}"
+        conditions.append(
+            f"{quote_identifier(node.alias)}."
+            f"{quote_identifier(edge.column_of(node))} IN ({subquery})"
+        )
+    return conditions
+
+
+def _render_semi_join(query: BoundQuery, schema: SchemaGraph) -> str:
+    """``SELECT 1`` from the query's first instance, its subtrees as semi-joins.
+
+    Each child subtree becomes ``parent.col IN (SELECT child.col FROM Child
+    AS child WHERE <its keyword> AND <its children>)``.  For a join tree
+    this is exact: a root row survives iff every subtree offers its join
+    value, and a NULL join value matches nothing, as in the join.  No
+    subquery names an outer alias, so sqlite builds each ``IN`` list once.
+    The tree must have an edge, so the root has a condition.
+    """
+    root = query.tree.sorted_instances()[0]
+    children = query.tree.rooted_children(root)
+    where = " AND ".join(_semi_join_conditions(query, schema, root, children))
+    return (
+        f"SELECT 1 FROM {quote_identifier(root.relation)} AS "
+        f"{quote_identifier(root.alias)} WHERE {where}"
+    )
 
 
 def render_exists_probe(query: BoundQuery, schema: SchemaGraph) -> str:
     """The aliveness probe as a single boolean: ``SELECT EXISTS (...)``.
 
-    ``EXISTS`` short-circuits on the first joined row inside the engine,
-    so one scalar crosses the connection instead of a fetched row -- the
-    form the sqlite backend executes.
+    ``EXISTS`` short-circuits on the first row inside the engine, so one
+    scalar crosses the connection instead of a fetched row -- the form the
+    sqlite backend executes.  A tree with a same-row fan-in
+    (:func:`has_same_row_fan_in`) is probed as nested semi-joins
+    (:func:`_render_semi_join`); every other tree as the flat join of
+    :func:`render_sql`, which ends at its first joined row.
     """
-    return f"SELECT EXISTS ({render_sql(query, schema, select='1')})"
+    if has_same_row_fan_in(query.tree, schema):
+        inner = _render_semi_join(query, schema)
+    else:
+        inner = render_sql(query, schema, select="1")
+    return f"SELECT EXISTS ({inner})"
 
 
 def render_ddl(schema: SchemaGraph) -> list[str]:

@@ -13,7 +13,10 @@ the text is tokenized once), indexes both ends of every foreign key, and
 runs ``ANALYZE`` so the planner can cost the joins.  A token-mode keyword
 predicate is then a row-id ``IN`` lookup in SQL
 (:func:`~repro.relational.sql.render_keyword_condition`); only
-SUBSTRING mode calls back into Python, through ``SUBSTRING_MATCH``.
+SUBSTRING mode calls back into Python, through ``SUBSTRING_MATCH``.  A
+probe is the flat join under ``SELECT EXISTS``, except on a tree with a
+same-row fan-in, which runs as nested ``IN`` semi-joins
+(:func:`~repro.relational.sql.render_exists_probe`).
 
 ``sqlite3`` connections must not be used by two threads at once, so a
 naive single connection crashes the moment concurrent service sessions
@@ -189,7 +192,11 @@ class SqliteEngine:
         """Run the probe as one ``SELECT EXISTS (...)`` scalar.
 
         The engine short-circuits the inner query on its first row and a
-        single 0/1 crosses the connection -- no row fetch, no LIMIT.
+        single 0/1 crosses the connection -- no row fetch, no LIMIT.  The
+        inner query is the flat join, or nested ``IN`` semi-joins when the
+        tree has a same-row fan-in (one child row joined to two copies of
+        its parent), where the flat join would loop over one copy's
+        candidates once per row of the other.
         """
         sql = render_exists_probe(query, self.schema)
         with self._pool.connection() as connection:

@@ -7,6 +7,8 @@ and actual execution on the sqlite backend.
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro.analysis import (
@@ -34,12 +36,17 @@ from repro.relational.schema import (
     SchemaGraph,
 )
 from repro.relational.sql import (
+    has_same_row_fan_in,
     render_access_path_ddl,
     render_ddl,
     render_sql,
     render_template,
 )
 from repro.relational.sqlite_backend import SqliteEngine
+
+#: A child subquery of the semi-join probe form (``parent.col IN (SELECT
+#: child.col FROM ...``); a postings lookup selects the bare ``value``.
+SEMI_JOIN = re.compile(r"\.\w+ IN \(SELECT \w+\.\w+ FROM ")
 
 
 class TestQuoteIdentifier:
@@ -181,11 +188,31 @@ class TestPrepareDryRun:
         assert report.ok, "\n" + report.render()
         assert len(report) == 0
 
-    def test_all_products_probes_prepare_in_both_modes(self, products_schema):
+    def test_all_products_probes_prepare_in_both_modes(
+        self, products_schema, monkeypatch
+    ):
+        """Both probe forms prepare: the lattice holds same-row fan-ins."""
+        import repro.analysis.sql_linter as sql_linter
+
+        prepared: list[str] = []
+        lint_statements = sql_linter.lint_statements
+
+        def recording(statements, schema):
+            statements = list(statements)
+            prepared.extend(sql for _, sql in statements)
+            return lint_statements(statements, schema)
+
+        monkeypatch.setattr(sql_linter, "lint_statements", recording)
         lattice = generate_lattice(products_schema, max_joins=2)
         report = lint_lattice_probes(lattice)
         assert report.ok, "\n" + report.render()
         assert len(report) == 0
+        assert len(prepared) == 2 * len(lattice.nodes)
+        assert any(
+            has_same_row_fan_in(node.tree, products_schema)
+            for node in lattice.nodes
+        )
+        assert any(SEMI_JOIN.search(sql) for sql in prepared)
 
     def test_probe_without_postings_is_reported(
         self, products_schema, monkeypatch

@@ -2,10 +2,16 @@
 
 import pytest
 
+from repro.core.debugger import NonAnswerDebugger
 from repro.core.mtn import find_mtns
 from repro.index.mapper import Interpretation
 from repro.kws.candidate_networks import enumerate_candidate_networks
 from repro.kws.discover import ClassicKWSSystem
+from repro.relational.engine import InMemoryEngine
+from repro.relational.jointree import BoundQuery, JoinEdge, JoinTree, RelationInstance
+from repro.relational.predicates import tokenize
+from repro.relational.sql import has_same_row_fan_in
+from repro.relational.sqlite_backend import SqliteEngine
 
 
 def interp(*pairs):
@@ -47,6 +53,78 @@ class TestCandidateNetworks:
             products_debugger.schema, binding, 3
         ):
             assert tree.size <= 3
+
+
+class TestSameRowFanIn:
+    """``R ← S → R`` on one foreign key: both ``R`` copies are one row.
+
+    DISCOVER's candidate-network generator prunes this pattern; this
+    repository keeps it (DESIGN.md §2) in the lattice, in direct mode and
+    in :func:`enumerate_candidate_networks` alike.
+    """
+
+    @staticmethod
+    def about_fan_in(schema, first, second):
+        """``About[0] ⋈ Publication[1]{first} ⋈ Publication[2]{second}``."""
+        fk = schema.foreign_key("about_pub")
+        about = RelationInstance("About", 0)
+        one = RelationInstance("Publication", 1)
+        two = RelationInstance("Publication", 2)
+        tree = JoinTree(
+            frozenset([about, one, two]),
+            frozenset(
+                [JoinEdge.from_fk(fk, about, one), JoinEdge.from_fk(fk, about, two)]
+            ),
+        )
+        return BoundQuery.from_mapping(tree, {one: first, two: second})
+
+    def test_q7_keeps_the_about_fan_in(self, dblife_db, dblife_debugger):
+        schema = dblife_db.schema
+        query = self.about_fan_in(schema, "probabilistic", "data")
+        assert has_same_row_fan_in(query.tree, schema)
+        with NonAnswerDebugger(dblife_db, max_joins=2) as lattice_debugger:
+            for debugger in (dblife_debugger, lattice_debugger):
+                report = debugger.debug("Probabilistic Data")  # Q7
+                assert query in [mtn.query for mtn in report.graph.mtns()]
+        binding = dblife_debugger.binder.bind(
+            interp(("probabilistic", "Publication"), ("data", "Publication"))
+        )
+        assert query.tree in enumerate_candidate_networks(schema, binding, 3)
+
+    @pytest.mark.parametrize(
+        "first, second, alive",
+        [("probabilistic", "data", True), ("probabilistic", "xml", False)],
+    )
+    def test_alive_iff_one_publication_holds_both(
+        self, dblife_db, first, second, alive
+    ):
+        """Both engines answer it; a scan of ``About`` decides it.
+
+        Each token of the dead pair occurs in a publication some ``About``
+        row references, never both in one.
+        """
+        publications = dblife_db.table("Publication")
+        position = publications.relation.index_of("id")
+        tokens = {
+            publications.row(row_id)[position]: {
+                token
+                for _, text in publications.text_cells(row_id)
+                for token in tokenize(text)
+            }
+            for row_id in range(len(publications))
+        }
+        about = dblife_db.table("About")
+        referenced = [
+            tokens[about.row(row_id)[about.relation.index_of("pub_id")]]
+            for row_id in range(len(about))
+        ]
+        assert any(first in held for held in referenced)
+        assert any(second in held for held in referenced)
+        assert any({first, second} <= held for held in referenced) is alive
+        query = self.about_fan_in(dblife_db.schema, first, second)
+        assert InMemoryEngine(dblife_db).is_alive(query) is alive
+        with SqliteEngine(dblife_db) as engine:
+            assert engine.is_alive(query) is alive
 
 
 class TestClassicSystem:

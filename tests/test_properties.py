@@ -5,9 +5,10 @@ These pin down the claims DESIGN.md makes:
 1. canonical labels are construction-order independent and coincide with
    tree equality on copy-labeled trees;
 2. aliveness is monotone (R1/R2 are sound) on random databases;
-3. the in-memory engine and the sqlite3 backend agree on aliveness, and
-   the sqlite postings select exactly the rows a scan matches, whatever
-   the Unicode in the cells and the keyword;
+3. the in-memory engine and the sqlite3 backend agree on aliveness, the
+   probe sqlite executes (flat join or semi-joins) agrees with the flat
+   join in both match modes, and the sqlite postings select exactly the
+   rows a scan matches, whatever the Unicode in the cells and the keyword;
 4. all five traversal strategies produce identical classifications and
    MPANs, and the reuse variants never execute more queries;
 5. lattice MTNs equal independently-generated candidate networks.
@@ -31,6 +32,7 @@ from repro.relational.engine import InMemoryEngine
 from repro.relational.jointree import BoundQuery, JoinTree, RelationInstance
 from repro.relational.predicates import MatchMode, tokenize
 from repro.relational.schema import Attribute, AttributeType, Relation, SchemaGraph
+from repro.relational.sql import render_sql
 from repro.relational.sqlite_backend import SqliteEngine
 
 SETTINGS = settings(
@@ -179,6 +181,48 @@ class TestBackendAgreement:
                     assert memory.is_alive(node.query) == sqlite_engine.is_alive(
                         node.query
                     ), node.query.describe()
+
+
+class TestProbeFormEquivalence:
+    @SETTINGS
+    @given(database=product_databases(), seed=st.integers(0, 10_000))
+    def test_executed_probe_matches_flat_join_and_memory(self, database, seed):
+        """The probe sqlite runs, the flat join and the memory engine agree.
+
+        Two words of the ``Color`` rows put the same-row fan-in
+        ``Color[1] ← Item[0] → Color[2]``, which is probed as semi-joins,
+        into every example.  ``Item``'s foreign keys are drawn as NULL too,
+        where ``IN`` must match nothing, as ``=`` does.
+        """
+        schema = database.schema
+        memory = InMemoryEngine(database)
+        colour_words = sorted(
+            {
+                word
+                for _, name, synonyms in database.table("Color")
+                for word in tokenize(f"{name} {synonyms}")
+            }
+        )
+        texts = random_queries(database, seed, count=2)
+        texts.append(" ".join(random.Random(seed).sample(colour_words, 2)))
+        with SqliteEngine(database) as engine:
+            for mode in MatchMode:
+                debugger = NonAnswerDebugger(database, max_joins=2, mode=mode)
+                for text in texts:
+                    report = debugger.debug(text)
+                    if report.graph is None:
+                        continue
+                    for node in report.graph.nodes:
+                        query = node.query
+                        flat = render_sql(query, schema, select="1")
+                        (joined,) = engine.connection.execute(
+                            f"SELECT EXISTS ({flat})"
+                        ).fetchone()
+                        assert (
+                            engine.is_alive(query)
+                            == bool(joined)
+                            == memory.is_alive(query)
+                        ), (mode, query.describe_full())
 
 
 #: Cells where casefolding and tokenizing disagree with naive lowercasing:

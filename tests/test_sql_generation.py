@@ -6,8 +6,9 @@ from repro.relational.jointree import BoundQuery, JoinEdge, JoinTree, RelationIn
 from repro.relational.predicates import MatchMode
 from repro.relational.sql import (
     KEYWORD_PLACEHOLDER,
+    has_same_row_fan_in,
     render_ddl,
-    render_existence_check,
+    render_exists_probe,
     render_sql,
     render_template,
 )
@@ -59,11 +60,6 @@ class TestRenderSql:
         assert "SUBSTRING_MATCH('candle'" in sql
         assert "producttype_2.name" in sql
 
-    def test_existence_check_form(self, schema, two_table_query):
-        sql = render_existence_check(two_table_query, schema)
-        assert sql.startswith("SELECT 1")
-        assert sql.endswith("LIMIT 1")
-
     def test_token_mode_reads_postings(self, schema, two_table_query):
         token_query = BoundQuery(
             two_table_query.tree, two_table_query.bindings, MatchMode.TOKEN
@@ -84,6 +80,72 @@ class TestRenderSql:
         sql = render_sql(BoundQuery.from_mapping(tree, {}), schema)
         assert "LIKE" not in sql and "postings" not in sql
         assert "color_0.id = item_0.color" in sql
+
+
+class TestExistsProbe:
+    @pytest.fixture(scope="class")
+    def fan_in_query(self, schema):
+        """``Color[1]{red} ← Item[0] → Color[2]{pink}``, both on ``Item.color``."""
+        fk = schema.foreign_key("item_color")
+        item, red, pink = inst("Item", 0), inst("Color", 1), inst("Color", 2)
+        tree = JoinTree(
+            frozenset([item, red, pink]),
+            frozenset(
+                [JoinEdge.from_fk(fk, item, red), JoinEdge.from_fk(fk, item, pink)]
+            ),
+        )
+        return BoundQuery.from_mapping(tree, {red: "red", pink: "pink"})
+
+    def test_other_trees_keep_the_flat_join(self, schema, two_table_query):
+        assert not has_same_row_fan_in(two_table_query.tree, schema)
+        assert render_exists_probe(two_table_query, schema) == (
+            f"SELECT EXISTS ({render_sql(two_table_query, schema, select='1')})"
+        )
+
+    def test_same_row_fan_in_is_probed_as_semi_joins(self, schema, fan_in_query):
+        assert has_same_row_fan_in(fan_in_query.tree, schema)
+
+        def postings(token):
+            return (
+                "IN (SELECT value FROM json_each((SELECT rids FROM "
+                f"\"postings:Color\" WHERE token = '{token}')))"
+            )
+
+        assert render_exists_probe(fan_in_query, schema) == (
+            "SELECT EXISTS (SELECT 1 FROM Color AS color_1 WHERE "
+            f"color_1.rowid {postings('red')} AND "
+            "color_1.id IN (SELECT item_0.color FROM Item AS item_0 WHERE "
+            "item_0.color IN (SELECT color_2.id FROM Color AS color_2 WHERE "
+            f"color_2.rowid {postings('pink')})))"
+        )
+
+    def test_two_rows_on_either_end_are_no_fan_in(self, schema, dblife_db):
+        """A parent joined to two child copies, or a child joined to two
+        parents through two columns (``Coauthor``), links two rows."""
+        fk = schema.foreign_key("item_color")
+        color, first, second = inst("Color", 1), inst("Item", 0), inst("Item", 1)
+        star = JoinTree(
+            frozenset([color, first, second]),
+            frozenset(
+                [
+                    JoinEdge.from_fk(fk, first, color),
+                    JoinEdge.from_fk(fk, second, color),
+                ]
+            ),
+        )
+        assert not has_same_row_fan_in(star, schema)
+        dblife = dblife_db.schema
+        coauthor, one, two = inst("Coauthor", 0), inst("Person", 1), inst("Person", 2)
+        pair = JoinTree(
+            frozenset([coauthor, one, two]),
+            frozenset(
+                [
+                    JoinEdge.from_fk(dblife.foreign_key("coauthor_p1"), coauthor, one),
+                    JoinEdge.from_fk(dblife.foreign_key("coauthor_p2"), coauthor, two),
+                ]
+            ),
+        )
+        assert not has_same_row_fan_in(pair, dblife)
 
 
 class TestDdl:

@@ -19,7 +19,11 @@ from repro.relational.schema import (
     SchemaError,
     SchemaGraph,
 )
-from repro.relational.sql import render_exists_probe, render_sql
+from repro.relational.sql import (
+    has_same_row_fan_in,
+    render_exists_probe,
+    render_sql,
+)
 from repro.relational.sqlite_backend import SqliteEngine
 from repro.workloads import TABLE2_QUERIES
 
@@ -190,27 +194,36 @@ class TestMirrorAccessPaths:
         assert sum(len(rows) for rows in on_disk.values()) > 100
 
     def test_probes_use_no_automatic_index(self, dblife_db):
-        """Every Q1-Q10 probe joins through a foreign-key index."""
+        """Every Q1-Q10 probe joins through a foreign-key index.
+
+        Both probe forms are checked: the flat join and, for same-row
+        fan-in trees, the semi-joins, whose ``IN`` lists must not be
+        correlated (each is built once per probe).
+        """
+        schema = dblife_db.schema
         with NonAnswerDebugger(
             dblife_db, max_joins=2, use_lattice=False, backend="sqlite"
         ) as debugger:
-            checked = 0
+            checked = fan_in = 0
             for query in TABLE2_QUERIES:
                 report = debugger.debug(query.text)
                 if report.graph is None:
                     continue
                 for node in report.graph.nodes:
-                    sql = render_exists_probe(node.query, dblife_db.schema)
+                    sql = render_exists_probe(node.query, schema)
                     plan = debugger.backend.connection.execute(
                         f"EXPLAIN QUERY PLAN {sql}"
                     ).fetchall()
                     details = [row[3] for row in plan]
-                    assert not any("AUTOMATIC" in d for d in details), (
-                        node.query.describe(),
-                        details,
-                    )
+                    for marker in ("AUTOMATIC", "CORRELATED"):
+                        assert not any(marker in d for d in details), (
+                            node.query.describe(),
+                            details,
+                        )
                     checked += 1
+                    fan_in += has_same_row_fan_in(node.tree, schema)
         assert checked > 50
+        assert fan_in >= 5  # Q7's level-3 fan-in MTNs
 
     def test_rowid_column_does_not_shadow_the_mirror_row(self):
         """A declared ``rowid`` column moves the lookup to ``_rowid_``."""
