@@ -18,19 +18,19 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from typing import Any
 
 from repro.backends import BACKEND_NAMES
 from repro.bench.context import BenchContext
 from repro.bench.experiments import EXPERIMENTS, run_experiment
 from repro.core.debugger import NonAnswerDebugger
+from repro.core.traversal import STRATEGY_NAMES
 from repro.datasets.dblife import DBLifeConfig, dblife_database
 from repro.datasets.products import product_database
 from repro.index import INDEX_NAMES
 from repro.kws.discover import ClassicKWSSystem
 from repro.obs import ProbeBudget, ProbeTracer, validate_trace_record
 from repro.relational.predicates import MatchMode
-
-STRATEGY_CHOICES = ("bu", "td", "buwr", "tdwr", "sbh")
 
 
 def _load_database(args: argparse.Namespace):
@@ -39,7 +39,19 @@ def _load_database(args: argparse.Namespace):
     return dblife_database(DBLifeConfig(seed=args.seed, scale=args.scale))
 
 
-def _add_backend_options(parser: argparse.ArgumentParser) -> None:
+def _add_run_options(parser: argparse.ArgumentParser) -> None:
+    """What :func:`_build_debugger` reads beyond the dataset options."""
+    parser.add_argument(
+        "--strategy",
+        choices=STRATEGY_NAMES,
+        default="sbh",
+        help="lattice traversal strategy",
+    )
+    parser.add_argument(
+        "--direct",
+        action="store_true",
+        help="skip Phase 0 and generate the pruned lattice per query",
+    )
     parser.add_argument(
         "--backend",
         choices=BACKEND_NAMES,
@@ -92,19 +104,27 @@ def _add_dataset_options(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _cmd_debug(args: argparse.Namespace) -> int:
-    database = _load_database(args)
-    debugger = NonAnswerDebugger(
-        database,
+def _build_debugger(args: argparse.Namespace, **extras: Any) -> NonAnswerDebugger:
+    """The debugger of ``debug``, ``trace`` and ``serve`` over their dataset.
+
+    ``extras`` are the command's own constructor arguments (``free_copies``,
+    ``tracer``).
+    """
+    return NonAnswerDebugger(
+        _load_database(args),
         max_joins=args.level - 1,
         mode=MatchMode(args.match),
         strategy=args.strategy,
         use_lattice=not args.direct,
-        free_copies=args.free_copies,
         backend=args.backend,
         cache_dir=args.cache_dir,
         index_backend=args.index_backend,
+        **extras,
     )
+
+
+def _cmd_debug(args: argparse.Namespace) -> int:
+    debugger = _build_debugger(args, free_copies=args.free_copies)
     started = time.perf_counter()
     report = debugger.debug(args.query)
     elapsed = time.perf_counter() - started
@@ -223,20 +243,9 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    database = _load_database(args)
     tracer = ProbeTracer()
     budget = _make_budget(args)
-    debugger = NonAnswerDebugger(
-        database,
-        max_joins=args.level - 1,
-        mode=MatchMode(args.match),
-        strategy=args.strategy,
-        use_lattice=not args.direct,
-        tracer=tracer,
-        backend=args.backend,
-        cache_dir=args.cache_dir,
-        index_backend=args.index_backend,
-    )
+    debugger = _build_debugger(args, tracer=tracer)
     report = debugger.debug(args.query, budget=budget)
     debugger.close()
     for record in tracer.records:
@@ -396,17 +405,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     """
     from repro.service import ServiceApp, ServiceServer, SessionManager
 
-    database = _load_database(args)
-    debugger = NonAnswerDebugger(
-        database,
-        max_joins=args.level - 1,
-        mode=MatchMode(args.match),
-        strategy=args.strategy,
-        use_lattice=not args.direct,
-        backend=args.backend,
-        cache_dir=args.cache_dir,
-        index_backend=args.index_backend,
-    )
+    debugger = _build_debugger(args)
     manager = SessionManager(
         debugger, workers=args.workers, session_ttl=args.session_ttl
     )
@@ -459,17 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     debug = commands.add_parser("debug", help="explain non-answers for a query")
     debug.add_argument("query", help="keyword query, e.g. 'saffron scented candle'")
     _add_dataset_options(debug)
-    debug.add_argument(
-        "--strategy",
-        choices=STRATEGY_CHOICES,
-        default="sbh",
-        help="lattice traversal strategy",
-    )
-    debug.add_argument(
-        "--direct",
-        action="store_true",
-        help="skip Phase 0 and generate the pruned lattice per query",
-    )
+    _add_run_options(debug)
     debug.add_argument("--max-items", type=int, default=10)
     debug.add_argument(
         "--diagnose",
@@ -490,7 +479,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="free copies per relation (>1 enables the multi-free extension)",
     )
-    _add_backend_options(debug)
     debug.set_defaults(func=_cmd_debug)
 
     search = commands.add_parser("search", help="classic KWS-S (answers only)")
@@ -523,17 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
         "expected per-traversal cap)",
     )
     _add_dataset_options(trace)
-    trace.add_argument(
-        "--strategy",
-        choices=STRATEGY_CHOICES,
-        default="sbh",
-        help="lattice traversal strategy",
-    )
-    trace.add_argument(
-        "--direct",
-        action="store_true",
-        help="skip Phase 0 and generate the pruned lattice per query",
-    )
+    _add_run_options(trace)
     trace.add_argument(
         "--budget-queries",
         type=int,
@@ -563,7 +541,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print per-level / per-strategy aggregation tables (stderr)",
     )
-    _add_backend_options(trace)
     trace.set_defaults(func=_cmd_trace)
 
     bench = commands.add_parser("bench", help="regenerate a paper table/figure")
@@ -618,11 +595,13 @@ def build_parser() -> argparse.ArgumentParser:
             "non-answers, and MPANs.  Sessions run concurrently on a "
             "worker pool sharing the backend connection pool and (with "
             "--cache-dir) the persistent cache store, so repeat "
-            "queries skip Phase 3 entirely.  Ctrl-C drains active "
+            "queries skip Phase 3 entirely.  --strategy sets the default "
+            "a POST may override per session.  Ctrl-C drains active "
             "sessions before exiting."
         ),
     )
     _add_dataset_options(serve)
+    _add_run_options(serve)
     serve.add_argument("--host", default="127.0.0.1", help="bind address")
     serve.add_argument(
         "--port",
@@ -637,17 +616,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="concurrent session slots (default: 4)",
     )
     serve.add_argument(
-        "--strategy",
-        choices=STRATEGY_CHOICES,
-        default="sbh",
-        help="default traversal strategy (per-session override via POST)",
-    )
-    serve.add_argument(
-        "--direct",
-        action="store_true",
-        help="skip Phase 0 and generate the pruned lattice per query",
-    )
-    serve.add_argument(
         "--session-ttl",
         type=float,
         default=None,
@@ -659,7 +627,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="export the combined JSON-lines event log on shutdown",
     )
-    _add_backend_options(serve)
     serve.set_defaults(func=_cmd_serve)
 
     inspect = commands.add_parser("inspect", help="summarize a dataset")

@@ -23,8 +23,10 @@ from repro.core.mtn import ExplorationGraph, build_exploration_graph, find_mtns
 from repro.core.status import Status, StatusStore
 from repro.core.traversal import (
     BottomUpStrategy,
+    BottomUpWithReuseStrategy,
     ScoreBasedStrategy,
     TopDownStrategy,
+    TopDownWithReuseStrategy,
     TraversalResult,
     get_strategy,
 )
@@ -52,7 +54,9 @@ __all__ = [
     "Status",
     "StatusStore",
     "BottomUpStrategy",
+    "BottomUpWithReuseStrategy",
     "TopDownStrategy",
+    "TopDownWithReuseStrategy",
     "ScoreBasedStrategy",
     "TraversalResult",
     "get_strategy",

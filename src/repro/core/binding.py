@@ -8,25 +8,27 @@ For one *interpretation* (a relation choice per keyword, from
    across interpretations and across the MTNs of one interpretation;
 2. bind the empty keyword to ``R0`` of every relation (free tuple sets);
 3. prune the lattice: keep exactly the nodes whose every instance is a bound
-   or free copy.  The paper prunes the base nodes, then their ancestors;
-   as every connected subtree of a lattice tree is a lattice tree, that walk
-   keeps exactly these nodes.  The lattice's slot-signature index
-   (:meth:`Lattice.nodes_within`) names them up front, so the walk only
-   steps onto retained parents, fixing their order.
+   or free copy.  The paper prunes the base nodes, then walks up to their
+   ancestors; as every connected subtree of a lattice tree is a lattice
+   tree, that walk keeps exactly these nodes, and the lattice's
+   slot-signature index (:meth:`Lattice.nodes_within`) names them without
+   a walk.
 
-For lattice levels where materializing Phase 0 is not worthwhile, the same
-retained set can be generated *directly* from the binding's alphabet
+The retained trees form a plain set: Phase 2 orders the MTNs it takes from
+them by a total key (:func:`repro.core.mtn.find_mtns`), so the order in
+which Phase 1 found them never shows downstream.  For lattice levels where
+materializing Phase 0 is not worthwhile, the same retained set can be
+generated *directly* from the binding's alphabet
 (:meth:`KeywordBinder.prune_direct`); a property test checks both paths
-produce identical retained trees.
-
-The result also knows how to *instantiate* any retained node into a
-:class:`~repro.relational.jointree.BoundQuery` (the run-time WHERE clause).
+produce identical retained trees and identical MTN lists.
+:func:`bind_tree` attaches the keywords to a retained tree, giving the
+run-time :class:`~repro.relational.jointree.BoundQuery`.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
 
@@ -62,53 +64,26 @@ class KeywordBinding:
         return ", ".join(f"{kw}->{inst}" for kw, inst in self.by_keyword)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PrunedLattice:
     """The retained sub-lattice for one interpretation.
 
-    ``retained`` maps join trees to lattice node ids when it was read off a
-    materialized lattice's slot-signature index, or to ``-1`` when it was
-    generated directly (both hold the trees the paper's upward walk from the
-    base nodes keeps; nothing downstream needs the ids).
-    ``complete`` is False when the set was produced by the MTN-targeted fast
-    path (:meth:`KeywordBinder.prune_for_mtns`): it still contains every MTN
-    but not every retained tree, so only MTN extraction may rely on it.
+    ``retained`` holds every tree the paper's upward walk from the base
+    nodes keeps when it comes from :meth:`KeywordBinder.prune` or
+    :meth:`KeywordBinder.prune_direct`.  From the MTN-targeted
+    :meth:`KeywordBinder.prune_for_mtns` it holds only the subtrees of
+    potential MTNs: every MTN, but not every retained tree, so only MTN
+    extraction may rely on it.
     """
 
     schema: SchemaGraph
     binding: KeywordBinding
-    retained: dict[JoinTree, int]
-    mode: MatchMode = MatchMode.TOKEN
+    retained: frozenset[JoinTree]
     pruning_time: float = 0.0
-    lattice_size: int | None = None
-    complete: bool = True
-    _bound_cache: dict[JoinTree, BoundQuery] = field(default_factory=dict, repr=False)
 
     @property
     def retained_count(self) -> int:
         return len(self.retained)
-
-    @property
-    def pruned_fraction(self) -> float:
-        """Fraction of the offline lattice removed by this keyword query."""
-        if not self.lattice_size:
-            return 0.0
-        return (self.lattice_size - len(self.retained)) / self.lattice_size
-
-    def instantiate(self, tree: JoinTree) -> BoundQuery:
-        """The run-time SQL query of a retained node (keywords filled in)."""
-        cached = self._bound_cache.get(tree)
-        if cached is not None:
-            return cached
-        if tree not in self.retained:
-            raise BindingError(f"tree {tree.describe()} was pruned")
-        query = bind_tree(tree, self.binding, self.mode)
-        self._bound_cache[tree] = query
-        return query
-
-    def is_total(self, tree: JoinTree) -> bool:
-        """Total node: contains the copy bound to *every* keyword (§2.4)."""
-        return self.binding.instances <= tree.instances
 
 
 def bind_tree(
@@ -137,7 +112,6 @@ class KeywordBinder:
         schema: SchemaGraph | None = None,
         max_joins: int | None = None,
         max_keywords: int | None = None,
-        mode: MatchMode = MatchMode.TOKEN,
         free_copies: int = 1,
     ):
         if free_copies < 1:
@@ -163,7 +137,6 @@ class KeywordBinder:
                 max_keywords if max_keywords is not None else max_joins + 1
             )
         self.lattice = lattice
-        self.mode = mode
         self.free_copies = free_copies
 
     def bind(self, interpretation: Interpretation) -> KeywordBinding:
@@ -186,33 +159,22 @@ class KeywordBinder:
     def prune(self, interpretation: Interpretation) -> PrunedLattice:
         """Phase 1 over the materialized lattice (slot-signature lookup).
 
-        The signature index yields the retained ids; the upward walk from
-        the base nodes then only orders them (tied MTNs keep the walk's
-        order) and steps onto retained parents alone.  Falls back to
-        :meth:`prune_direct` when no lattice was materialized.
+        Falls back to :meth:`prune_direct` when no lattice was materialized.
         """
         if self.lattice is None:
             return self.prune_direct(interpretation)
         started = time.perf_counter()
         binding = self.bind(interpretation)
         nodes = self.lattice.nodes
-        unseen = self.lattice.nodes_within(binding.instances)
-        order = [n.node_id for n in self.lattice.base_nodes() if n.node_id in unseen]
-        unseen.difference_update(order)
-        frontier = list(order)
-        while frontier:
-            for parent_id in [p for p in nodes[frontier.pop()].parents if p in unseen]:
-                unseen.discard(parent_id)
-                order.append(parent_id)
-                frontier.append(parent_id)
-        retained = {nodes[node_id].tree: node_id for node_id in order}
+        retained = frozenset(
+            nodes[node_id].tree
+            for node_id in self.lattice.nodes_within(binding.instances)
+        )
         return PrunedLattice(
             schema=self.schema,
             binding=binding,
             retained=retained,
-            mode=self.mode,
             pruning_time=time.perf_counter() - started,
-            lattice_size=len(self.lattice),
         )
 
     def prune_direct(self, interpretation: Interpretation) -> PrunedLattice:
@@ -220,7 +182,7 @@ class KeywordBinder:
 
         Enumerates all join trees over the binding's alphabet (bound copies
         plus one free copy per relation) up to ``max_joins + 1`` instances.
-        This produces exactly the trees the lattice walk retains -- the
+        This produces exactly the trees :meth:`prune` retains -- the
         offline lattice's value is amortizing this work across queries, not
         changing its outcome -- and is how the level-7 experiments run
         without materializing a level-7 lattice.
@@ -236,9 +198,9 @@ class KeywordBinder:
         (two free leaves sharing one new neighbour would close a cycle), and
         every missing bound copy still needs its own node.  Growing only
         trees within that budget therefore reaches every MTN while skipping
-        retained trees that no candidate network contains.  The result is
-        marked ``complete=False``; MTN extraction is unaffected (verified by
-        a property test against :meth:`prune_direct`).
+        retained trees that no candidate network contains.  MTN extraction
+        is unaffected (verified by a property test against
+        :meth:`prune_direct` and :meth:`prune`).
         """
         return self._generate(interpretation, mtn_targeted=True)
 
@@ -274,7 +236,7 @@ class KeywordBinder:
                 found.append(next_free)
             return found
 
-        retained: dict[JoinTree, int] = {}
+        retained: set[JoinTree] = set()
         stack: list[JoinTree] = []
         seeds = sorted(bound) + [
             free_instance(name, 0) for name in sorted(self.schema.relations)
@@ -288,7 +250,7 @@ class KeywordBinder:
             tree = JoinTree.single(instance)
             if over_budget(tree):
                 continue
-            retained[tree] = -1
+            retained.add(tree)
             stack.append(tree)
         while stack:
             tree = stack.pop()
@@ -305,14 +267,11 @@ class KeywordBinder:
                         extended = tree.extend(edge, candidate)
                         if extended in retained or over_budget(extended):
                             continue
-                        retained[extended] = -1
+                        retained.add(extended)
                         stack.append(extended)
         return PrunedLattice(
             schema=self.schema,
             binding=binding,
-            retained=retained,
-            mode=self.mode,
+            retained=frozenset(retained),
             pruning_time=time.perf_counter() - started,
-            lattice_size=len(self.lattice) if self.lattice else None,
-            complete=not mtn_targeted,
         )

@@ -34,7 +34,7 @@ from repro.obs.trace import ProbeTracer
 from repro.relational.database import Database
 from repro.relational.engine import InMemoryEngine
 from repro.relational.evaluator import InstrumentedEvaluator, QueryCostModel
-from repro.relational.jointree import BoundQuery
+from repro.relational.jointree import BoundQuery, JoinTree
 from repro.relational.predicates import MatchMode
 
 
@@ -85,8 +85,8 @@ class DebugReport:
 
     @property
     def retained_nodes(self) -> int:
-        """Union size of nodes retained across interpretations (Phase 1)."""
-        retained: set[int] = set()
+        """Union size of trees retained across interpretations (Phase 1)."""
+        retained: set[JoinTree] = set()
         for pruned in self.pruned_lattices:
             retained.update(pruned.retained)
         return len(retained)
@@ -252,7 +252,6 @@ class NonAnswerDebugger:
                 schema=self.schema,
                 max_joins=max_joins,
                 max_keywords=max_keywords,
-                mode=mode,
                 free_copies=free_copies,
             )
             self.strategy = (

@@ -24,6 +24,7 @@ import time
 from dataclasses import dataclass, field
 
 from repro.core.binding import KeywordBinding, PrunedLattice, bind_tree
+from repro.core.canonical import canonical_code
 from repro.core.constraints import UNCONSTRAINED, SearchConstraints
 from repro.core.freecopies import normalize_free_ranks
 from repro.relational.jointree import BoundQuery, JoinTree
@@ -37,9 +38,24 @@ def is_minimal_total(tree: JoinTree, binding: KeywordBinding) -> bool:
 
 
 def find_mtns(pruned: PrunedLattice) -> list[JoinTree]:
-    """The minimal-total trees of a pruned lattice (deterministic order)."""
+    """The minimal-total trees of a pruned lattice, in one total order.
+
+    Sorted by size, then description, then Algorithm 2's canonical label,
+    which tells apart trees with one description (Coauthor joined on
+    ``person1_id`` or on ``person2_id``): canonical labels of copy-labeled
+    trees are equal iff the trees are.  The order, and with it the
+    exploration graph's numbering that steers SBH's tie-breaks, is thus a
+    function of the retained set alone, however Phase 1 produced it.
+    """
     mtns = [tree for tree in pruned.retained if is_minimal_total(tree, pruned.binding)]
-    return sorted(mtns, key=lambda tree: (tree.size, tree.describe()))
+    return sorted(
+        mtns,
+        key=lambda tree: (
+            tree.size,
+            tree.describe(),
+            canonical_code(tree, pruned.schema),
+        ),
+    )
 
 
 @dataclass

@@ -10,6 +10,9 @@ queries executed.
   shared status store and evaluation cache (§2.5.2, Algorithm 3);
 * ``sbh`` -- the score-based greedy heuristic (§2.5.3, Equation 1).
 
+The first four are one :class:`SweepStrategy`, set by level order and by
+whether the MTNs share one status store.
+
 All strategies produce identical classifications and MPAN sets (a property
 test asserts this); they differ only in how many queries they execute.
 """
@@ -19,8 +22,13 @@ from repro.core.traversal.base import (
     TraversalStrategy,
     seed_base_levels,
 )
-from repro.core.traversal.bottom_up import BottomUpStrategy, BottomUpWithReuseStrategy
-from repro.core.traversal.top_down import TopDownStrategy, TopDownWithReuseStrategy
+from repro.core.traversal.sweep import (
+    BottomUpStrategy,
+    BottomUpWithReuseStrategy,
+    SweepStrategy,
+    TopDownStrategy,
+    TopDownWithReuseStrategy,
+)
 from repro.core.traversal.score import ScoreBasedStrategy
 
 _STRATEGIES = {
@@ -49,6 +57,7 @@ __all__ = [
     "TraversalResult",
     "TraversalStrategy",
     "seed_base_levels",
+    "SweepStrategy",
     "BottomUpStrategy",
     "BottomUpWithReuseStrategy",
     "TopDownStrategy",

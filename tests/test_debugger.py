@@ -6,7 +6,9 @@ import tempfile
 import pytest
 
 from repro.core.debugger import NonAnswerDebugger
+from repro.core.traversal import STRATEGY_NAMES, get_strategy
 from repro.relational.predicates import MatchMode
+from repro.workloads.queries import TABLE2_QUERIES
 
 QUERY = "saffron scented candle"
 
@@ -164,3 +166,35 @@ class TestPipeline:
         foreign = generate_lattice(dblife_db.schema, 1)
         with pytest.raises(ValueError):
             NonAnswerDebugger(products_db, lattice=foreign)
+
+
+class TestLatticeAndDirectAgree:
+    """Both Phase-1 paths number the exploration graph alike, so every
+    strategy, SBH's tie-breaks included, probes alike (DBLife, level 4)."""
+
+    @pytest.fixture(scope="class")
+    def debuggers(self, dblife_db):
+        pair = [
+            NonAnswerDebugger(
+                dblife_db, max_joins=3, max_keywords=3, use_lattice=use_lattice
+            )
+            for use_lattice in (True, False)
+        ]
+        yield pair
+        for debugger in pair:
+            debugger.close()
+
+    @pytest.mark.parametrize("query", TABLE2_QUERIES, ids=lambda query: query.qid)
+    def test_same_graph_and_probe_counts(self, debuggers, dblife_db, query):
+        seen = []
+        for debugger in debuggers:
+            mapping = debugger.map_keywords(query.text)
+            graph = debugger.build_graph(debugger.prune(mapping))
+            probes = []
+            for name in STRATEGY_NAMES:
+                strategy = get_strategy(name)
+                evaluator = debugger.make_evaluator(use_cache=strategy.uses_reuse)
+                result = strategy.run(graph, evaluator, dblife_db)
+                probes.append(result.stats.queries_executed)
+            seen.append(([node.query for node in graph.nodes], probes))
+        assert seen[0] == seen[1]
