@@ -17,22 +17,27 @@ Using the paper's expansion of the score (end of §2.5.3), with
                  - (1 - p_a) * sum_{j in Asc+(n)} w[j]
 
 ``T = sum_i |S(m_i)|`` is constant across candidates, so the greedy choice
-maximizes ``p_a * WD(n) + (1 - p_a) * WA(n)``.  ``WD``/``WA`` are computed
-for every candidate at once as two sparse matrix-vector products
-(``scipy.sparse``), which keeps each greedy step linear in the number of
-(node, descendant) pairs.
+maximizes ``p_a * WD(n) + (1 - p_a) * WA(n)``.
 
 Bookkeeping facts that make the update cheap (proved in ``tests``):
 ``S(m_i)`` is always ``unknown ∩ Desc+(m_i)`` (dead MTNs keep their space
 until it is fully classified; an alive MTN's space empties automatically
 because R1 classifies all of its descendants), so ``w`` only ever changes by
-zeroing entries of newly classified nodes.
+zeroing entries of newly classified nodes.  ``WD`` and ``WA`` are therefore
+kept as exact integer sums and lowered as nodes are classified: zeroing
+``w[j]`` lowers ``WD`` of every node whose ``Desc+`` holds ``j`` and ``WA``
+of every node whose ``Asc+`` holds ``j``, so a whole run touches each
+(node, descendant) pair once.  Gains only fall, so the candidates sit in a
+max-heap keyed by ``(gain, -index)`` whose stale entries are skipped when
+popped; ties go to the lowest index.  The gain is the same floating-point
+expression for every candidate, so the choice depends on the graph and
+``p_a`` alone.
 """
 
 from __future__ import annotations
 
-import numpy as np
-from scipy import sparse
+import heapq
+from typing import Callable
 
 from repro.core.mtn import ExplorationGraph
 from repro.core.status import StatusStore
@@ -48,20 +53,19 @@ from repro.relational.evaluator import InstrumentedEvaluator
 DEFAULT_PROBABILITY_ALIVE = 0.5
 
 
-def _closure_matrix(graph: ExplorationGraph, masks: list[int]) -> sparse.csr_matrix:
-    """CSR matrix M with M[n, j] = 1 iff j is in the (self-inclusive) mask of n."""
-    indptr = [0]
-    indices: list[int] = []
-    for index in range(len(graph)):
-        members = graph.bits(masks[index] | (1 << index))
-        indices.extend(members)
-        indptr.append(len(indices))
-    data = np.ones(len(indices), dtype=np.float64)
-    size = len(graph)
-    return sparse.csr_matrix(
-        (data, np.array(indices, dtype=np.int64), np.array(indptr, dtype=np.int64)),
-        shape=(size, size),
-    )
+def _closure_sums(
+    graph: ExplorationGraph, closure: Callable[[int], int], spaces: int, weight: list[int]
+) -> tuple[list[int], dict[int, list[int]]]:
+    """``(sums, holders)`` over the nodes of ``spaces``: ``sums[n]`` adds
+    ``weight`` over ``closure(n)``, and ``holders[j]`` lists the nodes ``n``
+    whose ``closure(n)`` holds ``j``."""
+    sums = [0] * len(graph)
+    holders: dict[int, list[int]] = {member: [] for member in graph.bits(spaces)}
+    for node in holders:
+        for member in graph.bits(closure(node) & spaces):
+            holders[member].append(node)
+            sums[node] += weight[member]
+    return sums, holders
 
 
 class ScoreBasedStrategy(TraversalStrategy):
@@ -85,32 +89,44 @@ class ScoreBasedStrategy(TraversalStrategy):
         store = StatusStore(graph)
         seed_base_levels(graph, store, database)
 
-        size = len(graph)
-        # w[j] = number of MTN search spaces containing node j.
-        weight = np.zeros(size, dtype=np.float64)
-        for mtn_index in graph.mtn_indexes:
-            for member in graph.bits(graph.desc_plus(mtn_index)):
-                weight[member] += 1.0
         known = store.alive_mask | store.dead_mask
-        self._zero_bits(weight, graph, known)
-
-        desc_matrix = _closure_matrix(graph, graph.desc_mask)
-        asc_matrix = _closure_matrix(graph, graph.asc_mask)
+        # w[j] = number of MTN search spaces containing node j; only the
+        # nodes of some space are ever weighted or candidates.
+        weight = [0] * len(graph)
+        spaces = 0
+        for mtn_index in graph.mtn_indexes:
+            space = graph.desc_plus(mtn_index) & ~known
+            for member in graph.bits(space):
+                weight[member] += 1
+            spaces |= space
+        desc_sum, desc_holders = _closure_sums(graph, graph.desc_plus, spaces, weight)
+        asc_sum, asc_holders = _closure_sums(graph, graph.asc_plus, spaces, weight)
         p_alive = self.probability_alive
 
+        def gain(node: int) -> float:
+            # argmin Score == argmax p_a*WD + (1-p_a)*WA (see module docstring)
+            return p_alive * desc_sum[node] + (1.0 - p_alive) * asc_sum[node]
+
+        heap = [(-gain(node), node) for node in desc_holders]
+        heapq.heapify(heap)
         try:
-            while True:
-                candidates = np.flatnonzero(weight)
-                if candidates.size == 0:
-                    break
-                # argmin Score == argmax p_a*WD + (1-p_a)*WA (see module docstring)
-                gain = p_alive * (desc_matrix @ weight) + (1.0 - p_alive) * (
-                    asc_matrix @ weight
-                )
-                best = int(candidates[np.argmax(gain[candidates])])
+            while heap:
+                negated, best = heapq.heappop(heap)
+                if not weight[best] or -negated != gain(best):
+                    continue  # classified meanwhile, or a stale gain
                 store.record(best, evaluator.is_alive(graph.node(best).query))
                 now_known = store.alive_mask | store.dead_mask
-                self._zero_bits(weight, graph, now_known & ~known)
+                changed: set[int] = set()
+                for member in graph.bits(now_known & ~known & spaces):
+                    for node in desc_holders[member]:
+                        desc_sum[node] -= weight[member]
+                    for node in asc_holders[member]:
+                        asc_sum[node] -= weight[member]
+                    changed.update(desc_holders[member], asc_holders[member])
+                    weight[member] = 0
+                for node in changed:
+                    if weight[node]:
+                        heapq.heappush(heap, (-gain(node), node))
                 known = now_known
         except ProbeBudgetExhausted:
             result.exhausted = True
@@ -123,9 +139,3 @@ class ScoreBasedStrategy(TraversalStrategy):
                 partial=result.exhausted,
                 tracer=evaluator.tracer,
             )
-
-    @staticmethod
-    def _zero_bits(weight: np.ndarray, graph: ExplorationGraph, mask: int) -> None:
-        """Zero the weight of every node whose bit is set in ``mask``."""
-        if mask:
-            weight[graph.bits(mask)] = 0.0

@@ -1,5 +1,9 @@
 """Unit tests for the five Phase-3 traversal strategies."""
 
+import functools
+import operator
+from fractions import Fraction
+
 import pytest
 
 from repro.core.mtn import build_exploration_graph
@@ -10,6 +14,7 @@ from repro.core.traversal import (
     seed_base_levels,
 )
 from repro.index.mapper import Interpretation
+from repro.workloads.queries import TABLE2_QUERIES
 
 
 def interp(*pairs):
@@ -115,6 +120,78 @@ class TestCosts:
     def test_elapsed_recorded(self, products_debugger, graphs):
         result, _ = run(products_debugger, graphs["q1"], "sbh")
         assert result.elapsed > 0
+
+
+def equation_1_order(graph, database, alive, probability_alive):
+    """SBH's probe order read straight off Equation (1), in exact arithmetic.
+
+    Each step evaluates the unknown node of least
+    ``Score(n) = sum_i [p_a |S_a(m_i)| + (1 - p_a) |S_d(m_i)|]``, the lowest
+    index among ties, where ``S(m_i)`` is the unknown part of ``Desc+(m_i)``
+    and ``S_a``/``S_d`` drop what R1/R2 would classify.
+    """
+    p_alive = Fraction(probability_alive)
+    store = StatusStore(graph)
+    seed_base_levels(graph, store, database)
+    order = []
+    while True:
+        spaces = [graph.desc_plus(mtn) & store.unknown_mask for mtn in graph.mtn_indexes]
+        candidates = graph.bits(functools.reduce(operator.or_, spaces, 0))
+        if not candidates:
+            return order
+
+        def score(node):
+            return sum(
+                p_alive * (space & ~graph.desc_plus(node)).bit_count()
+                + (1 - p_alive) * (space & ~graph.asc_plus(node)).bit_count()
+                for space in spaces
+            )
+
+        best = min(candidates, key=lambda node: (score(node), node))
+        order.append(best)
+        store.record(best, alive[graph.node(best).query])
+
+
+class TestScoreOrder:
+    """SBH evaluates nodes in Equation (1)'s order.  With a dyadic ``p_a``
+    its floating-point gains are exact, so ties must break alike too."""
+
+    @pytest.fixture(scope="class")
+    def dblife_graphs(self, dblife_debugger):
+        return [
+            dblife_debugger.build_graph(
+                dblife_debugger.prune(dblife_debugger.map_keywords(query.text))
+            )
+            for query in TABLE2_QUERIES
+        ]
+
+    @pytest.mark.parametrize("probability_alive", [0.5, 0.25, 0.75, 0.0, 1.0])
+    def test_probes_follow_equation_1(
+        self, products_debugger, graphs, dblife_debugger, dblife_graphs, probability_alive
+    ):
+        cases = [(products_debugger, graph) for graph in graphs.values()]
+        cases += [(dblife_debugger, graph) for graph in dblife_graphs]
+        for debugger, graph in cases:
+            evaluator = debugger.make_evaluator(use_cache=True)
+            probed = []
+            probe = evaluator.is_alive
+
+            def recording_probe(query, probe=probe, probed=probed):
+                probed.append(query)
+                return probe(query)
+
+            evaluator.is_alive = recording_probe
+            get_strategy("sbh", probability_alive=probability_alive).run(
+                graph, evaluator, debugger.database
+            )
+            alive = {
+                node.query: debugger.make_evaluator().is_alive(node.query)
+                for node in graph.nodes
+            }
+            expected = equation_1_order(
+                graph, debugger.database, alive, probability_alive
+            )
+            assert probed == [graph.node(index).query for index in expected]
 
 
 class TestSeeding:
