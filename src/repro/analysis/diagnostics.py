@@ -98,13 +98,6 @@ CODE_REGISTRY: dict[str, CodeInfo] = {
         "prune free leaves before emitting candidate networks (minimality "
         "rule of DISCOVER-style enumeration)",
     ),
-    "PLAN007": CodeInfo(
-        "broken-lattice-link",
-        "lattice parent/child adjacency is inconsistent (level mismatch, "
-        "unmirrored link, or out-of-range node id)",
-        "mirror every parent/child link at build time; use "
-        "Lattice.from_parts, which validates adjacency",
-    ),
     "SQL001": CodeInfo(
         "unquoted-reserved-identifier",
         "a rendered SQL statement uses a reserved word as a bare identifier",

@@ -10,7 +10,7 @@ instance/edge sets.
 Codes emitted here: ``PLAN001`` dangling-join-edge, ``PLAN002``
 disconnected-tree, ``PLAN003`` type-mismatched-join, ``PLAN004``
 duplicate-slot, ``PLAN005`` unbound-keyword-slot, ``PLAN006``
-non-minimal-network, ``PLAN007`` broken-lattice-link.
+non-minimal-network.
 """
 
 from __future__ import annotations
@@ -232,66 +232,18 @@ def lint_tree(
 
 
 def lint_lattice(lattice: Lattice) -> DiagnosticReport:
-    """Verify every lattice node and the parent/child adjacency."""
+    """Verify every lattice tree."""
     report = DiagnosticReport()
-    max_keywords = lattice.max_keywords
-    distinct = lattice.distinct_slots
-    node_count = len(lattice.nodes)
-    for node in lattice.iter_nodes():
-        location = f"lattice node {node.node_id}"
+    for position, tree in enumerate(lattice):
         report.extend(
             lint_tree(
-                node.tree,
+                tree,
                 lattice.schema,
-                max_keywords=max_keywords,
-                distinct_slots=distinct,
-                location=location,
+                max_keywords=lattice.max_keywords,
+                distinct_slots=lattice.distinct_slots,
+                location=f"lattice tree {position}",
             )
         )
-        if node.level != node.tree.size:
-            report.add(
-                Diagnostic(
-                    "PLAN007",
-                    f"node is stored at level {node.level} but its tree has "
-                    f"{node.tree.size} instance(s)",
-                    _tree_location(node.tree, location),
-                    hint="level must equal the number of relation instances",
-                )
-            )
-        for label, linked_ids, delta in (
-            ("parent", node.parents, 1),
-            ("child", node.children, -1),
-        ):
-            for linked_id in linked_ids:
-                if not 0 <= linked_id < node_count:
-                    report.add(
-                        Diagnostic(
-                            "PLAN007",
-                            f"{label} id {linked_id} is out of range",
-                            location,
-                        )
-                    )
-                    continue
-                linked = lattice.node(linked_id)
-                if linked.level != node.level + delta:
-                    report.add(
-                        Diagnostic(
-                            "PLAN007",
-                            f"{label} {linked_id} is at level {linked.level}, "
-                            f"expected {node.level + delta}",
-                            location,
-                        )
-                    )
-                mirror = linked.children if label == "parent" else linked.parents
-                if node.node_id not in mirror:
-                    report.add(
-                        Diagnostic(
-                            "PLAN007",
-                            f"{label} link to {linked_id} is not mirrored back",
-                            location,
-                            hint="parents/children lists must stay symmetric",
-                        )
-                    )
     return report
 
 

@@ -11,8 +11,8 @@ grammar therefore marks a rendering site that bypassed quoting.
 ``EXPLAIN`` on a ``:memory:`` database holding the schema's DDL, the
 mirror's postings tables and foreign-key indexes, and *no data* -- so a
 statement that cannot execute verbatim is a build-time diagnostic rather
-than a runtime failure.  It covers the DDL itself, each lattice node's
-Phase-0 template, and each node's executed probe
+than a runtime failure.  It covers the DDL itself, each lattice tree's
+Phase-0 template, and each tree's executed probe
 (:func:`~repro.relational.sql.render_exists_probe`) in both match modes.
 """
 
@@ -31,6 +31,7 @@ from repro.relational.sql import (
     render_access_path_ddl,
     render_ddl,
     render_exists_probe,
+    render_template,
 )
 from repro.relational.schema import SchemaGraph
 
@@ -180,7 +181,7 @@ def lint_ddl(schema: SchemaGraph) -> DiagnosticReport:
 
 
 def lint_lattice_templates(lattice: Lattice) -> DiagnosticReport:
-    """Dry-run every lattice node's SQL template through sqlite's prepare.
+    """Dry-run every lattice tree's SQL template through sqlite's prepare.
 
     ``?kw`` placeholders live inside string literals, so templates are
     complete statements; each must compile verbatim (acceptance criterion
@@ -188,35 +189,38 @@ def lint_lattice_templates(lattice: Lattice) -> DiagnosticReport:
     """
 
     def statements() -> Iterable[tuple[str, str]]:
-        for node, template in lattice.iter_templates():
-            yield f"template of lattice node {node.node_id}", template
+        for position, tree in enumerate(lattice):
+            yield (
+                f"template of lattice tree {position}",
+                render_template(tree, lattice.schema),
+            )
 
     return lint_statements(statements(), lattice.schema)
 
 
 def lint_lattice_probes(lattice: Lattice) -> DiagnosticReport:
-    """Dry-run every lattice node's executed probe, in both match modes.
+    """Dry-run every lattice tree's executed probe, in both match modes.
 
-    Each keyword slot of the node is bound to :data:`PROBE_KEYWORD` and the
+    Each keyword slot of the tree is bound to :data:`PROBE_KEYWORD` and the
     query is rendered as the ``SELECT EXISTS`` probe the sqlite backend
     runs (:func:`~repro.relational.sql.render_exists_probe`): nested ``IN``
-    semi-joins for a node with a same-row fan-in
+    semi-joins for a tree with a same-row fan-in
     (:func:`~repro.relational.sql.has_same_row_fan_in`), the flat join for
-    every other node.  Keywords are the postings lookup in TOKEN mode and
+    every other tree.  Keywords are the postings lookup in TOKEN mode and
     ``SUBSTRING_MATCH`` in SUBSTRING mode.
     """
 
     def statements() -> Iterable[tuple[str, str]]:
-        for node in lattice.nodes:
+        for position, tree in enumerate(lattice):
             slots = {
                 instance: PROBE_KEYWORD
-                for instance in node.tree.instances
+                for instance in tree.instances
                 if not instance.is_free
             }
             for mode in MatchMode:
-                query = BoundQuery.from_mapping(node.tree, slots, mode)
+                query = BoundQuery.from_mapping(tree, slots, mode)
                 yield (
-                    f"{mode.value}-mode probe of lattice node {node.node_id}",
+                    f"{mode.value}-mode probe of lattice tree {position}",
                     render_exists_probe(query, lattice.schema),
                 )
 

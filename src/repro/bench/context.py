@@ -30,8 +30,8 @@ from repro.workloads.queries import TABLE2_QUERIES, WorkloadQuery
 WORKLOAD_MAX_KEYWORDS = 3
 
 # Levels up to this bound materialize Phase 0; higher levels generate each
-# query's retained sub-lattice directly (identical results; see
-# KeywordBinder.prune_direct).
+# query's MTN-relevant trees directly (identical results; see
+# KeywordBinder.prune_for_mtns).
 MAX_MATERIALIZED_LEVEL = 5
 
 

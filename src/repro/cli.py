@@ -23,6 +23,7 @@ from typing import Any
 from repro.backends import BACKEND_NAMES
 from repro.bench.context import BenchContext
 from repro.bench.experiments import EXPERIMENTS, run_experiment
+from repro.core.binding import BindingError
 from repro.core.debugger import NonAnswerDebugger
 from repro.core.traversal import STRATEGY_NAMES
 from repro.datasets.dblife import DBLifeConfig, dblife_database
@@ -125,10 +126,15 @@ def _build_debugger(args: argparse.Namespace, **extras: Any) -> NonAnswerDebugge
 
 def _cmd_debug(args: argparse.Namespace) -> int:
     debugger = _build_debugger(args, free_copies=args.free_copies)
-    started = time.perf_counter()
-    report = debugger.debug(args.query)
-    elapsed = time.perf_counter() - started
-    debugger.close()
+    try:
+        started = time.perf_counter()
+        report = debugger.debug(args.query)
+        elapsed = time.perf_counter() - started
+    except BindingError as error:
+        print(f"debug: {error}", file=sys.stderr)
+        return 2
+    finally:
+        debugger.close()
     print(report.render(max_items=args.max_items))
     if args.diagnose and report.non_answers():
         from repro.core.diagnosis import render_diagnoses
@@ -246,8 +252,13 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     tracer = ProbeTracer()
     budget = _make_budget(args)
     debugger = _build_debugger(args, tracer=tracer)
-    report = debugger.debug(args.query, budget=budget)
-    debugger.close()
+    try:
+        report = debugger.debug(args.query, budget=budget)
+    except BindingError as error:
+        print(f"trace: {error}", file=sys.stderr)
+        return 2
+    finally:
+        debugger.close()
     for record in tracer.records:
         validate_trace_record(record.to_dict())
     lines = tracer.to_jsonl()
@@ -639,7 +650,7 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Verify the pipeline's structural invariants without running a "
             "query: lattice nodes must be connected FK-backed trees with "
-            "valid keyword slots (PLAN001-PLAN007), every rendered SQL "
+            "valid keyword slots (PLAN001-PLAN006), every rendered SQL "
             "template must pass a sqlite prepare-only dry run with "
             "identifiers correctly quoted (SQL001-SQL002), and the source "
             "tree must respect the determinism/typing rules (LINT001-LINT004), "

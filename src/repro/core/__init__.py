@@ -17,7 +17,7 @@ is the main entry point of the library.
 """
 
 from repro.core.canonical import canonical_code, canonical_string
-from repro.core.lattice import Lattice, LatticeNode, LatticeStats, generate_lattice
+from repro.core.lattice import Lattice, LatticeStats, generate_lattice
 from repro.core.binding import KeywordBinder, PrunedLattice
 from repro.core.mtn import ExplorationGraph, build_exploration_graph, find_mtns
 from repro.core.status import Status, StatusStore
@@ -43,7 +43,6 @@ __all__ = [
     "canonical_code",
     "canonical_string",
     "Lattice",
-    "LatticeNode",
     "LatticeStats",
     "generate_lattice",
     "KeywordBinder",

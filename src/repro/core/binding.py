@@ -7,11 +7,11 @@ For one *interpretation* (a relation choice per keyword, from
    the assignment is deterministic and shared sub-queries therefore coincide
    across interpretations and across the MTNs of one interpretation;
 2. bind the empty keyword to ``R0`` of every relation (free tuple sets);
-3. prune the lattice: keep exactly the nodes whose every instance is a bound
+3. prune the lattice: keep exactly the trees whose every instance is a bound
    or free copy.  The paper prunes the base nodes, then walks up to their
    ancestors; as every connected subtree of a lattice tree is a lattice
-   tree, that walk keeps exactly these nodes, and the lattice's
-   slot-signature index (:meth:`Lattice.nodes_within`) names them without
+   tree, that walk keeps exactly these trees, and the lattice's
+   slot-signature index (:meth:`Lattice.trees_within`) names them without
    a walk.
 
 The retained trees form a plain set: Phase 2 orders the MTNs it takes from
@@ -140,19 +140,35 @@ class KeywordBinder:
         self.free_copies = free_copies
 
     def bind(self, interpretation: Interpretation) -> KeywordBinding:
-        """Assign the ``i``-th keyword to slot ``i`` of its relation."""
+        """Assign the ``i``-th keyword to slot ``i`` of its relation.
+
+        Raises :class:`BindingError` when the query has more keywords than
+        a tree of ``max_joins`` joins can bind, or than the binder has
+        keyword slots; the message says which limit to raise.
+        """
+        count = len(interpretation.assignments)
+        if count > self.max_joins + 1:
+            raise BindingError(
+                f"query has {count} keywords, but a join tree of at most "
+                f"{self.max_joins} joins binds at most {self.max_joins + 1}; "
+                f"raise --level (max_joins + 1) to at least {count}"
+            )
+        if count > self.max_keywords:
+            raise BindingError(
+                f"query has {count} keywords, but only {self.max_keywords} "
+                f"keyword slots exist; "
+                + (
+                    "regenerate the lattice with a larger max_keywords"
+                    if self.lattice is not None
+                    else "raise max_keywords"
+                )
+            )
         assignments: list[tuple[str, RelationInstance]] = []
         for position, (keyword, relation) in enumerate(
             interpretation.assignments, start=1
         ):
             if relation not in self.schema.relations:
                 raise BindingError(f"unknown relation {relation!r}")
-            if position > self.max_keywords:
-                raise BindingError(
-                    f"query has more keywords than the lattice has slots "
-                    f"({self.max_keywords}); regenerate with a larger "
-                    f"max_keywords"
-                )
             assignments.append((keyword, RelationInstance(relation, position)))
         return KeywordBinding(interpretation, tuple(assignments))
 
@@ -165,15 +181,10 @@ class KeywordBinder:
             return self.prune_direct(interpretation)
         started = time.perf_counter()
         binding = self.bind(interpretation)
-        nodes = self.lattice.nodes
-        retained = frozenset(
-            nodes[node_id].tree
-            for node_id in self.lattice.nodes_within(binding.instances)
-        )
         return PrunedLattice(
             schema=self.schema,
             binding=binding,
-            retained=retained,
+            retained=self.lattice.trees_within(binding.instances),
             pruning_time=time.perf_counter() - started,
         )
 
@@ -184,8 +195,9 @@ class KeywordBinder:
         plus one free copy per relation) up to ``max_joins + 1`` instances.
         This produces exactly the trees :meth:`prune` retains -- the
         offline lattice's value is amortizing this work across queries, not
-        changing its outcome -- and is how the level-7 experiments run
-        without materializing a level-7 lattice.
+        changing its outcome -- and is the reference the tests hold both
+        other paths to.  The debugger's direct mode runs
+        :meth:`prune_for_mtns` instead.
         """
         return self._generate(interpretation, mtn_targeted=False)
 

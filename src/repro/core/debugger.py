@@ -189,9 +189,10 @@ class NonAnswerDebugger:
     ):
         """Build the offline artifacts for ``database``.
 
-        ``use_lattice=False`` skips Phase 0 and generates each query's
-        retained sub-lattice directly (identical results, no offline cost);
-        that is how the high-level experiments run.  ``max_keywords`` caps
+        ``use_lattice=False`` skips Phase 0 and generates, per query, the
+        retained trees that are subtrees of potential MTNs
+        (:meth:`KeywordBinder.prune_for_mtns`; identical results, no
+        offline cost); that is how the high-level experiments run.  ``max_keywords`` caps
         the number of keyword slots the lattice materializes (defaults to
         the paper's ``max_joins + 1``).  ``free_copies > 1`` enables the
         multi-free-copy extension (direct mode only; see
@@ -293,8 +294,8 @@ class NonAnswerDebugger:
     def prune(self, mapping: KeywordMapping) -> list[PrunedLattice]:
         """Phase 1b: one pruned lattice per interpretation.
 
-        With a materialized lattice the retained nodes come off its
-        slot-signature index (:meth:`Lattice.nodes_within`); in direct mode
+        With a materialized lattice the retained trees come off its
+        slot-signature index (:meth:`Lattice.trees_within`); in direct mode
         it generates only the MTN-relevant trees (the rest of the pipeline
         needs nothing else; ``binder.prune_direct`` gives the complete set).
         """

@@ -10,9 +10,9 @@ generator in :mod:`repro.kws`.
 The **exploration graph** is the union of every MTN's descendant
 sub-lattice: all connected subtrees of all MTN trees, deduplicated, with
 
-* immediate parent/child edges (one leaf removed),
 * transitive descendant/ancestor sets as Python-int bitsets (cheap
-  ``&``/``|``/popcount at the sizes the paper reports), and
+  ``&``/``|``/popcount at the sizes the paper reports), built from the
+  immediate parent/child edges (one leaf removed), and
 * the instantiated :class:`~repro.relational.jointree.BoundQuery` per node.
 
 Every Phase-3 traversal strategy and both baselines run over this structure.
@@ -21,7 +21,7 @@ Every Phase-3 traversal strategy and both baselines run over this structure.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.binding import KeywordBinding, PrunedLattice, bind_tree
 from repro.core.canonical import canonical_code
@@ -67,8 +67,6 @@ class ExplorationNode:
     query: BoundQuery
     level: int
     is_mtn: bool = False
-    parents: list[int] = field(default_factory=list)
-    children: list[int] = field(default_factory=list)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         flag = " MTN" if self.is_mtn else ""
@@ -139,8 +137,10 @@ class ExplorationGraph:
         return mtn_index
 
     def finalize(self) -> "ExplorationGraph":
-        """Wire parent/child edges and compute ancestry bitsets."""
+        """Compute the ancestry bitsets from the parent/child edges."""
         started = time.perf_counter()
+        children: list[list[int]] = [[] for _ in self.nodes]
+        parents: list[list[int]] = [[] for _ in self.nodes]
         for node in self.nodes:
             if node.tree.size == 1:
                 continue
@@ -153,13 +153,13 @@ class ExplorationGraph:
                     # dropped by a max_explanation_level constraint; the
                     # recorded per-MTN descendant set bridges the gap below.
                     continue
-                node.children.append(child_index)
-                self.nodes[child_index].parents.append(node.index)
+                children[node.index].append(child_index)
+                parents[child_index].append(node.index)
         order = sorted(range(len(self.nodes)), key=lambda i: self.nodes[i].level)
         self.desc_mask = [0] * len(self.nodes)
         for index in order:  # ascending level: children first
             mask = 0
-            for child in self.nodes[index].children:
+            for child in children[index]:
                 mask |= (1 << child) | self.desc_mask[child]
             self.desc_mask[index] = mask
         for mtn_index, recorded in self._mtn_desc.items():
@@ -167,7 +167,7 @@ class ExplorationGraph:
         self.asc_mask = [0] * len(self.nodes)
         for index in reversed(order):  # descending level: parents first
             mask = 0
-            for parent in self.nodes[index].parents:
+            for parent in parents[index]:
                 mask |= (1 << parent) | self.asc_mask[parent]
             self.asc_mask[index] = mask
         for mtn_index in self.mtn_indexes:

@@ -108,7 +108,7 @@ def decode_query(payload: dict[str, Any]) -> BoundQuery:
 
 # -------------------------------------------------------- lattice save/load
 def save_lattice(lattice: Lattice, path: str | Path) -> None:
-    """Write a lattice (nodes, adjacency, stats, config) as JSON."""
+    """Write a lattice (trees, stats, config) as JSON."""
     stats = lattice.stats
     payload = {
         "format": FORMAT_VERSION,
@@ -119,13 +119,7 @@ def save_lattice(lattice: Lattice, path: str | Path) -> None:
         "free_copies": lattice.free_copies,
         "relations": sorted(lattice.schema.relations),
         "foreign_keys": sorted(lattice.schema.foreign_keys),
-        "nodes": [
-            {
-                "tree": encode_tree(node.tree),
-                "parents": sorted(node.parents),
-            }
-            for node in lattice.nodes
-        ],
+        "nodes": [{"tree": encode_tree(tree)} for tree in lattice],
         "stats": {
             "levels": stats.levels,
             "nodes_per_level": stats.nodes_per_level,
@@ -138,30 +132,41 @@ def save_lattice(lattice: Lattice, path: str | Path) -> None:
     _atomic_write_text(path, json.dumps(payload))
 
 
+def _read_artifact(path: str | Path, kind: str) -> dict[str, Any]:
+    """The JSON object in ``path``, checked to be a current ``kind`` file."""
+    try:
+        payload = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise PersistenceError(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise PersistenceError(f"{path} is not a JSON object")
+    if payload.get("kind") != kind or payload.get("format") != FORMAT_VERSION:
+        raise PersistenceError(
+            f"{path} is not a v{FORMAT_VERSION} {kind.replace('_', ' ')} file"
+        )
+    return payload
+
+
 def load_lattice(path: str | Path, schema: SchemaGraph) -> Lattice:
-    """Read a lattice saved by :func:`save_lattice` and re-link it.
+    """Read a lattice saved by :func:`save_lattice`.
 
     The file's relation/foreign-key names must match ``schema`` exactly;
-    node ids and adjacency are preserved.
+    the trees keep their saved order.  Files that still carry each node's
+    ``parents`` load too: the key is ignored.
     """
-    payload = json.loads(Path(path).read_text())
-    if payload.get("kind") != "lattice" or payload.get("format") != FORMAT_VERSION:
-        raise PersistenceError(f"{path} is not a v{FORMAT_VERSION} lattice file")
-    if payload["relations"] != sorted(schema.relations) or payload[
-        "foreign_keys"
-    ] != sorted(schema.foreign_keys):
-        raise PersistenceError(
-            f"{path} was generated for a different schema graph"
-        )
-    stats = payload.get("stats")
+    payload = _read_artifact(path, "lattice")
     try:
-        return Lattice.from_parts(
+        if payload["relations"] != sorted(schema.relations) or payload[
+            "foreign_keys"
+        ] != sorted(schema.foreign_keys):
+            raise PersistenceError(
+                f"{path} was generated for a different schema graph"
+            )
+        stats = payload.get("stats")
+        return Lattice.from_trees(
             schema,
             payload["max_joins"],
-            nodes=[
-                (decode_tree(entry["tree"]), entry["parents"])
-                for entry in payload["nodes"]
-            ],
+            [decode_tree(entry["tree"]) for entry in payload["nodes"]],
             max_keywords=payload["max_keywords"],
             distinct_slots=payload["distinct_slots"],
             free_copies=payload["free_copies"],
@@ -227,20 +232,7 @@ def load_report(path: str | Path) -> dict[str, Any]:
     that is not a well-formed current-version debug report, so a
     round-trip failure is loud.
     """
-    raw = Path(path).read_text()
-    try:
-        payload = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise PersistenceError(f"{path} is not valid JSON: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise PersistenceError(f"{path} is not a JSON object")
-    if (
-        payload.get("kind") != "debug_report"
-        or payload.get("format") != FORMAT_VERSION
-    ):
-        raise PersistenceError(
-            f"{path} is not a v{FORMAT_VERSION} debug report file"
-        )
+    payload = _read_artifact(path, "debug_report")
     for key in (
         "query",
         "keywords",

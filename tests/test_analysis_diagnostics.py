@@ -16,10 +16,11 @@ from repro.analysis.diagnostics import (
 def test_registry_covers_documented_codes():
     expected = {
         "PLAN001", "PLAN002", "PLAN003", "PLAN004", "PLAN005",
-        "PLAN006", "PLAN007", "SQL001", "SQL002",
+        "PLAN006", "SQL001", "SQL002",
         "LINT001", "LINT002", "LINT003",
     }
     assert expected <= set(CODE_REGISTRY)
+    assert "PLAN007" not in CODE_REGISTRY  # the lattice stores no links
     for code, slug, summary in describe_codes():
         assert code in CODE_REGISTRY
         assert slug and summary
@@ -32,13 +33,13 @@ def test_unregistered_code_rejected():
 
 def test_diagnostic_render_and_slug():
     diagnostic = Diagnostic(
-        "PLAN002", "not a tree", "lattice node 3", hint="rebuild it"
+        "PLAN002", "not a tree", "lattice tree 3", hint="rebuild it"
     )
     assert diagnostic.slug == "disconnected-tree"
     rendered = diagnostic.render()
     assert "PLAN002" in rendered
     assert "disconnected-tree" in rendered
-    assert "lattice node 3" in rendered
+    assert "lattice tree 3" in rendered
     assert "rebuild it" in rendered
 
 

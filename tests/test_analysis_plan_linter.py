@@ -22,7 +22,7 @@ from repro.analysis import (
     lint_tree,
 )
 from repro.core.binding import KeywordBinder
-from repro.core.lattice import generate_lattice
+from repro.core.lattice import Lattice, generate_lattice
 from repro.datasets.dblife import dblife_schema
 from repro.datasets.products import product_schema
 from repro.index.mapper import Interpretation
@@ -89,11 +89,11 @@ def test_fresh_dblife_lattice_has_zero_diagnostics():
 @settings(max_examples=30, deadline=None)
 @given(st.data())
 def test_removed_edge_yields_disconnected_tree(lattice, data):
-    eligible = [n for n in lattice.iter_nodes() if len(n.tree.edges) >= 2]
-    node = data.draw(st.sampled_from(eligible))
-    doomed = data.draw(st.sampled_from(sorted(node.tree.edges, key=str)))
+    eligible = [tree for tree in lattice if len(tree.edges) >= 2]
+    tree = data.draw(st.sampled_from(eligible))
+    doomed = data.draw(st.sampled_from(sorted(tree.edges, key=str)))
     corrupted = unchecked_tree(
-        node.tree.instances, node.tree.edges - {doomed}
+        tree.instances, tree.edges - {doomed}
     )
     found = lint_tree(corrupted, lattice.schema)
     assert any(d.code == "PLAN002" for d in found)
@@ -102,12 +102,12 @@ def test_removed_edge_yields_disconnected_tree(lattice, data):
 @settings(max_examples=30, deadline=None)
 @given(st.data())
 def test_dangling_fk_yields_plan001(lattice, data):
-    eligible = [n for n in lattice.iter_nodes() if n.tree.edges]
-    node = data.draw(st.sampled_from(eligible))
-    victim = data.draw(st.sampled_from(sorted(node.tree.edges, key=str)))
+    eligible = [tree for tree in lattice if tree.edges]
+    tree = data.draw(st.sampled_from(eligible))
+    victim = data.draw(st.sampled_from(sorted(tree.edges, key=str)))
     corrupted = unchecked_tree(
-        node.tree.instances,
-        (node.tree.edges - {victim}) | {replace(victim, fk="ghost_fk")},
+        tree.instances,
+        (tree.edges - {victim}) | {replace(victim, fk="ghost_fk")},
     )
     found = lint_tree(corrupted, lattice.schema)
     assert any(d.code == "PLAN001" for d in found)
@@ -116,9 +116,9 @@ def test_dangling_fk_yields_plan001(lattice, data):
 @settings(max_examples=30, deadline=None)
 @given(st.data())
 def test_wrong_join_column_yields_plan001(lattice, data):
-    eligible = [n for n in lattice.iter_nodes() if n.tree.edges]
-    node = data.draw(st.sampled_from(eligible))
-    victim = data.draw(st.sampled_from(sorted(node.tree.edges, key=str)))
+    eligible = [tree for tree in lattice if tree.edges]
+    tree = data.draw(st.sampled_from(eligible))
+    victim = data.draw(st.sampled_from(sorted(tree.edges, key=str)))
     relation = lattice.schema.relation(victim.a.relation)
     other_columns = [
         name for name in relation.attribute_names if name != victim.a_column
@@ -126,8 +126,8 @@ def test_wrong_join_column_yields_plan001(lattice, data):
     assume(other_columns)
     wrong = data.draw(st.sampled_from(other_columns))
     corrupted = unchecked_tree(
-        node.tree.instances,
-        (node.tree.edges - {victim}) | {replace(victim, a_column=wrong)},
+        tree.instances,
+        (tree.edges - {victim}) | {replace(victim, a_column=wrong)},
     )
     found = lint_tree(corrupted, lattice.schema)
     assert any(d.code == "PLAN001" for d in found)
@@ -137,17 +137,17 @@ def test_wrong_join_column_yields_plan001(lattice, data):
 @given(st.data())
 def test_swapped_slot_yields_duplicate_slot(lattice, data):
     eligible = [
-        n
-        for n in lattice.iter_nodes()
-        if sum(1 for i in n.tree.instances if not i.is_free) >= 2
+        tree
+        for tree in lattice
+        if sum(1 for i in tree.instances if not i.is_free) >= 2
     ]
-    node = data.draw(st.sampled_from(eligible))
-    bound = sorted(i for i in node.tree.instances if not i.is_free)
+    tree = data.draw(st.sampled_from(eligible))
+    bound = sorted(i for i in tree.instances if not i.is_free)
     victim = data.draw(st.sampled_from(bound))
     target = data.draw(st.sampled_from([i for i in bound if i != victim]))
     clone = RelationInstance(victim.relation, target.copy)
-    assume(clone not in node.tree.instances)
-    corrupted = rename_instance(node.tree, victim, clone)
+    assume(clone not in tree.instances)
+    corrupted = rename_instance(tree, victim, clone)
     found = lint_tree(
         corrupted,
         lattice.schema,
@@ -161,14 +161,14 @@ def test_swapped_slot_yields_duplicate_slot(lattice, data):
 @given(st.data())
 def test_overflowing_slot_yields_unbound_keyword_slot(lattice, data):
     eligible = [
-        n for n in lattice.iter_nodes()
-        if any(not i.is_free for i in n.tree.instances)
+        tree for tree in lattice
+        if any(not i.is_free for i in tree.instances)
     ]
-    node = data.draw(st.sampled_from(eligible))
-    bound = sorted(i for i in node.tree.instances if not i.is_free)
+    tree = data.draw(st.sampled_from(eligible))
+    bound = sorted(i for i in tree.instances if not i.is_free)
     victim = data.draw(st.sampled_from(bound))
     overflow = RelationInstance(victim.relation, lattice.max_keywords + 5)
-    corrupted = rename_instance(node.tree, victim, overflow)
+    corrupted = rename_instance(tree, victim, overflow)
     found = lint_tree(
         corrupted, lattice.schema, max_keywords=lattice.max_keywords
     )
@@ -205,22 +205,24 @@ def test_type_mismatched_fk_yields_plan003():
     assert any(d.code == "PLAN003" for d in found)
 
 
-def test_broken_lattice_link_yields_plan007(schema):
-    lattice = generate_lattice(schema, max_joins=1)
-    victim = next(n for n in lattice.iter_nodes() if n.parents)
-    # Break the mirror: the parent no longer lists the child back.
-    parent = lattice.node(victim.parents[0])
-    parent.children.remove(victim.node_id)
-    report = lint_lattice(lattice)
-    assert "PLAN007" in report.codes
-
-
-def test_mislabeled_level_yields_plan007(schema):
-    lattice = generate_lattice(schema, max_joins=1)
-    node = lattice.base_nodes()[0]
-    node.level = 2
-    report = lint_lattice(lattice)
-    assert "PLAN007" in report.codes
+def test_corrupted_lattice_tree_is_reported(lattice):
+    """lint_lattice lints every tree and names the corrupted one's position."""
+    trees = list(lattice)
+    position, victim = next(
+        (index, tree) for index, tree in enumerate(trees) if tree.edges
+    )
+    edge = min(victim.edges, key=str)
+    ghost = RelationInstance(edge.b.relation, lattice.max_keywords + 1)
+    trees[position] = unchecked_tree(
+        victim.instances, (victim.edges - {edge}) | {replace(edge, b=ghost)}
+    )
+    corrupted = Lattice.from_trees(lattice.schema, lattice.max_joins, trees)
+    report = lint_lattice(corrupted)
+    assert {"PLAN001", "PLAN002"} <= report.codes
+    assert all(
+        diagnostic.location.startswith(f"lattice tree {position} ")
+        for diagnostic in report.diagnostics
+    )
 
 
 # ------------------------------------------------------ candidate networks

@@ -207,11 +207,8 @@ class TestPrepareDryRun:
         report = lint_lattice_probes(lattice)
         assert report.ok, "\n" + report.render()
         assert len(report) == 0
-        assert len(prepared) == 2 * len(lattice.nodes)
-        assert any(
-            has_same_row_fan_in(node.tree, products_schema)
-            for node in lattice.nodes
-        )
+        assert len(prepared) == 2 * len(lattice)
+        assert any(has_same_row_fan_in(tree, products_schema) for tree in lattice)
         assert any(SEMI_JOIN.search(sql) for sql in prepared)
 
     def test_probe_without_postings_is_reported(

@@ -47,12 +47,15 @@ class TestBind:
             binder.bind(interp(("x", "Nope")))
 
     def test_too_many_keywords_rejected(self, products_db):
-        from repro.core.lattice import generate_lattice
-
+        """The message names the limit to raise: the lattice's slots, or
+        the level a query of that many keywords needs."""
         lattice = generate_lattice(products_db.schema, 1, max_keywords=1)
         binder = KeywordBinder(lattice)
-        with pytest.raises(BindingError):
+        with pytest.raises(BindingError, match="regenerate the lattice"):
             binder.bind(interp(("a", "Item"), ("b", "Color")))
+        direct = KeywordBinder(schema=products_db.schema, max_joins=1)
+        with pytest.raises(BindingError, match="raise --level"):
+            direct.bind(interp(("a", "Item"), ("b", "Color"), ("c", "Item")))
 
     def test_describe(self, binder):
         assert "red->Color[1]" in binder.bind(RED_CANDLE).describe()
@@ -68,15 +71,13 @@ class TestPrune:
             assert set(tree.instances) <= allowed
 
     def test_retained_exactly_matches_definition(self, binder):
-        """The prune retains exactly the lattice nodes over the alphabet."""
+        """The prune retains exactly the lattice trees over the alphabet."""
         pruned = binder.prune(RED_CANDLE)
         allowed = set(pruned.binding.instances) | {
             RelationInstance(name, 0) for name in binder.schema.relations
         }
         expected = {
-            node.tree
-            for node in binder.lattice.iter_nodes()
-            if set(node.tree.instances) <= allowed
+            tree for tree in binder.lattice if set(tree.instances) <= allowed
         }
         assert set(pruned.retained) == expected
 
@@ -173,25 +174,6 @@ def level3_lattices(tmp_path_factory):
     return lattices + [load_lattice(path, DBLIFE)]
 
 
-def paper_walk(lattice, allowed):
-    """Reference Phase 1: upward walk from the base, testing every parent."""
-    retained = set()
-    frontier = []
-    for node in lattice.base_nodes():
-        if node.tree.instances <= allowed:
-            retained.add(node.tree)
-            frontier.append(node.node_id)
-    seen = set(frontier)
-    while frontier:
-        for parent_id in lattice.node(frontier.pop()).parents:
-            parent = lattice.node(parent_id)
-            if parent_id not in seen and parent.tree.instances <= allowed:
-                seen.add(parent_id)
-                retained.add(parent.tree)
-                frontier.append(parent_id)
-    return retained
-
-
 class TestIndexedPruneProperty:
     """The slot-signature lookup keeps exactly the paper's retained set, and
     lattice and direct mode list their MTNs in one order."""
@@ -213,11 +195,8 @@ class TestIndexedPruneProperty:
                 RelationInstance(name, 0) for name in DBLIFE.relations
             }
             assert pruned.retained == {
-                node.tree
-                for node in lattice.iter_nodes()
-                if node.tree.instances <= allowed
+                tree for tree in lattice if tree.instances <= allowed
             }
-            assert pruned.retained == paper_walk(lattice, allowed)
             # Direct mode always has the free copies a lattice may lack.
             expected = [
                 tree

@@ -84,9 +84,11 @@ class TestEquivalenceWithTreeEquality:
         lattice = products_debugger.lattice
         schema = lattice.schema
         codes = {}
-        for node in lattice.level_nodes(2):
-            code = canonical_code(node.tree, schema)
+        for tree in lattice:
+            if tree.size != 2:
+                continue
+            code = canonical_code(tree, schema)
             assert code not in codes, (
-                f"collision: {node.tree.describe()} vs {codes[code].describe()}"
+                f"collision: {tree.describe()} vs {codes[code].describe()}"
             )
-            codes[code] = node.tree
+            codes[code] = tree

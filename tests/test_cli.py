@@ -105,6 +105,32 @@ class TestCommands:
         assert "answer queries" in capsys.readouterr().out
 
 
+class TestTooManyKeywords:
+    """Four keywords at level 3: one stderr line, exit 2, debugger closed."""
+
+    @pytest.mark.parametrize("command", ["debug", "trace"])
+    @pytest.mark.parametrize("mode", [[], ["--direct"]], ids=["lattice", "direct"])
+    def test_exits_two_with_one_line(self, capsys, monkeypatch, command, mode):
+        from repro.core.debugger import NonAnswerDebugger
+
+        closed = []
+        close = NonAnswerDebugger.close
+
+        def recording_close(debugger):
+            closed.append(debugger)
+            close(debugger)
+
+        monkeypatch.setattr(NonAnswerDebugger, "close", recording_close)
+        assert main([command, "saffron scented candle red", *mode]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"{command}: query has 4 keywords, but a join tree of at most 2 "
+            f"joins binds at most 3; raise --level (max_joins + 1) to at least 4\n"
+        )
+        assert len(closed) == 1
+
+
 class TestBenchGateExitStatus:
     """The timing gates run as plain commands: the exit status is the gate."""
 
@@ -248,21 +274,42 @@ class TestLintCommand:
         self, capsys, monkeypatch
     ):
         import json
+        from dataclasses import replace
 
         import repro.analysis.runner as runner
-        from repro.core.lattice import generate_lattice
+        from repro.core.lattice import Lattice, generate_lattice
+        from repro.relational.jointree import JoinTree, RelationInstance
 
         def corrupt_lattice(schema, max_joins, **kwargs):
+            """One tree rebuilt, unvalidated, with an edge to a non-member."""
             lattice = generate_lattice(schema, max_joins, **kwargs)
-            victim = next(n for n in lattice.iter_nodes() if n.parents)
-            lattice.node(victim.parents[0]).children.remove(victim.node_id)
-            return lattice
+            trees = list(lattice)
+            position = next(i for i, tree in enumerate(trees) if tree.edges)
+            victim = trees[position]
+            edge = min(victim.edges, key=str)
+            ghost = RelationInstance(edge.b.relation, lattice.max_keywords + 1)
+            edges = (victim.edges - {edge}) | {replace(edge, b=ghost)}
+            adjacency = {
+                instance: tuple(e for e in edges if instance in (e.a, e.b))
+                for instance in victim.instances
+            }
+            trees[position] = JoinTree._unchecked(
+                victim.instances, frozenset(edges), adjacency
+            )
+            return Lattice.from_trees(
+                schema,
+                max_joins,
+                trees,
+                max_keywords=lattice.max_keywords,
+                distinct_slots=lattice.distinct_slots,
+                free_copies=lattice.free_copies,
+            )
 
         monkeypatch.setattr(runner, "generate_lattice", corrupt_lattice)
         assert main(["lint", "--json", "--no-repo"]) == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["ok"] is False
-        assert "PLAN007" in {d["code"] for d in payload["diagnostics"]}
+        assert {"PLAN001", "PLAN002"} <= {d["code"] for d in payload["diagnostics"]}
 
 
 class TestLintContract:

@@ -33,7 +33,7 @@ class TestExample2:
             rs_schema, 1, distinct_slots=False, free_copies=False
         )
         assert lattice.stats.nodes_per_level == [4, 4]  # R1 R2 S1 S2; 4 joins
-        level2 = {node.tree.describe() for node in lattice.level_nodes(2)}
+        level2 = {tree.describe() for tree in lattice if tree.size == 2}
         assert level2 == {
             "R[1] ⋈ S[1]",
             "R[1] ⋈ S[2]",
@@ -43,13 +43,13 @@ class TestExample2:
 
     def test_distinct_slots_drop_unreachable_combinations(self, rs_schema):
         lattice = generate_lattice(rs_schema, 1, free_copies=False)
-        level2 = {node.tree.describe() for node in lattice.level_nodes(2)}
+        level2 = {tree.describe() for tree in lattice if tree.size == 2}
         # R1⋈S1 and R2⋈S2 can never be retained by any query.
         assert level2 == {"R[1] ⋈ S[2]", "R[2] ⋈ S[1]"}
 
     def test_free_copies_add_r0_s0(self, rs_schema):
         lattice = generate_lattice(rs_schema, 1)
-        base = {node.tree.describe() for node in lattice.base_nodes()}
+        base = {tree.describe() for tree in lattice if tree.size == 1}
         assert "R[0]" in base and "S[0]" in base
 
     def test_duplicates_counted(self, rs_schema):
@@ -62,52 +62,39 @@ class TestExample2:
 
 class TestInvariants:
     def test_levels_and_sizes(self, products_debugger):
+        """Trees come level by level, as many per level as the stats say."""
         lattice = products_debugger.lattice
-        for level in range(1, lattice.levels + 1):
-            for node in lattice.level_nodes(level):
-                assert node.tree.size == level
-                assert node.level == level
-
-    def test_children_are_leaf_removals(self, products_debugger):
-        lattice = products_debugger.lattice
-        for node in lattice.level_nodes(3):
-            child_trees = {child.instances for child in node.tree.child_subtrees()}
-            linked = {
-                lattice.node(child_id).tree.instances for child_id in node.children
-            }
-            assert child_trees == linked
+        sizes = [tree.size for tree in lattice]
+        assert sizes == sorted(sizes)
+        assert [sizes.count(level) for level in range(1, lattice.levels + 1)] == (
+            lattice.stats.nodes_per_level
+        )
 
     def test_every_subtree_is_a_lattice_node(self, products_debugger):
-        """Downward closure: Phase 1's upward walk depends on it."""
+        """Downward closure: the slot-signature index is exact only with it."""
         lattice = products_debugger.lattice
-        for node in lattice.level_nodes(lattice.levels):
-            for subtree in node.tree.connected_subtrees():
-                assert lattice.lookup(subtree) is not None
-
-    def test_parent_links_are_symmetric(self, products_debugger):
-        lattice = products_debugger.lattice
-        for node in lattice.iter_nodes():
-            for parent_id in node.parents:
-                assert node.node_id in lattice.node(parent_id).children
+        for tree in lattice:
+            if tree.size == lattice.levels:
+                for subtree in tree.connected_subtrees():
+                    assert subtree in lattice
 
     def test_no_duplicate_trees(self, products_debugger):
-        lattice = products_debugger.lattice
-        trees = [node.tree for node in lattice.iter_nodes()]
+        trees = list(products_debugger.lattice)
         assert len(set(trees)) == len(trees)
 
     def test_distinct_slots_enforced(self, products_debugger):
-        for node in products_debugger.lattice.iter_nodes():
+        for tree in products_debugger.lattice:
             slots = [
                 instance.copy
-                for instance in node.tree.instances
+                for instance in tree.instances
                 if not instance.is_free
             ]
             assert len(slots) == len(set(slots))
 
     def test_max_keywords_caps_slots(self, products_db):
         lattice = generate_lattice(products_db.schema, 2, max_keywords=1)
-        for node in lattice.iter_nodes():
-            slots = {i.copy for i in node.tree.instances if not i.is_free}
+        for tree in lattice:
+            slots = {i.copy for i in tree.instances if not i.is_free}
             assert slots <= {1}
 
     def test_stats_consistency(self, products_debugger):

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from repro.core.binding import KeywordBinder
 from repro.core.mtn import (
     build_exploration_graph,
     find_mtns,
@@ -34,6 +35,13 @@ def pruned(products_debugger):
 @pytest.fixture(scope="module")
 def graph(products_debugger, pruned):
     return build_exploration_graph([pruned])
+
+
+@pytest.fixture(scope="module")
+def deep_graph(products_db):
+    """Level 4: non-MTN nodes of three instances have grandchildren."""
+    binder = KeywordBinder(schema=products_db.schema, max_joins=3)
+    return build_exploration_graph([binder.prune_for_mtns(SAFFRON_Q1)])
 
 
 class TestFindMtns:
@@ -73,20 +81,24 @@ class TestExplorationGraph:
                 ]
                 assert matches
 
-    def test_parent_child_consistency(self, graph):
-        for node in graph.nodes:
-            for child_index in node.children:
-                child = graph.node(child_index)
-                assert child.tree.is_subtree_of(node.tree)
-                assert child.level == node.level - 1
-                assert node.index in child.parents
-
-    def test_masks_match_structure(self, graph):
-        for node in graph.nodes:
-            for other_index in graph.bits(graph.desc_mask[node.index]):
-                assert graph.node(other_index).tree.is_subtree_of(node.tree)
-            for other_index in graph.bits(graph.asc_mask[node.index]):
-                assert node.tree.is_subtree_of(graph.node(other_index).tree)
+    def test_masks_match_structure(self, graph, deep_graph):
+        """Every mask member is a strict sub- or super-query, and every
+        strict sub-query in the graph is in the descendant mask."""
+        for explored in (graph, deep_graph):
+            for node in explored.nodes:
+                for other_index in explored.bits(explored.desc_mask[node.index]):
+                    other = explored.node(other_index)
+                    assert other.tree.is_subtree_of(node.tree)
+                for other_index in explored.bits(explored.asc_mask[node.index]):
+                    other = explored.node(other_index)
+                    assert node.tree.is_subtree_of(other.tree)
+                for other in explored.nodes:
+                    if (
+                        other.index != node.index
+                        and other.tree.is_subtree_of(node.tree)
+                        and node.query.subquery(other.tree) == other.query
+                    ):
+                        assert (explored.desc_mask[node.index] >> other.index) & 1
 
     def test_mtns_are_maximal(self, graph):
         """No exploration node strictly contains an MTN (minimality)."""

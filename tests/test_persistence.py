@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+from repro.core.binding import KeywordBinder
+from repro.core.debugger import NonAnswerDebugger
 from repro.core.lattice import Lattice
 from repro.core.persistence import (
     PersistenceError,
@@ -17,12 +19,15 @@ from repro.core.persistence import (
     save_lattice,
     save_report,
 )
+from repro.index.mapper import Interpretation
+from repro.relational.jointree import RelationInstance
 
 
 class TestTreeRoundtrip:
     def test_encode_decode(self, products_debugger):
-        for node in products_debugger.lattice.level_nodes(3)[:20]:
-            assert decode_tree(encode_tree(node.tree)) == node.tree
+        level3 = [tree for tree in products_debugger.lattice if tree.size == 3]
+        for tree in level3[:20]:
+            assert decode_tree(encode_tree(tree)) == tree
 
     def test_malformed_payload(self):
         with pytest.raises(PersistenceError):
@@ -36,13 +41,9 @@ class TestLatticeRoundtrip:
         save_lattice(lattice, path)
         loaded = load_lattice(path, lattice.schema)
 
-        assert len(loaded) == len(lattice)
         assert loaded.max_joins == lattice.max_joins
         assert loaded.max_keywords == lattice.max_keywords
-        for original, restored in zip(lattice.nodes, loaded.nodes):
-            assert original.tree == restored.tree
-            assert sorted(original.parents) == sorted(restored.parents)
-            assert sorted(original.children) == sorted(restored.children)
+        assert list(loaded) == list(lattice)
         assert loaded.stats.nodes_per_level == lattice.stats.nodes_per_level
 
     def test_loaded_lattice_answers_queries(self, products_db, products_debugger, tmp_path):
@@ -64,10 +65,68 @@ class TestLatticeRoundtrip:
         with pytest.raises(PersistenceError, match="different schema"):
             load_lattice(path, dblife_db.schema)
 
+    def test_file_with_parent_links_still_loads(
+        self, products_db, products_debugger, tmp_path
+    ):
+        """Files written while the lattice kept its Hasse-diagram edges
+        carry each node's ``parents``; the loader ignores them."""
+        lattice = products_debugger.lattice
+        position = {tree: index for index, tree in enumerate(lattice)}
+        parents = [[] for _ in position]
+        for tree, index in position.items():
+            for child in tree.child_subtrees():
+                parents[position[child]].append(index)
+        path = tmp_path / "lattice.json"
+        save_lattice(lattice, path)
+        payload = json.loads(path.read_text())
+        for entry, links in zip(payload["nodes"], parents):
+            entry["parents"] = sorted(links)
+        path.write_text(json.dumps(payload))
+
+        loaded = load_lattice(path, products_db.schema)
+        assert list(loaded) == list(lattice)
+        binder, reloaded = KeywordBinder(lattice), KeywordBinder(loaded)
+        for interpretation in (
+            Interpretation((("red", "Color"), ("candle", "ProductType"))),
+            Interpretation((("saffron", "Item"), ("scented", "Item"))),
+        ):
+            assert (
+                reloaded.prune(interpretation).retained
+                == binder.prune(interpretation).retained
+            )
+        debugger = NonAnswerDebugger(products_db, lattice=loaded)
+        report = debugger.debug("saffron scented candle")
+        debugger.close()
+        baseline = products_debugger.debug("saffron scented candle")
+        assert [q.describe_full() for q in report.non_answers()] == [
+            q.describe_full() for q in baseline.non_answers()
+        ]
+
     def test_wrong_kind_rejected(self, tmp_path, products_db):
         path = tmp_path / "bogus.json"
         path.write_text(json.dumps({"kind": "nonsense", "format": 1}))
         with pytest.raises(PersistenceError):
+            load_lattice(path, products_db.schema)
+
+    def test_non_json_file_rejected(self, tmp_path, products_db):
+        path = tmp_path / "lattice.json"
+        path.write_text("{not json")
+        with pytest.raises(PersistenceError, match="not valid JSON"):
+            load_lattice(path, products_db.schema)
+
+    def test_json_array_rejected(self, tmp_path, products_db):
+        path = tmp_path / "lattice.json"
+        path.write_text("[]")
+        with pytest.raises(PersistenceError, match="not a JSON object"):
+            load_lattice(path, products_db.schema)
+
+    def test_missing_relations_rejected(self, products_debugger, products_db, tmp_path):
+        path = tmp_path / "lattice.json"
+        save_lattice(products_debugger.lattice, path)
+        payload = json.loads(path.read_text())
+        del payload["relations"]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(PersistenceError, match="corrupt lattice file"):
             load_lattice(path, products_db.schema)
 
 
@@ -130,38 +189,28 @@ class TestAtomicWrites:
 
 
 class TestFromParts:
+    """:meth:`Lattice.from_trees`, the loader's constructor."""
+
     def test_rebuilds_identical_lattice(self, products_debugger):
         lattice = products_debugger.lattice
-        rebuilt = Lattice.from_parts(
+        rebuilt = Lattice.from_trees(
             lattice.schema,
             lattice.max_joins,
-            nodes=[(node.tree, node.parents) for node in lattice.nodes],
+            lattice,
             max_keywords=lattice.max_keywords,
             distinct_slots=lattice.distinct_slots,
             free_copies=lattice.free_copies,
             stats=lattice.stats,
         )
-        assert len(rebuilt) == len(lattice)
-        for original, restored in zip(lattice.nodes, rebuilt.nodes):
-            assert original.tree == restored.tree
-            assert sorted(original.parents) == sorted(restored.parents)
-            assert sorted(original.children) == sorted(restored.children)
+        assert list(rebuilt) == list(lattice)
+        bound = frozenset(RelationInstance("Item", slot) for slot in (1, 2))
+        assert rebuilt.trees_within(bound) == lattice.trees_within(bound)
 
     def test_duplicate_tree_rejected(self, products_debugger):
         lattice = products_debugger.lattice
-        tree = lattice.nodes[0].tree
+        tree = next(iter(lattice))
         with pytest.raises(ValueError, match="duplicate join tree"):
-            Lattice.from_parts(
-                lattice.schema, lattice.max_joins, nodes=[(tree, []), (tree, [])]
-            )
-
-    def test_dangling_parent_rejected(self, products_debugger):
-        lattice = products_debugger.lattice
-        tree = lattice.nodes[0].tree
-        with pytest.raises(ValueError, match="dangling parent"):
-            Lattice.from_parts(
-                lattice.schema, lattice.max_joins, nodes=[(tree, [99])]
-            )
+            Lattice.from_trees(lattice.schema, lattice.max_joins, [tree, tree])
 
     def test_corrupt_lattice_file_is_persistence_error(
         self, products_debugger, products_db, tmp_path

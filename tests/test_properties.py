@@ -108,11 +108,11 @@ class TestCanonicalInvariance:
     def test_shuffled_construction_same_code(self, data, products_debugger):
         """Rebuilding a lattice tree in any edge order gives the same code."""
         lattice = products_debugger.lattice
-        node = data.draw(
-            st.sampled_from([n for n in lattice.nodes if n.level >= 2])
+        original = data.draw(
+            st.sampled_from([tree for tree in lattice if tree.size >= 2])
         )
         edges = data.draw(st.permutations(sorted(
-            node.tree.edges, key=lambda e: (e.a, e.a_column, e.b, e.b_column)
+            original.edges, key=lambda e: (e.a, e.a_column, e.b, e.b_column)
         )))
         # Rebuild by repeatedly attaching any edge touching the current tree.
         pending = list(edges)
@@ -130,19 +130,18 @@ class TestCanonicalInvariance:
                     tree = tree.extend(edge, new_end)
                     pending.remove(edge)
         schema = lattice.schema
-        assert canonical_code(tree, schema) == canonical_code(node.tree, schema)
+        assert canonical_code(tree, schema) == canonical_code(original, schema)
 
     @SETTINGS
     @given(data=st.data())
     def test_code_equality_iff_tree_equality(self, data, products_debugger):
         lattice = products_debugger.lattice
         schema = lattice.schema
-        one = data.draw(st.sampled_from(lattice.nodes))
-        other = data.draw(st.sampled_from(lattice.nodes))
-        codes_equal = canonical_code(one.tree, schema) == canonical_code(
-            other.tree, schema
-        )
-        assert codes_equal == (one.tree == other.tree)
+        trees = list(lattice)
+        one = data.draw(st.sampled_from(trees))
+        other = data.draw(st.sampled_from(trees))
+        codes_equal = canonical_code(one, schema) == canonical_code(other, schema)
+        assert codes_equal == (one == other)
 
 
 class TestMonotonicity:

@@ -41,7 +41,7 @@ class TestRules:
 
     def test_conflicting_classification_raises(self, graph, store):
         mtn = graph.mtn_indexes[0]
-        child = graph.node(mtn).children[0]
+        child = graph.bits(graph.desc_mask[mtn])[0]
         store.mark_dead(child, evaluated=True)  # MTN now dead via R2
         with pytest.raises(InconsistentStatusError):
             store.mark_alive(mtn, evaluated=True)
@@ -49,7 +49,7 @@ class TestRules:
     def test_conflicting_dead_after_alive_raises(self, graph, store):
         mtn = graph.mtn_indexes[0]
         store.mark_alive(mtn, evaluated=True)
-        child = graph.node(mtn).children[0]
+        child = graph.bits(graph.desc_mask[mtn])[0]
         with pytest.raises(InconsistentStatusError):
             store.mark_dead(child, evaluated=True)
 
