@@ -8,10 +8,10 @@ Two tiers serve aliveness probes before the backend does:
   keyed by canonical query code + the relation-fingerprint vector of the
   probed join path, shared by every session pointed at the directory.
 
-The same file persists whole-run classification facts per workload, so
-an exact repeat skips Phase 3 and a mutated repeat pre-seeds the status
-store with everything still provable.  Mutations are *repaired* by one
-monotone rule (:func:`monotone_survives`), not nuked.
+The same file persists classification facts per workload.  Mutations
+*repair* probes and facts by one monotone rule (:func:`monotone_survives`)
+instead of nuking them, and a repeat replays the surviving facts through
+R1/R2, skipping Phase 3 whenever they resolve its graph.
 
 See :mod:`repro.cache.store` for the store and its invalidation
 semantics, and :mod:`repro.cache.keys` for the canonical key

@@ -16,12 +16,14 @@ classifications Phase 3 derives from them died with the process.
   (:func:`query_cache_key`, stable across processes and isomorphic
   relabelings).  The evaluator consults it after missing its in-process
   LRU (L1) and writes through on every executed probe.
-* ``runs`` and ``status_facts`` -- after a complete, unbudgeted traversal
-  the debugger saves one fact per classified exploration node (canonical
-  key, join-path relations, aliveness, whether it was probed) under a
+* ``runs`` and ``status_facts`` -- after an unconstrained traversal that
+  did not exhaust its budget, or when an interactive session explains
+  all or closes, the debugger saves one fact per classified exploration
+  node (canonical key, join-path relations, aliveness) under a
   **workload key** (keyword multiset + match mode + lattice shape),
-  stamped with the database snapshot the run saw.  An exact repeat
-  (same composite fingerprint, complete run) skips Phase 3 outright.
+  stamped with the database snapshot the run saw.  A later run replays
+  what :meth:`ProbeCache.load` returns through R1/R2 and skips Phase 3
+  whenever that resolves its graph.
 
 A mutated database *repairs* both instead of evicting them wholesale,
 by one rule (:func:`monotone_survives`): the paper's monotonicity read
@@ -68,7 +70,7 @@ CACHE_FILENAME = "cache.sqlite"
 
 #: Bumped whenever the on-disk layout changes; a mismatched file is
 #: rebuilt from scratch (cached answers are only ever an optimization).
-CACHE_SCHEMA_VERSION = 1
+CACHE_SCHEMA_VERSION = 2
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS meta (
@@ -84,14 +86,12 @@ CREATE TABLE IF NOT EXISTS probes (
 ) WITHOUT ROWID;
 CREATE TABLE IF NOT EXISTS runs (
     workload_key TEXT NOT NULL PRIMARY KEY,
-    snapshot     TEXT NOT NULL,
-    complete     INTEGER NOT NULL
+    snapshot     TEXT NOT NULL
 ) WITHOUT ROWID;
 CREATE TABLE IF NOT EXISTS status_facts (
     workload_key TEXT NOT NULL,
     node_key     TEXT NOT NULL,
     alive        INTEGER NOT NULL,
-    evaluated    INTEGER NOT NULL,
     relations    TEXT NOT NULL,
     PRIMARY KEY (workload_key, node_key)
 ) WITHOUT ROWID
@@ -147,23 +147,21 @@ class StatusFact:
     node_key: str
     relations: tuple[str, ...]
     alive: bool
-    evaluated: bool
 
 
 @dataclass(frozen=True)
 class StatusLoad:
     """Facts recovered for one workload, already repaired if stale.
 
-    ``exact`` means the persisted run saw byte-identical content
-    (composite fingerprints match); combined with ``complete`` it
-    licenses skipping Phase 3 outright.  Otherwise ``facts`` holds only
-    the classifications the monotone repair rule could keep, and
-    ``dropped`` counts the casualties.
+    ``facts`` holds every saved classification that no write since its
+    run can have flipped (:func:`fact_survives`): all of them when the
+    content is unchanged.  ``directions`` names each relation that
+    changed since then and ``dropped`` counts the facts it cost.  The
+    debugger replays the facts through R1/R2 and skips Phase 3 when they
+    resolve the graph, whatever the snapshot.
     """
 
     workload_key: str
-    exact: bool
-    complete: bool
     facts: tuple[StatusFact, ...]
     directions: Mapping[str, str]
     dropped: int
@@ -284,9 +282,13 @@ class ProbeCache:
             self._connection = sqlite3.connect(
                 str(self.path), check_same_thread=False
             )
-            self._migrate_locked()
-            self.last_repair = self._repair_locked(tracer)
-        except sqlite3.Error as exc:  # pragma: no cover - disk-level failures
+            try:
+                self._migrate_locked()
+                self.last_repair = self._repair_locked(tracer)
+            except BaseException:
+                self._connection.close()
+                raise
+        except sqlite3.Error as exc:
             raise ProbeCacheError(f"cannot open cache at {path}: {exc}")
 
     @classmethod
@@ -459,13 +461,8 @@ class ProbeCache:
             self.writes += 1
 
     # ------------------------------------------------------ status facts
-    def save(
-        self,
-        workload_key: str,
-        facts: Iterable[StatusFact],
-        complete: bool = True,
-    ) -> int:
-        """Persist the classification facts of one finished run.
+    def save(self, workload_key: str, facts: Iterable[StatusFact]) -> int:
+        """Persist the classification facts of one run.
 
         Replaces whatever the workload key held before (last run wins)
         and stamps the database snapshot the run was computed against.
@@ -476,7 +473,6 @@ class ProbeCache:
                 workload_key,
                 fact.node_key,
                 int(fact.alive),
-                int(fact.evaluated),
                 ",".join(sorted(fact.relations)),
             )
             for fact in facts
@@ -489,14 +485,12 @@ class ProbeCache:
             )
             self._connection.executemany(
                 "INSERT INTO status_facts "
-                "(workload_key, node_key, alive, evaluated, relations) "
-                "VALUES (?, ?, ?, ?, ?)",
+                "(workload_key, node_key, alive, relations) VALUES (?, ?, ?, ?)",
                 rows,
             )
             self._connection.execute(
-                "INSERT OR REPLACE INTO runs (workload_key, snapshot, complete) "
-                "VALUES (?, ?, ?)",
-                (workload_key, snapshot, int(complete)),
+                "INSERT OR REPLACE INTO runs (workload_key, snapshot) VALUES (?, ?)",
+                (workload_key, snapshot),
             )
             self._connection.commit()
             self.saves += 1
@@ -514,13 +508,13 @@ class ProbeCache:
         with self._lock:
             self._ensure_open_locked()
             run = self._connection.execute(
-                "SELECT snapshot, complete FROM runs WHERE workload_key = ?",
+                "SELECT snapshot FROM runs WHERE workload_key = ?",
                 (workload_key,),
             ).fetchone()
             if run is None:
                 return None
             rows = self._connection.execute(
-                "SELECT node_key, alive, evaluated, relations "
+                "SELECT node_key, alive, relations "
                 "FROM status_facts WHERE workload_key = ? ORDER BY node_key",
                 (workload_key,),
             ).fetchall()
@@ -530,9 +524,8 @@ class ProbeCache:
                 node_key=node_key,
                 relations=tuple(label.split(",")) if label else (),
                 alive=bool(alive),
-                evaluated=bool(evaluated),
             )
-            for node_key, alive, evaluated, label in rows
+            for node_key, alive, label in rows
         )
         # Equal composites give an empty delta, so every fact survives.
         delta = DatabaseDelta.between(stored, current)
@@ -541,8 +534,6 @@ class ProbeCache:
         )
         return StatusLoad(
             workload_key=workload_key,
-            exact=stored.composite == current.composite,
-            complete=bool(run[1]),
             facts=survivors,
             directions=_directions_label(delta),
             dropped=len(facts) - len(survivors),

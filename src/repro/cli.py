@@ -23,6 +23,7 @@ from typing import Any
 from repro.backends import BACKEND_NAMES
 from repro.bench.context import BenchContext
 from repro.bench.experiments import EXPERIMENTS, run_experiment
+from repro.cache import ProbeCacheError
 from repro.core.binding import BindingError
 from repro.core.debugger import NonAnswerDebugger
 from repro.core.traversal import STRATEGY_NAMES
@@ -79,8 +80,8 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
         help=(
             "persist probe results and status facts here, in one "
             "cache.sqlite (keyed by per-relation fingerprints, repaired "
-            "after writes); a repeat run over an unchanged dataset skips "
-            "its probes"
+            "after writes); a repeat run skips its traversal whenever the "
+            "facts that survive the writes since resolve it"
         ),
     )
 
@@ -130,9 +131,6 @@ def _cmd_debug(args: argparse.Namespace) -> int:
         started = time.perf_counter()
         report = debugger.debug(args.query)
         elapsed = time.perf_counter() - started
-    except BindingError as error:
-        print(f"debug: {error}", file=sys.stderr)
-        return 2
     finally:
         debugger.close()
     print(report.render(max_items=args.max_items))
@@ -254,9 +252,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     debugger = _build_debugger(args, tracer=tracer)
     try:
         report = debugger.debug(args.query, budget=budget)
-    except BindingError as error:
-        print(f"trace: {error}", file=sys.stderr)
-        return 2
     finally:
         debugger.close()
     for record in tracer.records:
@@ -723,9 +718,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; a query the level cannot bind or an unusable cache
+    file ends it with one stderr line and exit 2 (each command releases
+    what it built on the way out)."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (BindingError, ProbeCacheError) as error:
+        print(f"{args.command}: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

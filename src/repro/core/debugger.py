@@ -27,6 +27,7 @@ from repro.core.lattice import Lattice, generate_lattice
 from repro.core.mtn import ExplorationGraph, build_exploration_graph
 from repro.core.status import InconsistentStatusError, Status, StatusStore
 from repro.core.traversal import TraversalResult, TraversalStrategy, get_strategy
+from repro.core.traversal.base import seed_base_levels
 from repro.index import IndexBackend, create_index
 from repro.index.mapper import KeywordMapper, KeywordMapping
 from repro.obs.budget import ProbeBudget
@@ -211,12 +212,14 @@ class NonAnswerDebugger:
         (:class:`repro.cache.ProbeCache`): probe answers keyed by the
         relation-fingerprint vector of each probed join path, the L2 tier
         of every reuse-enabled evaluator this debugger makes, and
-        whole-run classification facts per workload.  A second session
-        over an unchanged database answers previously probed nodes with
-        zero backend queries and skips Phase 3 entirely on an exact
-        workload repeat; after a mutation both are repaired (monotone
-        survivors kept), not discarded.  The sqlite index lives there too
-        and is repaired per relation on reopen.
+        classification facts per workload.  A second session over an
+        unchanged database answers previously probed nodes with zero
+        backend queries.  An unconstrained :meth:`debug` skips Phase 3
+        whenever the workload's facts, replayed through R1/R2
+        (:meth:`replay_status`), resolve its graph -- after a write too,
+        since a mutation repairs both facts and probes (monotone
+        survivors kept) instead of discarding them.  The sqlite index
+        lives there too and is repaired per relation on reopen.
 
         When construction raises, everything built so far is released.
         """
@@ -324,144 +327,96 @@ class NonAnswerDebugger:
             self.binder.free_copies,
         )
 
-    def _node_key_index(self, graph: ExplorationGraph) -> dict[str, list[int]]:
-        by_key: dict[str, list[int]] = {}
-        for index in range(len(graph)):
-            key = query_cache_key(graph.node(index).query, self.schema)
-            by_key.setdefault(key, []).append(index)
-        return by_key
+    def node_keys(self, graph: ExplorationGraph) -> list[str]:
+        """Each node's canonical cache key, by index; empty without a cache.
 
-    def _facts_from_stores(
-        self, graph: ExplorationGraph, stores: "Iterable[StatusStore]"
-    ) -> list[StatusFact]:
-        """Merge every store's classifications into per-node facts."""
-        merged: dict[int, tuple[bool, bool]] = {}
-        for store in stores:
-            known = (store.alive_mask | store.dead_mask) & store.domain
-            for index in graph.bits(known):
-                alive = bool((store.alive_mask >> index) & 1)
-                evaluated = bool((store.evaluated_mask >> index) & 1)
-                previous = merged.get(index)
-                merged[index] = (
-                    alive,
-                    evaluated or (previous[1] if previous else False),
-                )
-        facts = []
-        for index, (alive, evaluated) in sorted(merged.items()):
-            node = graph.node(index)
-            facts.append(
-                StatusFact(
-                    node_key=query_cache_key(node.query, self.schema),
-                    relations=tuple(sorted(node.query.tree.relations())),
-                    alive=alive,
-                    evaluated=evaluated,
-                )
-            )
-        return facts
-
-    def _replay_facts(
-        self,
-        graph: ExplorationGraph,
-        facts: tuple[StatusFact, ...],
-        keep_evaluated: bool,
-    ) -> tuple[StatusStore, int] | None:
-        """Record ``facts`` onto a fresh store of ``graph``.
-
-        Each fact classifies every node with its canonical key that the
-        replay has not classified yet (R1/R2 closure may have).  With
-        ``keep_evaluated`` the facts keep their probed flag; without it
-        they count as inferred.  Returns the store and the number of nodes
-        recorded, or None when the facts contradict each other (a
-        corrupt file).
+        Computed once per graph and handed to both :meth:`replay_status`
+        and :meth:`save_status`.
         """
-        store = StatusStore(graph)
-        by_key = self._node_key_index(graph)
-        applied = 0
-        try:
-            for fact in facts:
-                for index in by_key.get(fact.node_key, []):
-                    if not store.is_known(index):
-                        store.record(
-                            index,
-                            fact.alive,
-                            evaluated=keep_evaluated and fact.evaluated,
-                        )
-                        applied += 1
-        except InconsistentStatusError:  # pragma: no cover - corrupt file
-            return None
-        return store, applied
+        if self.cache is None:
+            return []
+        return [query_cache_key(node.query, self.schema) for node in graph.nodes]
 
-    def _result_from_facts(
-        self,
-        graph: ExplorationGraph,
-        facts: tuple[StatusFact, ...],
-        strategy_name: str,
-    ) -> TraversalResult | None:
-        """Rebuild a complete traversal result from persisted facts.
-
-        Returns None when the facts cannot fully resolve the graph (a
-        defensive fallback -- an exact, complete run always can): the
-        caller then traverses cold instead of reporting partial output.
-        """
-        replayed = self._replay_facts(graph, facts, keep_evaluated=True)
-        if replayed is None:
-            return None
-        store, _ = replayed
-        if not self._store_resolves_graph(graph, store):
-            return None
-        result = TraversalResult(strategy_name, graph)
-        for mtn_index in graph.mtn_indexes:
-            result.stores[mtn_index] = store
-            if store.status(mtn_index) is Status.ALIVE:
-                result.alive_mtns.append(mtn_index)
-            else:
-                result.dead_mtns.append(mtn_index)
-                result.mpans[mtn_index] = store.mpans_of(mtn_index)
-        result.alive_mtns.sort()
-        result.dead_mtns.sort()
-        return result
-
-    def preload_session_store(
+    def replay_status(
         self,
         mapping: KeywordMapping,
         graph: ExplorationGraph,
-        store: StatusStore,
+        keys: list[str],
         tracer: ProbeTracer | None = None,
-    ) -> int:
-        """Seed an interactive session's store from persisted facts.
+    ) -> tuple[StatusStore, int]:
+        """A fresh store of ``graph`` holding everything the cache proves.
 
-        Exact facts load verbatim; stale ones arrive already repaired by
-        :meth:`ProbeCache.load` and are replayed through
-        ``mark_alive``/``mark_dead``, so R1/R2 closure re-derives every
-        implication on the survivors.  The replay happens on a scratch
-        store first -- an inconsistency (corrupt file) discards the whole
-        preload instead of poisoning the session.  Returns the number of
-        nodes classified.
+        Level 1 is seeded from the catalog (:func:`seed_base_levels`),
+        then each fact :meth:`ProbeCache.load` keeps for the workload --
+        exact, or repaired against its own run's snapshot -- is recorded
+        on every node with its key, so R1/R2 closure re-derives what the
+        facts imply.  A fact that disagrees with a status already known
+        marks the whole set corrupt: the seeded store comes back with
+        none of it applied.  Returns the store and the number of facts
+        replayed.
         """
-        if self.cache is None:
-            return 0
-        load = self.cache.load(self.workload_key(mapping))
-        if load is None or not load.facts:
-            return 0
-        replayed = self._replay_facts(graph, load.facts, keep_evaluated=False)
-        if replayed is None:
-            return 0
-        scratch, applied = replayed
+        store = self._seeded_store(graph)
+        load = None
+        if self.cache is not None:
+            load = self.cache.load(self.workload_key(mapping))
+        if load is None:
+            return store, 0
+        by_key: dict[str, list[int]] = {}
+        for index, key in enumerate(keys):
+            by_key.setdefault(key, []).append(index)
+        applied = 0
         try:
-            store.apply_delta(scratch.export_delta())
-        except InconsistentStatusError:  # pragma: no cover - corrupt file
-            return 0
+            for fact in load.facts:
+                for index in by_key.get(fact.node_key, ()):
+                    # record() raises when the node is known the other way.
+                    applied += not store.is_known(index)
+                    store.record(index, fact.alive, evaluated=False)
+        except InconsistentStatusError:
+            return self._seeded_store(graph), 0
         active = tracer if tracer is not None else self.tracer
         if active is not None:
             active.record_event(
                 "status_preload",
                 workload_key=load.workload_key,
-                exact=load.exact,
                 applied=applied,
                 dropped=load.dropped,
                 directions=dict(load.directions),
             )
-        return applied
+        return store, len(load.facts)
+
+    def save_status(
+        self,
+        mapping: KeywordMapping,
+        graph: ExplorationGraph,
+        keys: list[str],
+        stores: Iterable[StatusStore],
+    ) -> None:
+        """Persist every node ``stores`` classify as the workload's facts.
+
+        Replaces what the workload held before, and stamps the snapshot
+        the classifications were computed on.
+        """
+        if self.cache is None:
+            return
+        known = alive = 0
+        for store in stores:
+            known |= (store.alive_mask | store.dead_mask) & store.domain
+            alive |= store.alive_mask & store.domain
+        facts = [
+            StatusFact(
+                node_key=keys[index],
+                relations=tuple(sorted(graph.node(index).query.tree.relations())),
+                alive=bool((alive >> index) & 1),
+            )
+            for index in graph.bits(known)
+        ]
+        if facts:
+            self.cache.save(self.workload_key(mapping), facts)
+
+    def _seeded_store(self, graph: ExplorationGraph) -> StatusStore:
+        store = StatusStore(graph)
+        seed_base_levels(graph, store, self.database)
+        return store
 
     def debug(
         self,
@@ -487,6 +442,12 @@ class NonAnswerDebugger:
         reached and the report is partial (``report.exhausted``): every
         classification present matches an unbudgeted run, the rest stays
         possibly-alive.
+
+        With a cache attached, an unconstrained run first replays the
+        workload's saved facts (:meth:`replay_status`) and, whenever they
+        resolve the graph, skips Phase 3 with a ``phase3_skipped`` event
+        and saves nothing.  Otherwise it traverses and, unless the budget
+        ran out, saves what it classified (:meth:`save_status`).
         """
         chosen = self.strategy
         if strategy is not None:
@@ -535,28 +496,29 @@ class NonAnswerDebugger:
             nodes=len(report.graph),
         )
 
-        # Exact repeat: the cache holds a complete run of this very
-        # workload against byte-identical content, so Phase 3 is implied
-        # rather than recomputed -- zero probes, zero backend queries.
-        if self.cache is not None and constraints is UNCONSTRAINED:
-            load = self.cache.load(self.workload_key(mapping))
-            if load is not None and load.exact and load.complete:
-                started = time.perf_counter()
-                rebuilt = self._result_from_facts(
-                    report.graph, load.facts, chosen.name
+        # Saved facts serve unconstrained runs only (a constrained graph
+        # is not the workload's); without a cache there are no keys.
+        keys = (
+            self.node_keys(report.graph) if constraints is UNCONSTRAINED else []
+        )
+        if keys:
+            started = time.perf_counter()
+            store, facts = self.replay_status(mapping, report.graph, keys, active)
+            if self._store_resolves_graph(report.graph, store):
+                # Phase 3 is implied rather than recomputed: zero probes.
+                report.traversal = self._result_from_store(
+                    report.graph, store, chosen.name
                 )
-                if rebuilt is not None:
-                    rebuilt.elapsed = time.perf_counter() - started
-                    report.traversal = rebuilt
-                    timings.traversal = rebuilt.elapsed
-                    if active is not None:
-                        active.record_event(
-                            "phase3_skipped",
-                            workload_key=load.workload_key,
-                            strategy=chosen.name,
-                            facts=len(load.facts),
-                        )
-                    return report
+                timings.traversal = time.perf_counter() - started
+                report.traversal.elapsed = timings.traversal
+                if active is not None:
+                    active.record_event(
+                        "phase3_skipped",
+                        workload_key=self.workload_key(mapping),
+                        strategy=chosen.name,
+                        facts=facts,
+                    )
+                return report
 
         evaluator = self.make_evaluator(
             use_cache=chosen.uses_reuse, budget=budget, tracer=active
@@ -571,32 +533,13 @@ class NonAnswerDebugger:
             strategy=chosen.name,
             exhausted=report.traversal.exhausted,
         )
-        self._maybe_save_status(mapping, report, constraints)
+        # An exhausted sweep's facts are sound but partial: saving them
+        # could replace a fuller earlier save.
+        if keys and not report.traversal.exhausted:
+            self.save_status(
+                mapping, report.graph, keys, report.traversal.stores.values()
+            )
         return report
-
-    def _maybe_save_status(
-        self,
-        mapping: KeywordMapping,
-        report: DebugReport,
-        constraints: SearchConstraints,
-    ) -> None:
-        """Persist a finished run's classifications for later repeats.
-
-        Only complete, unconstrained runs are saved: an exhausted sweep
-        may have unresolved search spaces and a constrained one explores
-        a different graph, so neither licenses a future Phase-3 skip.
-        """
-        if (
-            self.cache is None
-            or constraints is not UNCONSTRAINED
-            or report.traversal is None
-            or report.traversal.exhausted
-        ):
-            return
-        traversal = report.traversal
-        facts = self._facts_from_stores(traversal.graph, traversal.stores.values())
-        if facts:
-            self.cache.save(self.workload_key(mapping), facts, complete=True)
 
     def _store_resolves_graph(
         self, graph: ExplorationGraph, store: StatusStore
@@ -612,27 +555,20 @@ class NonAnswerDebugger:
                 return False
         return True
 
-    def save_session_status(
-        self,
-        mapping: KeywordMapping,
-        graph: ExplorationGraph,
-        store: StatusStore,
-        exhausted: bool = False,
-    ) -> None:
-        """Persist an interactive session's accumulated classifications.
-
-        Partial knowledge is saved too (it preloads the next session);
-        only a store that fully resolves every candidate network is
-        marked *complete*, which is what licenses a later exact repeat
-        to skip Phase 3 outright.
-        """
-        if self.cache is None:
-            return
-        facts = self._facts_from_stores(graph, [store])
-        if not facts:
-            return
-        complete = not exhausted and self._store_resolves_graph(graph, store)
-        self.cache.save(self.workload_key(mapping), facts, complete=complete)
+    @staticmethod
+    def _result_from_store(
+        graph: ExplorationGraph, store: StatusStore, strategy_name: str
+    ) -> TraversalResult:
+        """The traversal result of a store that resolves ``graph``."""
+        result = TraversalResult(strategy_name, graph)
+        for mtn_index in sorted(graph.mtn_indexes):
+            result.stores[mtn_index] = store
+            if store.status(mtn_index) is Status.ALIVE:
+                result.alive_mtns.append(mtn_index)
+            else:
+                result.dead_mtns.append(mtn_index)
+                result.mpans[mtn_index] = store.mpans_of(mtn_index)
+        return result
 
     # ------------------------------------------------------------ utilities
     def refresh_after_mutation(self) -> None:

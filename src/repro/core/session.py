@@ -8,12 +8,12 @@ explanations only where they care, and dismisses uninteresting candidates --
 all over **one shared status store and evaluation cache**, so every action
 benefits from everything learned before it (rules R1/R2 included).
 
-Sessions inherit the debugger's persistent probe cache automatically:
-when the :class:`NonAnswerDebugger` was opened with a ``cache_dir``, the
-evaluator built here carries it as the L2 tier, so a session over a
-previously debugged (and unchanged) database starts warm -- classifying
-an already-probed candidate costs zero SQL queries even in a fresh
-process.
+Sessions inherit the debugger's persistent cache automatically: when the
+:class:`NonAnswerDebugger` was opened with a ``cache_dir``, the session's
+store starts from the workload's saved facts (the same replay
+:meth:`~NonAnswerDebugger.debug` uses) and its evaluator carries the
+probe store as the L2 tier, so classifying an already-known or
+already-probed candidate costs zero SQL queries even in a fresh process.
 
 Example::
 
@@ -32,8 +32,7 @@ from dataclasses import dataclass
 
 from repro.core.constraints import UNCONSTRAINED, SearchConstraints
 from repro.core.debugger import NonAnswerDebugger
-from repro.core.status import Status, StatusStore
-from repro.core.traversal.base import seed_base_levels
+from repro.core.status import Status
 from repro.obs.budget import ProbeBudget, ProbeBudgetExhausted
 from repro.obs.trace import ProbeTracer
 from repro.relational.jointree import BoundQuery
@@ -87,13 +86,12 @@ class DebugSession:
         self.evaluator = debugger.make_evaluator(
             use_cache=True, budget=budget, tracer=tracer
         )
-        self.store = StatusStore(self.graph)
-        seed_base_levels(self.graph, self.store, debugger.database)
-        # Warm start: replay persisted classification facts (exact or
-        # monotonically repaired after a mutation) through R1/R2 closure,
-        # so previously learned statuses cost zero SQL this session.
-        self.preloaded = debugger.preload_session_store(
-            self.mapping, self.graph, self.store, tracer=tracer
+        # Warm start: the base levels plus the saved facts (exact, or
+        # repaired after a mutation) through R1/R2 closure, so previously
+        # learned statuses cost zero SQL this session.
+        self._keys = debugger.node_keys(self.graph)
+        self.store, self.preloaded = debugger.replay_status(
+            self.mapping, self.graph, self._keys, tracer=tracer
         )
         self._dismissed: set[int] = set()
         self._explained: dict[int, list[int]] = {}
@@ -216,20 +214,18 @@ class DebugSession:
                 and mtn_index in self._explained
             ):
                 explanations[position] = mpans
-        # Persist what this session learned (complete or not): the next
-        # session over byte-identical content preloads it for free.
-        self.debugger.save_session_status(
-            self.mapping, self.graph, self.store, exhausted=self.exhausted
-        )
+        # Persist what this session learned, resolved or not.
+        self.debugger.save_status(self.mapping, self.graph, self._keys, [self.store])
         return explanations
 
     # ------------------------------------------------------------ lifecycle
     def close(self) -> None:
         """End the session, persisting everything it learned.
 
-        Partial knowledge is saved too -- the next session over
-        byte-identical content preloads it through R1/R2 replay, so no
-        probe this session paid for is ever re-executed.  Idempotent,
+        Partial knowledge is saved too -- the next session of the
+        workload starts from it (the facts that survive the writes since,
+        replayed through R1/R2), and :meth:`NonAnswerDebugger.debug`
+        skips Phase 3 on it once it resolves the graph.  Idempotent,
         and safe after :meth:`explain_all` (the cache store keeps the
         newest facts for the workload either way).  The session borrows
         the debugger's backend and caches, so nothing else needs
@@ -238,9 +234,7 @@ class DebugSession:
         if self._closed:
             return
         self._closed = True
-        self.debugger.save_session_status(
-            self.mapping, self.graph, self.store, exhausted=self.exhausted
-        )
+        self.debugger.save_status(self.mapping, self.graph, self._keys, [self.store])
 
     def __enter__(self) -> "DebugSession":
         return self

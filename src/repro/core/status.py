@@ -12,7 +12,6 @@ neither mask.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 from repro.core.mtn import ExplorationGraph
 
@@ -30,24 +29,6 @@ class InconsistentStatusError(RuntimeError):
     (a sub-query empty while a super-query is not), so it indicates a bug in
     the backend, never in the traversal.
     """
-
-
-@dataclass(frozen=True)
-class StatusDelta:
-    """A store's classifications as three bitsets, ready to merge elsewhere.
-
-    :meth:`NonAnswerDebugger.preload_session_store
-    <repro.core.debugger.NonAnswerDebugger.preload_session_store>` replays
-    persisted facts on a scratch store and merges its delta into the live
-    session store, so a corrupt file never half-applies.  The masks are
-    R1/R2-closed *within the exporting store's domain*; closure across
-    the receiving store's domain (a dead node's ancestors may lie outside
-    the exporter's) is re-derived by :meth:`StatusStore.apply_delta`.
-    """
-
-    alive_mask: int
-    dead_mask: int
-    evaluated_mask: int
 
 
 class StatusStore:
@@ -90,39 +71,6 @@ class StatusStore:
             self.mark_alive(index, evaluated)
         else:
             self.mark_dead(index, evaluated)
-
-    # -------------------------------------------------------------- deltas
-    def export_delta(self) -> StatusDelta:
-        """Snapshot this store's classifications for transport/merging."""
-        return StatusDelta(self.alive_mask, self.dead_mask, self.evaluated_mask)
-
-    def apply_delta(self, delta: StatusDelta) -> None:
-        """Merge another store's classifications through rules R1/R2.
-
-        The delta's masks are only guaranteed closed within the exporting
-        store's (possibly narrower) domain, so closure is re-applied
-        here: alive bits pull in their descendants (R1), dead bits their
-        ancestors (R2) -- restricted to this store's own domain.  As in
-        :meth:`mark_alive`/:meth:`mark_dead`, a conflict means the
-        evaluation backend violated monotonicity and raises
-        :class:`InconsistentStatusError`; merging answers from consistent
-        backends can never conflict, whatever order deltas arrive in.
-        """
-        for index in self.graph.bits(delta.alive_mask & ~self.alive_mask):
-            added = self.graph.desc_plus(index) & self.domain
-            if added & self.dead_mask:
-                raise InconsistentStatusError(
-                    f"delta marks node {index} alive but a descendant is dead"
-                )
-            self.alive_mask |= added
-        for index in self.graph.bits(delta.dead_mask & ~self.dead_mask):
-            added = self.graph.asc_plus(index) & self.domain
-            if added & self.alive_mask:
-                raise InconsistentStatusError(
-                    f"delta marks node {index} dead but an ancestor is alive"
-                )
-            self.dead_mask |= added
-        self.evaluated_mask |= delta.evaluated_mask & self.domain
 
     # ------------------------------------------------------------- queries
     def status(self, index: int) -> Status:

@@ -131,6 +131,46 @@ class TestTooManyKeywords:
         assert len(closed) == 1
 
 
+class TestUnusableCache:
+    """A ``cache.sqlite`` that is not a cache file: one stderr line, exit 2,
+    and whatever the command built released."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["debug", "saffron scented candle"],
+            ["trace", "saffron scented candle"],
+            ["serve", "--port", "0"],
+            ["cache", "stats"],
+            ["cache", "clear"],
+        ],
+        ids=["debug", "trace", "serve", "cache-stats", "cache-clear"],
+    )
+    def test_exits_two_with_one_line(self, capsys, monkeypatch, tmp_path, argv):
+        from repro.core.debugger import NonAnswerDebugger
+
+        released = []
+        release = NonAnswerDebugger._release
+
+        def recording_release(debugger):
+            released.append(debugger)
+            release(debugger)
+
+        monkeypatch.setattr(NonAnswerDebugger, "_release", recording_release)
+        path = tmp_path / "cache.sqlite"
+        path.write_text("not a cache file\n")
+        assert main([*argv, "--cache-dir", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"{argv[0]}: ")
+        assert str(path) in lines[0]
+        assert "not a database" in lines[0]
+        assert path.read_text() == "not a cache file\n"
+        assert len(released) == (argv[0] != "cache")
+
+
 class TestBenchGateExitStatus:
     """The timing gates run as plain commands: the exit status is the gate."""
 

@@ -87,19 +87,6 @@ class TestDomainRestriction:
                 assert store.status(ancestor) is Status.POSSIBLY_ALIVE
 
 
-class TestDeltaMerge:
-    def test_conflicting_delta_rejected(self, graph):
-        index = graph.mtn_indexes[0]
-        one = StatusStore(graph)
-        one.record(index, alive=True)
-        two = StatusStore(graph)
-        two.record(index, alive=False)
-        merged = StatusStore(graph)
-        merged.apply_delta(one.export_delta())
-        with pytest.raises(InconsistentStatusError):
-            merged.apply_delta(two.export_delta())
-
-
 class TestMpans:
     def test_mpans_definition(self, graph, products_debugger):
         """Compute MPANs by brute force and compare."""

@@ -2,17 +2,29 @@
 
 from __future__ import annotations
 
+import sqlite3
 import tempfile
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.cache import ProbeCache, StatusFact, fact_survives, workload_cache_key
+from repro.cache import (
+    CACHE_FILENAME,
+    ProbeCache,
+    StatusFact,
+    fact_survives,
+    query_cache_key,
+    workload_cache_key,
+)
 from repro.core.debugger import NonAnswerDebugger
+from repro.core.session import DebugSession
 from repro.core.traversal import STRATEGY_NAMES
+from repro.datasets.dblife import DBLifeConfig, dblife_database
 from repro.datasets.products import product_database
 from repro.obs import ProbeBudget, ProbeTracer
 from repro.relational.database import MutationDirection
+from repro.workloads.queries import TABLE2_QUERIES
 
 from tests.test_properties import SETTINGS, product_databases, random_queries
 
@@ -21,10 +33,8 @@ DEL = MutationDirection.DELETE_ONLY
 MIX = MutationDirection.MIXED
 
 
-def fact(relations, alive, key="k", evaluated=True):
-    return StatusFact(
-        node_key=key, relations=tuple(relations), alive=alive, evaluated=evaluated
-    )
+def fact(relations, alive, key="k"):
+    return StatusFact(node_key=key, relations=tuple(relations), alive=alive)
 
 
 # -------------------------------------------------------------- repair rule
@@ -92,17 +102,18 @@ class TestStatusCache:
             assert cache.load("w") is None
             assert cache.save("w", self.facts()) == 3
             load = cache.load("w")
-        assert load.exact and load.complete and load.dropped == 0
-        assert [f.node_key for f in load.facts] == ["n1", "n2", "n3"]
+        assert load.workload_key == "w"
+        assert load.directions == {} and load.dropped == 0
+        assert list(load.facts) == sorted(self.facts(), key=lambda f: f.node_key)
 
     def test_persists_across_reopen(self, tmp_path):
         database = product_database()
         with ProbeCache.open_dir(tmp_path, database) as cache:
-            cache.save("w", self.facts(), complete=False)
+            cache.save("w", self.facts())
         with ProbeCache.open_dir(tmp_path, database) as reopened:
             load = reopened.load("w")
-        assert load.exact and not load.complete
-        assert len(load.facts) == 3
+        assert load.directions == {} and load.dropped == 0
+        assert set(load.facts) == set(self.facts())
 
     def test_stale_load_repairs_with_directions(self, tmp_path):
         database = product_database()
@@ -110,7 +121,6 @@ class TestStatusCache:
             cache.save("w", self.facts())
             database.insert("Item", list(database.table("Item"))[0])
             load = cache.load("w")
-        assert not load.exact
         assert load.directions == {"Item": "insert_only"}
         # Alive-through-Item and untouched facts survive; dead is dropped.
         assert {f.node_key for f in load.facts} == {"n1", "n3"}
@@ -204,6 +214,227 @@ class TestPhase3Skip:
             report = debugger.debug(self.QUERY, budget=ProbeBudget(max_queries=1))
             assert report.traversal.exhausted
             assert debugger.cache.saves == 0
+
+
+def event_names(tracer):
+    return [getattr(record, "name", None) for record in tracer.records]
+
+
+def explanation_texts(report):
+    return [
+        (query.describe_full(), [mpan.describe_full() for mpan in mpans])
+        for query, mpans in report.explanations()
+    ]
+
+
+class TestSkipAfterWrite:
+    """One rule: replayed facts that resolve the graph skip Phase 3, also
+    after a write changed the database's snapshot."""
+
+    @pytest.mark.parametrize("qid", ["Q1", "Q3"])
+    def test_nonce_topic_insert_still_skips(self, tmp_path, qid):
+        (text,) = [query.text for query in TABLE2_QUERIES if query.qid == qid]
+        database = dblife_database(DBLifeConfig(seed=42, scale=1))
+        options = dict(max_joins=3, use_lattice=False)
+        with NonAnswerDebugger(database, cache_dir=tmp_path, **options) as first:
+            first.debug(text)
+        # The answer-neutral write perfbench sends between sessions: a
+        # Topic row carrying a token no query uses.
+        database.table("Topic").insert([900_000_000, "zzbenchwrite17x0"])
+        cold = NonAnswerDebugger(database, **options)
+        warm = NonAnswerDebugger(database, cache_dir=tmp_path, **options)
+        try:
+            for name in STRATEGY_NAMES:
+                tracer = ProbeTracer()
+                report = warm.debug(text, strategy=name, tracer=tracer)
+                reference = cold.debug(text, strategy=name)
+                assert "phase3_skipped" in event_names(tracer), name
+                assert report.traversal.stats.queries_executed == 0
+                assert (
+                    report.traversal.classification_signature()
+                    == reference.traversal.classification_signature()
+                ), name
+                assert explanation_texts(report) == explanation_texts(reference)
+        finally:
+            cold.close()
+            warm.close()
+
+
+class TestCorruptFacts:
+    """A fact that disagrees with a known status discards the whole set."""
+
+    QUERY = "saffron scented candle"
+
+    def cold_run(self, cache_dir):
+        with NonAnswerDebugger(
+            product_database(), max_joins=2, cache_dir=cache_dir
+        ) as cold:
+            return cold.debug(self.QUERY)
+
+    @staticmethod
+    def flip(cache_dir, where="", params=()):
+        connection = sqlite3.connect(str(cache_dir / CACHE_FILENAME))
+        try:
+            connection.execute(
+                f"UPDATE status_facts SET alive = 1 - alive {where}", params
+            )
+            connection.commit()
+        finally:
+            connection.close()
+
+    def warm_run(self, cache_dir):
+        tracer = ProbeTracer()
+        with NonAnswerDebugger(
+            product_database(), max_joins=2, cache_dir=cache_dir, tracer=tracer
+        ) as warm:
+            return warm.debug(self.QUERY), event_names(tracer)
+
+    def assert_traversed_cold(self, cold, cache_dir):
+        report, names = self.warm_run(cache_dir)
+        assert "phase3_skipped" not in names and "status_preload" not in names
+        assert (
+            report.traversal.classification_signature()
+            == cold.traversal.classification_signature()
+        )
+        assert explanation_texts(report) == explanation_texts(cold)
+        # The probe rows were left alone, so the L2 tier answers the sweep.
+        assert report.traversal.stats.queries_executed == 0
+        assert report.traversal.stats.l2_hits > 0
+
+    def test_flipped_file_traverses_cold(self, tmp_path):
+        cold = self.cold_run(tmp_path)
+        self.flip(tmp_path)
+        self.assert_traversed_cold(cold, tmp_path)
+
+    def test_facts_contradicting_each_other_traverse_cold(self, tmp_path):
+        """No base node involved: one level-2 fact under an alive MTN."""
+        cold = self.cold_run(tmp_path)
+        graph = cold.graph
+        (alive_mtn,) = cold.traversal.alive_mtns
+        child = next(
+            index
+            for index in graph.bits(graph.desc_mask[alive_mtn])
+            if graph.node(index).level == 2
+        )
+        key = query_cache_key(graph.node(child).query, product_database().schema)
+        self.flip(tmp_path, "WHERE node_key = ?", (key,))
+        self.assert_traversed_cold(cold, tmp_path)
+
+    def test_session_starts_from_its_seeded_store(self, tmp_path):
+        with NonAnswerDebugger(product_database(), max_joins=2) as plain:
+            with DebugSession(plain, self.QUERY) as reference:
+                seeded = (reference.store.alive_mask, reference.store.dead_mask)
+                expected = {
+                    position: [mpan.describe_full() for mpan in mpans]
+                    for position, mpans in reference.explain_all().items()
+                }
+        self.cold_run(tmp_path)
+        self.flip(tmp_path)
+        with NonAnswerDebugger(
+            product_database(), max_joins=2, cache_dir=tmp_path
+        ) as warm:
+            with DebugSession(warm, self.QUERY) as session:
+                assert session.preloaded == 0
+                assert (session.store.alive_mask, session.store.dead_mask) == seeded
+                explained = session.explain_all()
+        assert {
+            position: [mpan.describe_full() for mpan in mpans]
+            for position, mpans in explained.items()
+        } == expected
+
+
+#: The version-1 layout: ``runs.complete`` and ``status_facts.evaluated``.
+VERSION_ONE_SCHEMA = """
+CREATE TABLE meta (key TEXT NOT NULL PRIMARY KEY, value TEXT NOT NULL)
+    WITHOUT ROWID;
+CREATE TABLE probes (
+    vector_key TEXT NOT NULL, query_key TEXT NOT NULL,
+    alive INTEGER NOT NULL, relations TEXT NOT NULL,
+    PRIMARY KEY (vector_key, query_key)) WITHOUT ROWID;
+CREATE TABLE runs (
+    workload_key TEXT NOT NULL PRIMARY KEY, snapshot TEXT NOT NULL,
+    complete INTEGER NOT NULL) WITHOUT ROWID;
+CREATE TABLE status_facts (
+    workload_key TEXT NOT NULL, node_key TEXT NOT NULL,
+    alive INTEGER NOT NULL, evaluated INTEGER NOT NULL,
+    relations TEXT NOT NULL,
+    PRIMARY KEY (workload_key, node_key)) WITHOUT ROWID;
+"""
+
+
+class TestSchemaMigration:
+    QUERY = "saffron scented candle"
+
+    def test_version_one_file_is_rebuilt(self, tmp_path):
+        # A version-1 file whose every answer is wrong for this database:
+        # reading any of it would misclassify.
+        source = tmp_path / "source"
+        with NonAnswerDebugger(
+            product_database(), max_joins=2, cache_dir=source
+        ) as cold:
+            reference = cold.debug(self.QUERY)
+        current = sqlite3.connect(str(source / CACHE_FILENAME))
+        try:
+            meta = current.execute("SELECT key, value FROM meta").fetchall()
+            probes = current.execute("SELECT * FROM probes").fetchall()
+            runs = current.execute("SELECT * FROM runs").fetchall()
+            facts = current.execute("SELECT * FROM status_facts").fetchall()
+        finally:
+            current.close()
+        target = tmp_path / "v1"
+        target.mkdir()
+        old = sqlite3.connect(str(target / CACHE_FILENAME))
+        try:
+            old.executescript(VERSION_ONE_SCHEMA)
+            old.executemany(
+                "INSERT INTO meta VALUES (?, ?)",
+                [(k, "1" if k == "schema_version" else v) for k, v in meta],
+            )
+            old.executemany(
+                "INSERT INTO probes VALUES (?, ?, ?, ?)",
+                [(vector, key, 1 - alive, rel) for vector, key, alive, rel in probes],
+            )
+            old.executemany("INSERT INTO runs VALUES (?, ?, 1)", runs)
+            old.executemany(
+                "INSERT INTO status_facts VALUES (?, ?, ?, 1, ?)",
+                [(run, key, 1 - alive, label) for run, key, alive, label in facts],
+            )
+            old.commit()
+        finally:
+            old.close()
+
+        tracer = ProbeTracer()
+        with NonAnswerDebugger(
+            product_database(), max_joins=2, cache_dir=target, tracer=tracer
+        ) as warm:
+            assert warm.cache.counts() == {"probes": 0, "workloads": 0, "facts": 0}
+            report = warm.debug(self.QUERY)
+        assert "phase3_skipped" not in event_names(tracer)
+        stats = report.traversal.stats
+        assert stats.queries_executed == reference.traversal.stats.queries_executed
+        assert stats.l2_hits == 0
+        assert (
+            report.traversal.classification_signature()
+            == reference.traversal.classification_signature()
+        )
+        rebuilt = sqlite3.connect(str(target / CACHE_FILENAME))
+        try:
+            version = rebuilt.execute(
+                "SELECT value FROM meta WHERE key = 'schema_version'"
+            ).fetchone()
+            columns = {
+                table: [
+                    row[1] for row in rebuilt.execute(f"PRAGMA table_info({table})")
+                ]
+                for table in ("runs", "status_facts")
+            }
+        finally:
+            rebuilt.close()
+        assert version == ("2",)
+        assert columns == {
+            "runs": ["workload_key", "snapshot"],
+            "status_facts": ["workload_key", "node_key", "alive", "relations"],
+        }
 
 
 class TestMutationProperty:
