@@ -5,13 +5,15 @@ Two tiers serve aliveness probes before the backend does:
 * **L1** -- the evaluator's bounded in-process LRU (what the paper calls
   *reuse*), per evaluator, dies with the process;
 * **L2** -- :class:`ProbeCache`, one sqlite file per ``--cache-dir``
-  keyed by canonical query code + the relation-fingerprint vector of the
-  probed join path, shared by every session pointed at the directory.
+  keyed by canonical query code, shared by every session pointed at the
+  directory.
 
-The same file persists classification facts per workload.  Mutations
-*repair* probes and facts by one monotone rule (:func:`monotone_survives`)
-instead of nuking them, and a repeat replays the surviving facts through
-R1/R2, skipping Phase 3 whenever they resolve its graph.
+The same file persists classification facts per workload.  Every probe
+row and fact records the database snapshot it was written under, and a
+read keeps it by one monotone rule (:func:`fact_survives`) against the
+live database, so a write repairs nothing up front; a repeat replays the
+surviving facts through R1/R2, skipping Phase 3 whenever they resolve
+its graph.
 
 See :mod:`repro.cache.store` for the store and its invalidation
 semantics, and :mod:`repro.cache.keys` for the canonical key
@@ -20,7 +22,6 @@ construction.
 
 from repro.cache.keys import (
     query_cache_key,
-    relation_vector_key,
     relations_label,
     workload_cache_key,
 )
@@ -30,7 +31,6 @@ from repro.cache.store import (
     ProbeCache,
     ProbeCacheError,
     ProbeCacheStats,
-    RepairReport,
     StatusCache,
     StatusFact,
     StatusLoad,
@@ -42,7 +42,6 @@ from repro.cache.store import (
 
 __all__ = [
     "query_cache_key",
-    "relation_vector_key",
     "relations_label",
     "workload_cache_key",
     "CACHE_FILENAME",
@@ -50,7 +49,6 @@ __all__ = [
     "ProbeCache",
     "ProbeCacheError",
     "ProbeCacheStats",
-    "RepairReport",
     "StatusCache",
     "StatusFact",
     "StatusLoad",

@@ -6,17 +6,15 @@ are both useless.  The key is built from the paper's own machinery: the
 canonical label of the join tree (Algorithm 2, isomorphism-invariant and
 equal iff the trees are equal for copy-labeled trees), the sorted
 keyword bindings, and the match mode.  The digest of that tuple is the
-row key; the **relation-fingerprint vector** of the query's own join
-path (:func:`relation_vector_key`) is the namespace, so a cached answer
-can never leak across dataset states -- and, because the vector covers
-only the relations the probe actually touches, a mutation to one
-relation leaves every probe over the untouched relations warm.
+row key.  Dataset state is not part of it: each row records the snapshot
+it was written under, and the store judges the row against the live
+database at read time (:mod:`repro.cache.store`).
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from repro.core.canonical import canonical_code
 from repro.relational.jointree import BoundQuery
@@ -41,30 +39,10 @@ def query_cache_key(query: BoundQuery, schema: SchemaGraph) -> str:
 def relations_label(relations: Iterable[str]) -> str:
     """Sorted, comma-joined relation set -- the form stored next to a row.
 
-    Persisted alongside every cached probe so attach-time repair can
-    decide, per row, which mutated relations it touches without
-    re-parsing the query.
+    Persisted alongside every cached probe so a read can decide which
+    changed relations the row touches without re-parsing the query.
     """
     return ",".join(sorted(set(relations)))
-
-
-def relation_vector_key(
-    relations: Iterable[str], fingerprints: Mapping[str, str]
-) -> str:
-    """Digest of the (relation, content-fingerprint) pairs of a join path.
-
-    This is the cache namespace: two dataset states agree on a probe's
-    vector key iff every relation the probe touches has identical
-    content, so rows over untouched relations stay valid across a
-    mutation with no repair work at all.
-
-    Raises ``KeyError`` for a relation absent from ``fingerprints`` --
-    callers own the unknown-relation policy (the repair scan evicts).
-    """
-    payload = "|".join(
-        f"{name}:{fingerprints[name]}" for name in sorted(set(relations))
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 def workload_cache_key(

@@ -7,36 +7,35 @@ classifications Phase 3 derives from them died with the process.
 :class:`ProbeCache` persists both in one sqlite file
 (:data:`CACHE_FILENAME`) behind one connection and one lock:
 
-* ``probes`` -- one answer per probed query, keyed by the
-  **relation-fingerprint vector** of its join path
-  (:func:`relation_vector_key`, the namespace: a mutation to
-  ``publication`` changes only the vectors of probes touching
-  ``publication``, so every ``person``-only probe stays warm with no
-  repair work at all) and the **canonical query key**
-  (:func:`query_cache_key`, stable across processes and isomorphic
-  relabelings).  The evaluator consults it after missing its in-process
-  LRU (L1) and writes through on every executed probe.
+* ``probes`` -- one answer per probed query, keyed by the **canonical
+  query key** (:func:`query_cache_key`, stable across processes and
+  isomorphic relabelings).  The evaluator consults it after missing its
+  in-process LRU (L1) and writes through on every executed probe.
 * ``runs`` and ``status_facts`` -- after an unconstrained traversal that
   did not exhaust its budget, or when an interactive session explains
   all or closes, the debugger saves one fact per classified exploration
   node (canonical key, join-path relations, aliveness) under a
-  **workload key** (keyword multiset + match mode + lattice shape),
-  stamped with the database snapshot the run saw.  A later run replays
-  what :meth:`ProbeCache.load` returns through R1/R2 and skips Phase 3
-  whenever that resolves its graph.
+  **workload key** (keyword multiset + match mode + lattice shape).  A
+  later run replays what :meth:`ProbeCache.load` returns through R1/R2
+  and skips Phase 3 whenever that resolves its graph.
+* ``snapshots`` -- each database snapshot a row was written under,
+  stored once (its full state: composite, lineage, per-relation
+  fingerprints and mutation counters) and referenced by id from every
+  ``probes`` and ``runs`` row.
 
-A mutated database *repairs* both instead of evicting them wholesale,
-by one rule (:func:`monotone_survives`): the paper's monotonicity read
-at the dataset boundary.  An insert can only flip a probe dead -> alive,
-so alive answers survive insert-only deltas; a delete only alive ->
-dead, so dead answers survive delete-only deltas; a mixed (or
-undecidable) delta keeps neither.  Probe rows are repaired on attach and
-on :meth:`ProbeCache.refresh` against the file's snapshot (survivors are
-re-keyed to the new vector); facts are repaired lazily at
-:meth:`ProbeCache.load` against their own run's snapshot.  Both
-snapshots use one JSON encoding.  Counts come from explicit row lists or
-``SELECT COUNT(*)`` -- never from ``cursor.rowcount``, whose ``-1``
-sentinel sqlite is free to return for any statement.
+A write to the database evicts and rewrites nothing.  Every read judges
+its row against the snapshot the row was written under, by one rule
+(:func:`fact_survives`, built on :func:`monotone_survives`): the paper's
+monotonicity read at the dataset boundary.  A row touching no changed
+relation is exact; an insert can only flip a probe dead -> alive, so
+alive answers survive insert-only deltas; a delete only alive -> dead,
+so dead answers survive delete-only deltas; a mixed (or undecidable)
+delta keeps neither.  :meth:`ProbeCache.get` and :meth:`ProbeCache.load`
+only read; snapshots are registered when :meth:`ProbeCache.put`,
+:meth:`ProbeCache.save` or :meth:`ProbeCache.refresh` write.  Counts come
+from explicit row lists or ``SELECT COUNT(*)`` -- never from
+``cursor.rowcount``, whose ``-1`` sentinel sqlite is free to return for
+any statement.
 
 All methods are thread-safe: concurrent service sessions share one
 store, and interactive sessions may probe from arbitrary threads.
@@ -50,9 +49,9 @@ import sqlite3
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
-from repro.cache.keys import query_cache_key, relation_vector_key, relations_label
+from repro.cache.keys import query_cache_key, relations_label
 from repro.relational.database import (
     Database,
     DatabaseDelta,
@@ -62,31 +61,31 @@ from repro.relational.database import (
 )
 from repro.relational.jointree import BoundQuery
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
-    from repro.obs.trace import ProbeTracer
-
 #: File name used inside a ``--cache-dir`` directory.
 CACHE_FILENAME = "cache.sqlite"
 
 #: Bumped whenever the on-disk layout changes; a mismatched file is
 #: rebuilt from scratch (cached answers are only ever an optimization).
-CACHE_SCHEMA_VERSION = 2
+CACHE_SCHEMA_VERSION = 3
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS meta (
     key   TEXT NOT NULL PRIMARY KEY,
     value TEXT NOT NULL
 ) WITHOUT ROWID;
+CREATE TABLE IF NOT EXISTS snapshots (
+    id    INTEGER PRIMARY KEY AUTOINCREMENT,
+    state TEXT NOT NULL UNIQUE
+);
 CREATE TABLE IF NOT EXISTS probes (
-    vector_key TEXT NOT NULL,
-    query_key  TEXT NOT NULL,
-    alive      INTEGER NOT NULL,
-    relations  TEXT NOT NULL,
-    PRIMARY KEY (vector_key, query_key)
+    query_key TEXT NOT NULL PRIMARY KEY,
+    alive     INTEGER NOT NULL,
+    relations TEXT NOT NULL,
+    snapshot  INTEGER NOT NULL REFERENCES snapshots (id)
 ) WITHOUT ROWID;
 CREATE TABLE IF NOT EXISTS runs (
     workload_key TEXT NOT NULL PRIMARY KEY,
-    snapshot     TEXT NOT NULL
+    snapshot     INTEGER NOT NULL REFERENCES snapshots (id)
 ) WITHOUT ROWID;
 CREATE TABLE IF NOT EXISTS status_facts (
     workload_key TEXT NOT NULL,
@@ -103,31 +102,12 @@ class ProbeCacheError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class RepairReport:
-    """Outcome of one attach/refresh repair scan."""
-
-    old_composite: str | None
-    new_composite: str
-    directions: Mapping[str, str]
-    repaired: int
-    evicted: int
-
-    @property
-    def changed(self) -> bool:
-        return self.old_composite is not None and (
-            self.old_composite != self.new_composite
-        )
-
-
-@dataclass(frozen=True)
 class ProbeCacheStats:
     """Probe counters of one :class:`ProbeCache` (session + file)."""
 
     path: str
     composite: str
     entries: int
-    repaired: int
-    evicted: int
     hits: int
     misses: int
     writes: int
@@ -135,8 +115,7 @@ class ProbeCacheStats:
     def __str__(self) -> str:
         return (
             f"{self.entries} cached probes ({self.hits} hits / "
-            f"{self.misses} misses this session, {self.writes} writes, "
-            f"{self.repaired} repaired, {self.evicted} evicted)"
+            f"{self.misses} misses this session, {self.writes} writes)"
         )
 
 
@@ -151,7 +130,7 @@ class StatusFact:
 
 @dataclass(frozen=True)
 class StatusLoad:
-    """Facts recovered for one workload, already repaired if stale.
+    """Facts recovered for one workload, judged against the live database.
 
     ``facts`` holds every saved classification that no write since its
     run can have flipped (:func:`fact_survives`): all of them when the
@@ -186,30 +165,48 @@ def _encode_snapshot(snapshot: DatabaseSnapshot) -> str:
     )
 
 
-def _decode_snapshot(payload: str) -> DatabaseSnapshot:
-    data = json.loads(payload)
-    return DatabaseSnapshot(
-        composite=data["composite"],
-        lineage=data["lineage"],
-        relations=tuple(
-            RelationState(
-                relation=relation,
-                fingerprint=fingerprint,
-                row_count=row_count,
-                inserts_total=inserts,
-                deletes_total=deletes,
-            )
-            for relation, fingerprint, row_count, inserts, deletes in data[
-                "relations"
-            ]
-        ),
+#: What a missing or undecodable ``snapshots`` row reads as.  It names no
+#: relation, so :meth:`DatabaseDelta.between` marks every live relation
+#: ``MIXED`` against it and nothing stamped with it survives.
+_UNKNOWN_SNAPSHOT = DatabaseSnapshot(composite="", lineage="", relations=())
+
+
+def _decode_snapshot(payload: str | None) -> DatabaseSnapshot:
+    if payload is None:
+        return _UNKNOWN_SNAPSHOT
+    try:
+        data = json.loads(payload)
+        return DatabaseSnapshot(
+            composite=data["composite"],
+            lineage=data["lineage"],
+            relations=tuple(
+                RelationState(
+                    relation=relation,
+                    fingerprint=fingerprint,
+                    row_count=row_count,
+                    inserts_total=inserts,
+                    deletes_total=deletes,
+                )
+                for relation, fingerprint, row_count, inserts, deletes in data[
+                    "relations"
+                ]
+            ),
+        )
+    except (ValueError, KeyError, TypeError):
+        return _UNKNOWN_SNAPSHOT
+
+
+def _directions_label(directions: Mapping[str, MutationDirection]) -> dict[str, str]:
+    return {name: direction.value for name, direction in sorted(directions.items())}
+
+
+def _fact(key: str, alive: int, label: str) -> StatusFact:
+    """A stored row (probe or status fact) as the rule reads it."""
+    return StatusFact(
+        node_key=key,
+        relations=tuple(label.split(",")) if label else (),
+        alive=bool(alive),
     )
-
-
-def _directions_label(delta: DatabaseDelta) -> dict[str, str]:
-    return {
-        name: direction.value for name, direction in sorted(delta.directions.items())
-    }
 
 
 def monotone_survives(
@@ -217,14 +214,13 @@ def monotone_survives(
     relations: Iterable[str],
     directions: Mapping[str, MutationDirection],
 ) -> bool:
-    """The repair rule: does an answer survive the changes on its join path?
+    """The monotone rule: does an answer survive the changes on its join path?
 
     An alive answer survives iff every changed relation among
     ``relations`` moved insert-only, a dead one iff every one moved
     delete-only.  An answer touching no changed relation proves nothing
-    here and gets False; each caller decides what that case means (see
-    :func:`fact_survives`, and the probe repair :meth:`ProbeCache.refresh`
-    runs).
+    here and gets False; :func:`fact_survives` decides what that case
+    means.
     """
     touched = {directions[name] for name in relations if name in directions}
     wanted = MutationDirection.INSERT_ONLY if alive else MutationDirection.DELETE_ONLY
@@ -234,11 +230,12 @@ def monotone_survives(
 def fact_survives(
     fact: StatusFact, directions: Mapping[str, MutationDirection]
 ) -> bool:
-    """Whether a persisted fact still holds under ``directions``.
+    """Whether a persisted fact or probe row still holds under ``directions``.
 
-    A fact touching no changed relation is still exact: it was compared
-    against its own run's snapshot, so its join path holds the content
-    it was computed on.  Otherwise :func:`monotone_survives` decides.
+    ``directions`` are the changes since the snapshot the row was
+    written under.  A row touching no changed relation is still exact:
+    its join path holds the content it was computed on.  Otherwise
+    :func:`monotone_survives` decides.
     """
     return directions.keys().isdisjoint(fact.relations) or monotone_survives(
         fact.alive, fact.relations, directions
@@ -251,55 +248,49 @@ class ProbeCache:
     Implements the :class:`~repro.backends.base.ProbeStore` protocol the
     evaluator consumes (:meth:`get`/:meth:`put`) and the per-workload
     status store the debugger reads and writes (:meth:`load`/:meth:`save`).
-    The cache holds a reference to the live :class:`Database` and keys
-    every probe on the *current* per-relation fingerprints, so reads after
-    an in-session mutation can never return an answer recorded against
-    stale content -- at worst they miss until :meth:`refresh` repairs the
-    old rows.
+    The cache holds a reference to the live :class:`Database` and judges
+    every row it reads against the database's *current* snapshot, so a
+    read after an in-session mutation never returns an answer the
+    mutation may have changed: it misses instead.
     """
 
-    def __init__(
-        self,
-        path: str | Path,
-        database: Database,
-        tracer: "ProbeTracer | None" = None,
-    ):
+    def __init__(self, path: str | Path, database: Database):
         self.path = Path(path)
         self.database = database
         self.schema = database.schema
-        self.path.parent.mkdir(parents=True, exist_ok=True)
         self._lock = threading.Lock()
         self._closed = False
         self.hits = 0
         self.misses = 0
         self.writes = 0
         self.saves = 0
-        self.repaired_total = 0
-        self.evicted_total = 0
-        self.last_repair: RepairReport | None = None
+        # Memos (guarded-by: _lock): each stored snapshot, decoded once
+        # per id -- ids are never reused (AUTOINCREMENT), so an entry
+        # stays sound while another process clears the file -- and, for
+        # one live snapshot, the id a write registered it under and the
+        # changes since each stored snapshot id.
+        self._stored: dict[int, DatabaseSnapshot] = {}
+        self._live: DatabaseSnapshot | None = None
+        self._live_id: int | None = None
+        self._changes: dict[int, Mapping[str, MutationDirection]] = {}
         try:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
             # guarded-by: _lock  (every post-init use is under the lock)
             self._connection = sqlite3.connect(
                 str(self.path), check_same_thread=False
             )
             try:
                 self._migrate_locked()
-                self.last_repair = self._repair_locked(tracer)
             except BaseException:
                 self._connection.close()
                 raise
-        except sqlite3.Error as exc:
+        except (OSError, sqlite3.Error) as exc:
             raise ProbeCacheError(f"cannot open cache at {path}: {exc}")
 
     @classmethod
-    def open_dir(
-        cls,
-        cache_dir: str | Path,
-        database: Database,
-        tracer: "ProbeTracer | None" = None,
-    ) -> "ProbeCache":
+    def open_dir(cls, cache_dir: str | Path, database: Database) -> "ProbeCache":
         """Open (creating if needed) the cache file inside ``cache_dir``."""
-        return cls(Path(cache_dir) / CACHE_FILENAME, database, tracer=tracer)
+        return cls(Path(cache_dir) / CACHE_FILENAME, database)
 
     # ---------------------------------------------------------- migration
     def _migrate_locked(self) -> None:
@@ -317,7 +308,7 @@ class ProbeCache:
             ).fetchone()
             version = None if row is None else row[0]
         if tables and version != str(CACHE_SCHEMA_VERSION):
-            for name in ("probes", "runs", "status_facts", "meta"):
+            for name in ("probes", "runs", "status_facts", "snapshots", "meta"):
                 self._connection.execute(f"DROP TABLE IF EXISTS {name}")
         self._connection.executescript(_SCHEMA)
         self._connection.execute(
@@ -326,136 +317,93 @@ class ProbeCache:
         )
         self._connection.commit()
 
-    # ------------------------------------------------------------- repair
-    def _repair_locked(self, tracer: "ProbeTracer | None") -> RepairReport:
-        """Reconcile stored probe rows with the live database's identity.
+    # ---------------------------------------------------------- snapshots
+    def _track_locked(self, live: DatabaseSnapshot) -> None:
+        """Start the memos afresh when the live snapshot changed."""
+        if live is not self._live:
+            self._live, self._live_id, self._changes = live, None, {}
 
-        Rows whose vector key already matches the current fingerprints
-        are untouched.  A stale row is re-keyed iff
-        :func:`monotone_survives` keeps its answer.  A stale row touching
-        no changed relation was recorded between two repairs, against
-        content the file's snapshot never saw, so it is evicted -- as are
-        rows over unknown relations and everything a mixed or
-        foreign-lineage delta touches.
+    def _register_locked(self, live: DatabaseSnapshot) -> int:
+        """Id of ``live``'s ``snapshots`` row, inserted on first use."""
+        self._track_locked(live)
+        if self._live_id is None:
+            state = _encode_snapshot(live)
+            self._connection.execute(
+                "INSERT OR IGNORE INTO snapshots (state) VALUES (?)", (state,)
+            )
+            (snapshot_id,) = self._connection.execute(
+                "SELECT id FROM snapshots WHERE state = ?", (state,)
+            ).fetchone()
+            self._live_id = int(snapshot_id)
+            self._stored[self._live_id] = live
+            self._changes[self._live_id] = {}
+        return self._live_id
+
+    def _changes_locked(
+        self, snapshot_id: int, live: DatabaseSnapshot
+    ) -> Mapping[str, MutationDirection]:
+        """Relations changed between snapshot ``snapshot_id`` and ``live``."""
+        self._track_locked(live)
+        changes = self._changes.get(snapshot_id)
+        if changes is None:
+            stored = self._stored.get(snapshot_id)
+            if stored is None:
+                row = self._connection.execute(
+                    "SELECT state FROM snapshots WHERE id = ?", (snapshot_id,)
+                ).fetchone()
+                stored = _decode_snapshot(None if row is None else row[0])
+                self._stored[snapshot_id] = stored
+            changes = DatabaseDelta.between(stored, live).directions
+            self._changes[snapshot_id] = changes
+        return changes
+
+    def refresh(self) -> None:
+        """Register the live database's snapshot after a write.
+
+        Nothing is repaired: :meth:`get` and :meth:`load` judge every row
+        against the snapshot it was written under.  Registering here
+        spares the first :meth:`put` after the write.
         """
-        current = self.database.snapshot()
-        row = self._connection.execute(
-            "SELECT value FROM meta WHERE key = 'snapshot'"
-        ).fetchone()
-        persisted = None if row is None else _decode_snapshot(row[0])
-        directions: dict[str, str] = {}
-        repaired = 0
-        evicted = 0
-        if persisted is not None and persisted.composite != current.composite:
-            delta = DatabaseDelta.between(persisted, current)
-            directions = _directions_label(delta)
-            fingerprints = {
-                state.relation: state.fingerprint for state in current.relations
-            }
-            deletes: list[tuple[str, str]] = []
-            upserts: list[tuple[str, str, int, str]] = []
-            rows = self._connection.execute(
-                "SELECT vector_key, query_key, alive, relations FROM probes"
-            ).fetchall()
-            for vector_key, query_key, alive, label in rows:
-                relations = label.split(",") if label else []
-                if any(name not in fingerprints for name in relations):
-                    deletes.append((vector_key, query_key))
-                    continue
-                expected = relation_vector_key(relations, fingerprints)
-                if expected == vector_key:
-                    continue
-                deletes.append((vector_key, query_key))
-                if monotone_survives(bool(alive), relations, delta.directions):
-                    upserts.append((expected, query_key, int(alive), label))
-            self._connection.executemany(
-                "DELETE FROM probes WHERE vector_key = ? AND query_key = ?",
-                deletes,
-            )
-            self._connection.executemany(
-                "INSERT OR REPLACE INTO probes "
-                "(vector_key, query_key, alive, relations) VALUES (?, ?, ?, ?)",
-                upserts,
-            )
-            repaired = len(upserts)
-            evicted = len(deletes) - len(upserts)
-        self._connection.execute(
-            "INSERT OR REPLACE INTO meta (key, value) VALUES ('snapshot', ?)",
-            (_encode_snapshot(current),),
-        )
-        self._connection.commit()
-        self.repaired_total += repaired
-        self.evicted_total += evicted
-        report = RepairReport(
-            old_composite=None if persisted is None else persisted.composite,
-            new_composite=current.composite,
-            directions=directions,
-            repaired=repaired,
-            evicted=evicted,
-        )
-        if tracer is not None and report.changed:
-            tracer.record_event(
-                "cache_repair",
-                old_composite=report.old_composite,
-                new_composite=report.new_composite,
-                directions=dict(directions),
-                repaired=repaired,
-                evicted=evicted,
-            )
-        return report
-
-    def refresh(self, tracer: "ProbeTracer | None" = None) -> RepairReport:
-        """Repair the probe rows against the live database's *current* state.
-
-        Call after in-session mutations to recover the still-sound rows
-        recorded under the pre-mutation vector (reads were already safe:
-        they key on current fingerprints and simply missed).  Status
-        facts need nothing here: :meth:`load` repairs them against their
-        own run's snapshot.
-        """
+        live = self.database.snapshot()
         with self._lock:
             self._ensure_open_locked()
-            report = self._repair_locked(tracer)
-        self.last_repair = report
-        return report
+            self._register_locked(live)
+            self._connection.commit()
 
     # --------------------------------------------------------- ProbeStore
     def key_of(self, query: BoundQuery) -> str:
         return query_cache_key(query, self.schema)
 
-    def vector_of(self, query: BoundQuery) -> str:
-        """Current vector key of the relations on ``query``'s join path."""
-        return relation_vector_key(
-            query.tree.relations(), self.database.relation_fingerprints()
-        )
-
     def get(self, query: BoundQuery) -> bool | None:
-        """Cached aliveness of ``query`` under the current vector, or None."""
+        """Cached aliveness of ``query`` if it survives the writes since, or None."""
         key = self.key_of(query)
-        vector = self.vector_of(query)
+        live = self.database.snapshot()
         with self._lock:
             self._ensure_open_locked()
             row = self._connection.execute(
-                "SELECT alive FROM probes WHERE vector_key = ? AND query_key = ?",
-                (vector, key),
+                "SELECT alive, relations, snapshot FROM probes WHERE query_key = ?",
+                (key,),
             ).fetchone()
-            if row is None:
-                self.misses += 1
-                return None
-            self.hits += 1
-            return bool(row[0])
+            if row is not None:
+                alive, label, snapshot_id = row
+                fact = _fact(key, alive, label)
+                if fact_survives(fact, self._changes_locked(snapshot_id, live)):
+                    self.hits += 1
+                    return fact.alive
+            self.misses += 1
+            return None
 
     def put(self, query: BoundQuery, alive: bool) -> None:
         """Record one probe result (idempotent; last write wins)."""
         key = self.key_of(query)
-        vector = self.vector_of(query)
         label = relations_label(query.tree.relations())
+        live = self.database.snapshot()
         with self._lock:
             self._ensure_open_locked()
             self._connection.execute(
                 "INSERT OR REPLACE INTO probes "
-                "(vector_key, query_key, alive, relations) VALUES (?, ?, ?, ?)",
-                (vector, key, int(alive), label),
+                "(query_key, alive, relations, snapshot) VALUES (?, ?, ?, ?)",
+                (key, int(alive), label, self._register_locked(live)),
             )
             self._connection.commit()
             self.writes += 1
@@ -477,9 +425,10 @@ class ProbeCache:
             )
             for fact in facts
         ]
-        snapshot = _encode_snapshot(self.database.snapshot())
+        live = self.database.snapshot()
         with self._lock:
             self._ensure_open_locked()
+            snapshot_id = self._register_locked(live)
             self._connection.execute(
                 "DELETE FROM status_facts WHERE workload_key = ?", (workload_key,)
             )
@@ -490,21 +439,22 @@ class ProbeCache:
             )
             self._connection.execute(
                 "INSERT OR REPLACE INTO runs (workload_key, snapshot) VALUES (?, ?)",
-                (workload_key, snapshot),
+                (workload_key, snapshot_id),
             )
             self._connection.commit()
             self.saves += 1
         return len(rows)
 
     def load(self, workload_key: str) -> StatusLoad | None:
-        """Recover (and, if stale, repair) the facts of one workload.
+        """Recover the facts of one workload that survive the writes since.
 
-        Returns None when nothing was persisted for the key.  Stale facts
-        are filtered through :func:`fact_survives`; for a cross-lineage
-        or mixed delta that keeps only the untouched-relation facts,
-        which is exactly what remains provable.
+        Returns None when nothing was persisted for the key.  Facts are
+        filtered through :func:`fact_survives` against the run's
+        snapshot; for a cross-lineage or mixed delta that keeps only the
+        untouched-relation facts, which is exactly what remains
+        provable, and for an unreadable snapshot none.
         """
-        current = self.database.snapshot()
+        live = self.database.snapshot()
         with self._lock:
             self._ensure_open_locked()
             run = self._connection.execute(
@@ -518,25 +468,17 @@ class ProbeCache:
                 "FROM status_facts WHERE workload_key = ? ORDER BY node_key",
                 (workload_key,),
             ).fetchall()
-        stored = _decode_snapshot(run[0])
-        facts = tuple(
-            StatusFact(
-                node_key=node_key,
-                relations=tuple(label.split(",")) if label else (),
-                alive=bool(alive),
-            )
-            for node_key, alive, label in rows
-        )
-        # Equal composites give an empty delta, so every fact survives.
-        delta = DatabaseDelta.between(stored, current)
+            changes = self._changes_locked(run[0], live)
         survivors = tuple(
-            fact for fact in facts if fact_survives(fact, delta.directions)
+            fact
+            for fact in (_fact(*row) for row in rows)
+            if fact_survives(fact, changes)
         )
         return StatusLoad(
             workload_key=workload_key,
             facts=survivors,
-            directions=_directions_label(delta),
-            dropped=len(facts) - len(survivors),
+            directions=_directions_label(changes),
+            dropped=len(rows) - len(survivors),
         )
 
     # ------------------------------------------------------- housekeeping
@@ -551,9 +493,11 @@ class ProbeCache:
             return _count_rows(self._connection)
 
     def clear(self) -> dict[str, int]:
-        """Drop every probe, run and fact; returns :meth:`counts` from before."""
+        """Drop every probe, run, fact and snapshot; returns :meth:`counts`
+        from before."""
         with self._lock:
             self._ensure_open_locked()
+            self._live = None
             return _clear_rows(self._connection)
 
     def stats(self) -> ProbeCacheStats:
@@ -565,8 +509,6 @@ class ProbeCache:
                 path=str(self.path),
                 composite=self.database.fingerprint(),
                 entries=_count_rows(self._connection)["probes"],
-                repaired=self.repaired_total,
-                evicted=self.evicted_total,
                 hits=self.hits,
                 misses=self.misses,
                 writes=self.writes,
@@ -603,12 +545,21 @@ def _count_rows(connection: sqlite3.Connection) -> dict[str, int]:
 
 
 def _clear_rows(connection: sqlite3.Connection) -> dict[str, int]:
-    """Empty the answer tables, counting first (``rowcount`` may be -1)."""
+    """Empty the answer and snapshot tables, counting first (``rowcount``
+    may be -1)."""
     counts = _count_rows(connection)
-    for table in ("probes", "runs", "status_facts"):
+    for table in ("probes", "runs", "status_facts", "snapshots"):
         connection.execute(f"DELETE FROM {table}")
     connection.commit()
     return counts
+
+
+def _cache_file(cache_dir: str | Path) -> Path:
+    """The cache file of ``cache_dir``, which must not be a regular file."""
+    directory = Path(cache_dir)
+    if directory.exists() and not directory.is_dir():
+        raise ProbeCacheError(f"cache dir {directory} is not a directory")
+    return directory / CACHE_FILENAME
 
 
 @contextlib.contextmanager
@@ -626,37 +577,33 @@ def inspect_cache_dir(cache_dir: str | Path) -> dict[str, object]:
     """Summary of a cache directory without needing a live database.
 
     Used by ``repro cache stats``: reports the cache file, its probe
-    entries per vector (one vector per distinct dataset state x join-path
-    relation set seen), and its persisted workloads and facts.
+    entries per join-path relation set, and its persisted workloads and
+    facts.
     """
-    path = Path(cache_dir) / CACHE_FILENAME
+    path = _cache_file(cache_dir)
     if not path.exists():
         return {
             "path": str(path),
             "exists": False,
             "entries": 0,
-            "vectors": {},
+            "relations": {},
             "status": {"workloads": 0, "facts": 0},
         }
     with _open_file(path) as connection:
         rows = connection.execute(
-            "SELECT vector_key, relations, COUNT(*), SUM(alive) FROM probes "
-            "GROUP BY vector_key, relations ORDER BY vector_key, relations"
+            "SELECT relations, COUNT(*), SUM(alive) FROM probes "
+            "GROUP BY relations ORDER BY relations"
         ).fetchall()
         counts = _count_rows(connection)
-    vectors: dict[str, dict[str, object]] = {}
-    for vector_key, relations, count, alive in rows:
-        vectors[vector_key] = {
-            "relations": relations,
-            "entries": int(count),
-            "alive": int(alive or 0),
-        }
     return {
         "path": str(path),
         "exists": True,
         "size_bytes": path.stat().st_size,
         "entries": counts["probes"],
-        "vectors": vectors,
+        "relations": {
+            label: {"entries": int(count), "alive": int(alive or 0)}
+            for label, count, alive in rows
+        },
         "status": {"workloads": counts["workloads"], "facts": counts["facts"]},
     }
 
@@ -668,7 +615,7 @@ def clear_cache_dir(cache_dir: str | Path) -> dict[str, int]:
     cache clear`` prints.  A run left behind would still answer a repeat
     workload with zero probes.  The index file holds no answers and stays.
     """
-    path = Path(cache_dir) / CACHE_FILENAME
+    path = _cache_file(cache_dir)
     if not path.exists():
         return {"probes": 0, "workloads": 0, "facts": 0}
     with _open_file(path) as connection:

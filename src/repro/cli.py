@@ -30,6 +30,7 @@ from repro.core.traversal import STRATEGY_NAMES
 from repro.datasets.dblife import DBLifeConfig, dblife_database
 from repro.datasets.products import product_database
 from repro.index import INDEX_NAMES
+from repro.index.sqlite_index import SqliteIndexError
 from repro.kws.discover import ClassicKWSSystem
 from repro.obs import ProbeBudget, ProbeTracer, validate_trace_record
 from repro.relational.predicates import MatchMode
@@ -79,9 +80,9 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
         default=None,
         help=(
             "persist probe results and status facts here, in one "
-            "cache.sqlite (keyed by per-relation fingerprints, repaired "
-            "after writes); a repeat run skips its traversal whenever the "
-            "facts that survive the writes since resolve it"
+            "cache.sqlite (each judged against the snapshot it was written "
+            "under); a repeat run skips its traversal whenever the facts "
+            "that survive the writes since resolve it"
         ),
     )
 
@@ -392,10 +393,9 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         return 0
     print(f"probe cache: {info['path']}")
     print(f"  size: {info['size_bytes']} bytes, entries: {info['entries']}")
-    for vector, counts in info["vectors"].items():
+    for label, counts in info["relations"].items():
         print(
-            f"  vector {vector[:16]}... [{counts['relations']}]: "
-            f"{counts['entries']} entries ({counts['alive']} alive)"
+            f"  [{label}]: {counts['entries']} entries ({counts['alive']} alive)"
         )
     return 0
 
@@ -698,9 +698,9 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Operate on a cache directory (see --cache-dir on the "
             "debug/trace commands): 'stats' summarizes cache.sqlite's "
-            "per-fingerprint probe counts and its workload and status "
-            "fact counts, 'clear' empties it (the index file holds no "
-            "answers and stays).  Neither needs the dataset loaded."
+            "probe counts per join-path relation set and its workload and "
+            "status fact counts, 'clear' empties it (the index file holds "
+            "no answers and stays).  Neither needs the dataset loaded."
         ),
     )
     cache.add_argument("action", choices=("stats", "clear"))
@@ -719,13 +719,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     """Run one command; a query the level cannot bind or an unusable cache
-    file ends it with one stderr line and exit 2 (each command releases
-    what it built on the way out)."""
+    directory or file ends it with one stderr line and exit 2 (each
+    command releases what it built on the way out)."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (BindingError, ProbeCacheError) as error:
+    except (BindingError, ProbeCacheError, SqliteIndexError) as error:
         print(f"{args.command}: {error}", file=sys.stderr)
         return 2
 

@@ -209,17 +209,17 @@ class NonAnswerDebugger:
         does not own (or close) it.
 
         ``cache_dir`` attaches one persistent cache store
-        (:class:`repro.cache.ProbeCache`): probe answers keyed by the
-        relation-fingerprint vector of each probed join path, the L2 tier
-        of every reuse-enabled evaluator this debugger makes, and
-        classification facts per workload.  A second session over an
-        unchanged database answers previously probed nodes with zero
-        backend queries.  An unconstrained :meth:`debug` skips Phase 3
-        whenever the workload's facts, replayed through R1/R2
-        (:meth:`replay_status`), resolve its graph -- after a write too,
-        since a mutation repairs both facts and probes (monotone
-        survivors kept) instead of discarding them.  The sqlite index
-        lives there too and is repaired per relation on reopen.
+        (:class:`repro.cache.ProbeCache`): probe answers keyed by canonical
+        query key, the L2 tier of every reuse-enabled evaluator this
+        debugger makes, and classification facts per workload.  A second
+        session over an unchanged database answers previously probed
+        nodes with zero backend queries.  An unconstrained :meth:`debug`
+        skips Phase 3 whenever the workload's facts, replayed through
+        R1/R2 (:meth:`replay_status`), resolve its graph -- after a write
+        too, since each probe and fact is judged against the snapshot it
+        was written under (monotone survivors kept) instead of being
+        discarded.  The sqlite index lives there too and is rebuilt per
+        changed relation on reopen.
 
         When construction raises, everything built so far is released.
         """
@@ -265,9 +265,7 @@ class NonAnswerDebugger:
             )
             self.backend = create_backend(backend, database, self.index)
             if cache_dir is not None:
-                self.cache = ProbeCache.open_dir(
-                    cache_dir, database, tracer=self.tracer
-                )
+                self.cache = ProbeCache.open_dir(cache_dir, database)
         except BaseException:
             self._release()
             raise
@@ -348,7 +346,8 @@ class NonAnswerDebugger:
 
         Level 1 is seeded from the catalog (:func:`seed_base_levels`),
         then each fact :meth:`ProbeCache.load` keeps for the workload --
-        exact, or repaired against its own run's snapshot -- is recorded
+        exact, or kept by the monotone rule against its own run's
+        snapshot -- is recorded
         on every node with its key, so R1/R2 closure re-derives what the
         facts imply.  A fact that disagrees with a status already known
         marks the whole set corrupt: the seeded store comes back with
@@ -577,12 +576,11 @@ class NonAnswerDebugger:
         The inverted index, keyword mapper, and backend all read the
         dataset at construction time; a :meth:`Table.insert`/``delete``
         leaves them stale, so mutating callers must refresh before the
-        next query.  The cache's probe rows are *repaired* in place
-        (monotone survivors re-keyed to the new fingerprints), not
-        reopened; its status facts need nothing -- they repair at load
-        time.  A
-        persistent index backend (sqlite) likewise rebuilds only the
-        relations whose fingerprint changed when it is recreated here.
+        next query.  The cache store only registers the post-write
+        snapshot: its probe rows and status facts are judged against it
+        when read, so nothing is repaired or reopened.  A persistent
+        index backend (sqlite) rebuilds only the relations whose
+        fingerprint changed when it is recreated here.
         """
         if self._owns_index:
             self.index.close()
@@ -596,7 +594,7 @@ class NonAnswerDebugger:
             closer()
         self.backend = create_backend(self.backend_name, self.database, self.index)
         if self.cache is not None:
-            self.cache.refresh(self.tracer)
+            self.cache.refresh()
 
     def close(self) -> None:
         """Release backend resources (connection pool, cache store).

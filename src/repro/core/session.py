@@ -87,7 +87,7 @@ class DebugSession:
             use_cache=True, budget=budget, tracer=tracer
         )
         # Warm start: the base levels plus the saved facts (exact, or
-        # repaired after a mutation) through R1/R2 closure, so previously
+        # surviving a mutation) through R1/R2 closure, so previously
         # learned statuses cost zero SQL this session.
         self._keys = debugger.node_keys(self.graph)
         self.store, self.preloaded = debugger.replay_status(

@@ -16,8 +16,8 @@ disk; this module does exactly that with the stdlib ``sqlite3``:
 * ``relation_fingerprints(relation, fingerprint)`` -- the per-relation
   content fingerprints.  On (re)open the index compares them against the
   live database and rebuilds **only the relations whose fingerprint
-  changed**: the mutation-repair story of the L2 probe cache extended to
-  the index tier.
+  changed**: the per-relation identity the cache store judges its rows
+  by, used one tier down.
 
 The build streams each table through batched ``executemany`` inserts, so
 the Python-side high-water stays flat (one batch) no matter the dataset
@@ -90,7 +90,7 @@ CREATE TABLE IF NOT EXISTS vocabulary (
 
 
 class SqliteIndexError(RuntimeError):
-    """Raised on operations against a closed index."""
+    """Raised on operations against a closed or unopenable index."""
 
 
 @dataclass(frozen=True)
@@ -139,7 +139,7 @@ class SqliteInvertedIndex:
         with self._lock:
             self._configure_locked()
             self._migrate_locked()
-            self._repair_locked()
+            self._rebuild_changed_locked()
 
     @classmethod
     def open_dir(
@@ -147,7 +147,10 @@ class SqliteInvertedIndex:
     ) -> "SqliteInvertedIndex":
         """Open (or create) the index file inside a cache directory."""
         base = Path(directory)
-        base.mkdir(parents=True, exist_ok=True)
+        try:
+            base.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise SqliteIndexError(f"cannot open index in {base}: {exc}")
         return cls(database, base / INDEX_FILENAME)
 
     # -------------------------------------------------------------- attach
@@ -172,7 +175,7 @@ class SqliteInvertedIndex:
         )
         self._connection.commit()
 
-    def _repair_locked(self) -> None:
+    def _rebuild_changed_locked(self) -> None:
         """Rebuild exactly the relations whose content fingerprint changed."""
         started = time.perf_counter()
         current = self.database.relation_fingerprints()

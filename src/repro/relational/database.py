@@ -25,12 +25,13 @@ class IntegrityError(ValueError):
 class MutationDirection(enum.Enum):
     """How a relation's content moved between two snapshots.
 
-    The direction is what makes cache *repair* sound instead of eviction:
-    an insert can only flip a probe dead -> alive (monotone upward through
-    rule R2), a delete only alive -> dead, so knowing the direction tells
-    exactly which cached answers survive.  ``MIXED`` covers both genuine
-    interleavings and the cases where direction cannot be proven (foreign
-    lineage, counter regressions) -- the safe fallback is full eviction.
+    The direction is what lets a cached answer outlive a write instead of
+    being discarded: an insert can only flip a probe dead -> alive
+    (monotone upward through rule R2), a delete only alive -> dead, so
+    knowing the direction tells exactly which cached answers survive.
+    ``MIXED`` covers both genuine interleavings and the cases where
+    direction cannot be proven (foreign lineage, counter regressions) --
+    the safe fallback is that no answer through the relation survives.
     """
 
     INSERT_ONLY = "insert_only"
@@ -124,8 +125,9 @@ class DatabaseDelta:
                 directions[state.relation] = MutationDirection.DELETE_ONLY
             else:
                 directions[state.relation] = MutationDirection.MIXED
+        new_names = {state.relation for state in new.relations}
         for state in old.relations:
-            if state.relation not in {s.relation for s in new.relations}:
+            if state.relation not in new_names:
                 directions[state.relation] = MutationDirection.MIXED
         return DatabaseDelta(
             old_composite=old.composite,
@@ -156,6 +158,8 @@ class Database:
         }
         self.lineage = f"{os.getpid()}.{next(_LINEAGE_IDS)}"
         self._schema_digest: str | None = None
+        # The last snapshot and the mutation counters it was taken at.
+        self._snapshot: tuple[list[tuple[int, int]], DatabaseSnapshot] | None = None
 
     # -------------------------------------------------------------- loading
     def table(self, relation: str) -> Table:
@@ -236,7 +240,7 @@ class Database:
     def relation_fingerprints(self) -> dict[str, str]:
         """Per-relation content digests (memoized per table, sorted keys).
 
-        This is the identity vector the probe cache keys on: a probe
+        The cache store compares them between snapshots: a cached answer
         touching relations ``{person}`` stays valid across any mutation
         that leaves ``person``'s digest unchanged.
         """
@@ -262,9 +266,19 @@ class Database:
     def snapshot(self) -> DatabaseSnapshot:
         """Freeze the identity vector (composite + per-relation states).
 
-        Cheap after the first call per mutation burst: table digests are
-        memoized, and the counters are plain attribute reads.
+        Memoized on the tables' insert/delete counters, which every
+        mutation bumps after changing the rows: a call returns the same
+        object until the next mutation completes.  The counters are read
+        before the states are built, so a mutation racing the build only
+        costs a rebuild on the next call.
         """
+        counters = [
+            (table.inserts_total, table.deletes_total)
+            for table in self.tables.values()
+        ]
+        memo = self._snapshot  # one read: another thread may replace it
+        if memo is not None and memo[0] == counters:
+            return memo[1]
         states = tuple(
             RelationState(
                 relation=name,
@@ -275,9 +289,11 @@ class Database:
             )
             for name, table in ((n, self.tables[n]) for n in sorted(self.tables))
         )
-        return DatabaseSnapshot(
+        snapshot = DatabaseSnapshot(
             composite=self.fingerprint(), lineage=self.lineage, relations=states
         )
+        self._snapshot = (counters, snapshot)
+        return snapshot
 
     def summary(self) -> str:
         """Human-readable one-line-per-table summary."""

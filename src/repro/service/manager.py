@@ -21,7 +21,7 @@ Lifecycle facts the rest of the service relies on:
   session's budget, the traversal stops at its next backend probe, and
   the partial classifications survive (never saved as complete);
 * dataset mutations take the write side of a reader-writer gate --
-  active sessions drain first, then the PR-8 repair path
+  active sessions drain first, then the debugger's refresh
   (:meth:`~repro.core.debugger.NonAnswerDebugger.refresh_after_mutation`)
   runs with no reader in flight, then traffic resumes;
 * finished sessions are evicted after ``session_ttl`` seconds; their
@@ -461,11 +461,11 @@ class SessionManager:
         """Apply dataset changes with no session in flight (write gate).
 
         Deletes are applied by row id in descending order (each delete
-        shifts later ids), inserts after.  Then the PR-8 repair path
-        runs: index/mapper/backend rebuilt, the cache store's probe rows
-        repaired in place, its status facts lazily at next load.  Sessions
-        submitted during the mutation queue behind the gate and see only
-        the post-mutation snapshot.
+        shifts later ids), inserts after.  Then the debugger refreshes:
+        index/mapper/backend rebuilt and the post-write snapshot registered
+        with the cache store, whose probe rows and status facts are judged
+        against it when read.  Sessions submitted during the mutation
+        queue behind the gate and see only the post-mutation snapshot.
         """
         with self._lock:
             if self._closed:
@@ -518,8 +518,6 @@ class SessionManager:
                 "hits": stats.hits,
                 "misses": stats.misses,
                 "writes": stats.writes,
-                "repaired": stats.repaired,
-                "evicted": stats.evicted,
             }
             counts = cache.counts()
             payload["status_cache"] = {

@@ -1,8 +1,9 @@
-"""Tests for the persistent two-tier probe cache (identity, repair, L2)."""
+"""Tests for the persistent two-tier probe cache (identity, judging, L2)."""
 
 from __future__ import annotations
 
 import sqlite3
+import sys
 import threading
 
 import pytest
@@ -19,8 +20,10 @@ from repro.cache.keys import query_cache_key
 from repro.core.debugger import NonAnswerDebugger
 from repro.core.session import DebugSession
 from repro.core.traversal import get_strategy
+from repro.datasets.dblife import DBLifeConfig, dblife_database
 from repro.datasets.products import product_database
 from repro.obs import ProbeBudget, ProbeTracer
+from repro.relational.database import DatabaseDelta, MutationDirection
 from repro.relational.engine import InMemoryEngine
 from repro.relational.evaluator import InstrumentedEvaluator
 from repro.relational.jointree import BoundQuery, JoinTree, RelationInstance
@@ -84,6 +87,41 @@ class TestFingerprint:
         database.insert(table.relation.name, list(table)[0])
         assert database.fingerprint() != before
 
+    def test_snapshot_memo_follows_writes_under_contention(self):
+        """Readers race the memo while one thread writes: once a write has
+        returned, the snapshot carries its counters."""
+        database = product_database()
+        item = database.table("Item")
+        row = list(item)[0]
+        done = threading.Event()
+        stale = []
+
+        def reader():
+            while not done.is_set():
+                database.snapshot()
+
+        threads = [threading.Thread(target=reader) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for _ in range(200):
+                database.insert("Item", row)
+                state = database.snapshot().by_relation()["Item"]
+                if (state.inserts_total, state.row_count) != (
+                    item.inserts_total,
+                    len(item),
+                ):
+                    stale.append(state)
+        finally:
+            done.set()
+            for thread in threads:
+                thread.join(timeout=10)
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert stale == []
+
 
 class TestQueryCacheKey:
     def test_equal_queries_share_a_key(self, products_db, products_probes):
@@ -116,7 +154,6 @@ class TestProbeCache:
         with ProbeCache.open_dir(tmp_path, database) as reopened:
             assert reopened.get(probe) is False
             assert reopened.counts()["probes"] == 1
-            assert not reopened.last_repair.changed
 
     def test_clear_and_closed_errors(self, tmp_path, products_probes):
         cache = ProbeCache.open_dir(tmp_path, product_database())
@@ -136,17 +173,17 @@ class TestProbeCache:
             cache.put(products_probes[1], False)
         info = inspect_cache_dir(tmp_path)
         assert info["exists"] and info["entries"] == 2
-        assert sum(v["entries"] for v in info["vectors"].values()) == 2
-        assert sum(v["alive"] for v in info["vectors"].values()) == 1
-        for entry in info["vectors"].values():
-            assert entry["relations"]  # the join path is recorded per row
+        # Grouped by the join path recorded per row.
+        assert all(info["relations"])
+        assert sum(v["entries"] for v in info["relations"].values()) == 2
+        assert sum(v["alive"] for v in info["relations"].values()) == 1
         assert clear_cache_dir(tmp_path) == {"probes": 2, "workloads": 0, "facts": 0}
         assert inspect_cache_dir(tmp_path)["entries"] == 0
 
 
 # ------------------------------------------------------------------ repair
 class TestMonotoneRepair:
-    """Attach-time repair: survivors and evictions per delta direction."""
+    """Reads judge each row against its own snapshot, per delta direction."""
 
     def seed(self, tmp_path, database):
         """Four rows: alive/dead through Item, alive/dead avoiding Item."""
@@ -166,15 +203,11 @@ class TestMonotoneRepair:
         probes = self.seed(tmp_path, database)
         database.insert("Item", list(database.table("Item"))[0])
         with ProbeCache.open_dir(tmp_path, database) as cache:
-            report = cache.last_repair
-            assert report.changed
-            assert dict(report.directions) == {"Item": "insert_only"}
-            assert report.repaired == 1 and report.evicted == 1
             # Alive through the mutated relation: monotone, survives.
             assert cache.get(probes["item_alive"]) is True
-            # Dead through it: an insert may have revived it -> evicted.
+            # Dead through it: an insert may have revived it -> a miss.
             assert cache.get(probes["item_dead"]) is None
-            # Probes avoiding the mutated relation keep their key: warm.
+            # Probes avoiding the mutated relation are exact: warm.
             assert cache.get(probes["other_alive"]) is True
             assert cache.get(probes["other_dead"]) is False
 
@@ -183,11 +216,9 @@ class TestMonotoneRepair:
         probes = self.seed(tmp_path, database)
         database.delete("Item", 0)
         with ProbeCache.open_dir(tmp_path, database) as cache:
-            report = cache.last_repair
-            assert dict(report.directions) == {"Item": "delete_only"}
             # Dead through the mutated relation: a delete cannot revive.
             assert cache.get(probes["item_dead"]) is False
-            # Alive through it: its witness may be gone -> evicted.
+            # Alive through it: its witness may be gone -> a miss.
             assert cache.get(probes["item_alive"]) is None
             assert cache.get(probes["other_alive"]) is True
             assert cache.get(probes["other_dead"]) is False
@@ -200,7 +231,6 @@ class TestMonotoneRepair:
         # Counters moved on both axes and content differs (the deleted
         # row is not the inserted one): direction is mixed.
         with ProbeCache.open_dir(tmp_path, database) as cache:
-            assert dict(cache.last_repair.directions) == {"Item": "mixed"}
             assert cache.get(probes["item_alive"]) is None
             assert cache.get(probes["item_dead"]) is None
             assert cache.get(probes["other_alive"]) is True
@@ -210,11 +240,10 @@ class TestMonotoneRepair:
         probes = self.seed(tmp_path, product_database())
         # A *rebuilt* database with one extra row: the counters are not
         # comparable (fresh lineage), so even a pure insert is treated
-        # as mixed and both Item polarities are evicted.
+        # as mixed and both Item polarities miss.
         rebuilt = product_database()
         rebuilt.insert("Item", list(rebuilt.table("Item"))[0])
         with ProbeCache.open_dir(tmp_path, rebuilt) as cache:
-            assert dict(cache.last_repair.directions) == {"Item": "mixed"}
             assert cache.get(probes["item_alive"]) is None
             assert cache.get(probes["item_dead"]) is None
             assert cache.get(probes["other_alive"]) is True
@@ -222,11 +251,9 @@ class TestMonotoneRepair:
 
     def test_identical_rebuild_stays_fully_warm(self, tmp_path):
         probes = self.seed(tmp_path, product_database())
-        # Identical content under a fresh lineage: composite matches, no
-        # repair runs, and every row (both polarities) answers.
+        # Identical content under a fresh lineage: no relation changed,
+        # and every row (both polarities) answers.
         with ProbeCache.open_dir(tmp_path, product_database()) as cache:
-            assert not cache.last_repair.changed
-            assert cache.last_repair.repaired == 0
             assert cache.get(probes["item_alive"]) is True
             assert cache.get(probes["item_dead"]) is False
 
@@ -238,24 +265,23 @@ class TestMonotoneRepair:
             cache.put(probe_alive, True)
             cache.put(probe_dead, False)
             database.insert("Item", list(database.table("Item"))[0])
-            # Reads key on live fingerprints: stale rows are invisible
-            # (missed) even before any repair runs.
-            assert cache.get(probe_alive) is None
-            report = cache.refresh()
-            assert dict(report.directions) == {"Item": "insert_only"}
+            # Reads judge rows against the live database: the alive row
+            # survives the insert before refresh() runs, the dead one
+            # misses, and refresh() changes neither answer.
+            assert cache.get(probe_alive) is True
+            assert cache.get(probe_dead) is None
+            cache.refresh()
             assert cache.get(probe_alive) is True
             assert cache.get(probe_dead) is None
 
     def test_untouched_stale_row_is_evicted_not_rekeyed(self, tmp_path):
-        """The one case where probe rows and status facts part ways.
+        """A row is judged against the snapshot it was put under.
 
-        The row is put between two repairs, against an Item row the
-        file's snapshot never saw.  The next refresh compares the
-        snapshot with content whose Item part is back to the snapshot's,
-        so the delta names only ProductType and the row's stale vector
-        touches no changed relation.  An untouched status fact survives
-        (it carries its own run's snapshot); re-keying this row instead
-        would serve a stale ``True``.
+        The row is put against an Item row that is deleted afterwards,
+        which brings Item's content back to what the file saw before.
+        Against the row's own snapshot Item moved delete-only, so the
+        alive row misses; judging it against any earlier snapshot would
+        see Item unchanged and serve a stale ``True``.
         """
         database = product_database()
         probe = single_relation_probe("Item", "zebrawood")
@@ -267,20 +293,17 @@ class TestMonotoneRepair:
             cache.put(probe, True)
             database.insert("ProductType", (4, "soap"))
             database.delete("Item", rows)
-            report = cache.refresh()
-            assert dict(report.directions) == {"ProductType": "insert_only"}
-            assert report.repaired == 0 and report.evicted == 1
+            cache.refresh()
             assert cache.get(probe) is None
         assert InMemoryEngine(database).is_alive(probe) is False
 
     def test_concurrent_mutation_never_serves_stale_dead(self, tmp_path):
-        """Two threads -- one inserts, one probes -- across a repair.
+        """Two threads -- one inserts, one probes -- across a refresh.
 
         After the insert is visible (Event ordering), a get for a dead
         probe through the mutated relation must never answer ``False``
-        again: first it misses (new vector), after repair it stays
-        evicted.  The alive probe may miss mid-window but must never
-        flip and ends up repaired back to ``True``.
+        again, before or after the refresh.  The alive probe must never
+        flip and ends up answering ``True``.
         """
         database = product_database()
         probe_alive = single_relation_probe("Item", "saffron")
@@ -314,6 +337,67 @@ class TestMonotoneRepair:
             assert violations == []
             assert cache.get(probe_alive) is True
             assert cache.get(probe_dead) is None
+
+    def test_rows_survive_a_write_cycle_that_restores_content(self, tmp_path):
+        """The answer-neutral write cycle of the serve benchmark: insert a,
+        insert b, delete a, delete b, each followed by refresh().  Topic's
+        content ends where the rows were put, so both polarities answer
+        again; in between, each answers only while its direction holds."""
+        database = dblife_database(DBLifeConfig(seed=42, scale=1))
+        probe_alive = single_relation_probe("Topic", "keyword")
+        probe_dead = single_relation_probe("Topic", "zzz-absent")
+        engine = InMemoryEngine(database)
+        assert engine.is_alive(probe_alive) and not engine.is_alive(probe_dead)
+        topic = database.table("Topic")
+        rows = len(topic)
+        with ProbeCache.open_dir(tmp_path, database) as cache:
+            cache.put(probe_alive, True)
+            cache.put(probe_dead, False)
+            answers = []
+            for step in ("insert a", "insert b", "delete a", "delete b"):
+                kind, name = step.split()
+                if kind == "insert":
+                    topic.insert([900_000_000 + len(topic), f"zzbenchwrite{name}"])
+                else:
+                    topic.delete(rows)  # a sits first, b moves up after it
+                cache.refresh()
+                answers.append((cache.get(probe_alive), cache.get(probe_dead)))
+        assert answers == [
+            (True, None),
+            (True, None),
+            (None, None),
+            (True, False),
+        ]
+
+    def test_databases_sharing_a_file_never_read_each_others_item_rows(
+        self, tmp_path
+    ):
+        """One row per query key: two databases whose Item content differs
+        overwrite each other's Item rows but never read them, while rows
+        over content they share still answer across them."""
+        plain = product_database()
+        extended = product_database()
+        rows = len(extended.table("Item"))
+        extended.insert(
+            "Item", (rows + 100, "zebrawood box", None, None, None, 1.0, "")
+        )
+        item_probe = single_relation_probe("Item", "zebrawood")
+        shared_probe = single_relation_probe("ProductType", "candle")
+        assert InMemoryEngine(plain).is_alive(item_probe) is False
+        assert InMemoryEngine(extended).is_alive(item_probe) is True
+        with ProbeCache.open_dir(tmp_path, plain) as first, ProbeCache.open_dir(
+            tmp_path, extended
+        ) as second:
+            first.put(item_probe, False)
+            first.put(shared_probe, True)
+            assert second.get(item_probe) is None
+            assert second.get(shared_probe) is True
+            second.put(item_probe, True)
+            assert first.get(item_probe) is None
+            assert second.get(item_probe) is True
+            first.put(item_probe, False)
+            assert second.get(item_probe) is None
+            assert first.get(item_probe) is False
 
 
 # ----------------------------------------------------------- evaluator tiers
@@ -472,13 +556,11 @@ class TestWarmStart:
         with NonAnswerDebugger(
             database, max_joins=2, cache_dir=cache_dir
         ) as warm:
-            report = warm.cache.last_repair
-            assert dict(report.directions) == {"Item": "insert_only"}
-            assert report.repaired > 0
             warm_report = warm.debug(self.QUERY)
         stats = warm_report.traversal.stats
-        # Evicted dead-through-Item rows re-execute; survivors stay warm.
+        # Dead-through-Item rows miss and re-execute; survivors stay warm.
         assert 0 < stats.queries_executed < cold_executed
+        assert stats.l2_hits > 0
         assert (
             warm_report.traversal.classification_signature()
             == cold_report.traversal.classification_signature()
@@ -497,12 +579,15 @@ class TestWarmStart:
         with NonAnswerDebugger(
             mutated, max_joins=2, cache_dir=cache_dir
         ) as fresh:
-            report = fresh.cache.last_repair
-            # Rebuilt database: the insert cannot be proven insert-only.
-            assert report.directions.get("Item") == "mixed"
-            assert report.evicted > 0
+            # Rebuilt database: the insert cannot be proven insert-only,
+            # so every probe through Item misses.
+            item_rows = inspect_cache_dir(cache_dir)["relations"]
             fresh_report = fresh.debug(self.QUERY)
-        assert fresh_report.traversal.stats.queries_executed > 0
+        stats = fresh_report.traversal.stats
+        assert stats.queries_executed >= sum(
+            counts["entries"] for label, counts in item_rows.items()
+            if "Item" in label.split(",")
+        )
 
     def test_debug_session_inherits_cache_and_status(self, tmp_path):
         cache_dir = tmp_path / "probe-cache"
@@ -583,8 +668,12 @@ class TestCountGates:
         # delta classifies insert-only; a fresh pipeline over the same
         # object is what the next session builds (the lattice depends
         # only on the schema, so it is shared).
+        before = database.snapshot()
         rows = len(database.table("Publication"))
         database.insert("Publication", (rows + 1, "benchmark mutation probe row"))
+        assert DatabaseDelta.between(before, database.snapshot()).directions == {
+            "Publication": MutationDirection.INSERT_ONLY
+        }
         mutated = BenchContext(
             config=context.config,
             _database=database,
@@ -592,12 +681,8 @@ class TestCountGates:
         )
         cold_total = warm_total = 0
         for name in GATE_STRATEGIES:
-            # Re-attaching repairs the store against the mutated database.
+            # Re-attaching judges the rows against the mutated database.
             with ProbeCache(tmp_path / f"{name}.sqlite", database) as cache:
-                assert cache.last_repair is not None
-                assert cache.last_repair.directions == {
-                    "Publication": "insert_only"
-                }
                 warm, warm_signatures = workload_pass(mutated, name, cache)
             # Reference: a full recompute through a separate empty store.
             with ProbeCache(tmp_path / f"{name}-cold.sqlite", database) as ref:

@@ -170,6 +170,31 @@ class TestUnusableCache:
         assert path.read_text() == "not a cache file\n"
         assert len(released) == (argv[0] != "cache")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["debug", "saffron scented candle"],
+            ["debug", "saffron scented candle", "--index-backend", "sqlite"],
+            ["trace", "saffron scented candle"],
+            ["serve", "--port", "0"],
+            ["cache", "stats"],
+            ["cache", "clear"],
+        ],
+        ids=["debug", "debug-sqlite-index", "trace", "serve", "cache-stats",
+             "cache-clear"],
+    )
+    def test_regular_file_as_cache_dir_exits_two(self, capsys, tmp_path, argv):
+        path = tmp_path / "not-a-dir"
+        path.write_text("one line\n")
+        assert main([*argv, "--cache-dir", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"{argv[0]}: ")
+        assert str(path) in lines[0]
+        assert path.read_text() == "one line\n"
+
 
 class TestBenchGateExitStatus:
     """The timing gates run as plain commands: the exit status is the gate."""
@@ -531,7 +556,7 @@ class TestCacheCommand:
         assert self._executed(tmp_path, capsys) == 0  # the status file answers
         stats = self._stats(tmp_path, capsys)
         assert set(stats) == {
-            "path", "exists", "size_bytes", "entries", "vectors", "status",
+            "path", "exists", "size_bytes", "entries", "relations", "status",
         }
         assert stats["entries"] == cold
         assert set(stats["status"]) == {"workloads", "facts"}

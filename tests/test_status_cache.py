@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import sqlite3
 import tempfile
 
@@ -343,6 +345,48 @@ class TestCorruptFacts:
         } == expected
 
 
+class TestCorruptSnapshot:
+    """A missing or undecodable ``snapshots`` row: nothing stamped with it
+    survives, so the next run traverses cold."""
+
+    QUERY = "saffron scented candle"
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        ["UPDATE snapshots SET state = '{'", "DELETE FROM snapshots"],
+        ids=["undecodable", "missing"],
+    )
+    def test_next_debug_traverses_cold(self, tmp_path, corrupt):
+        with NonAnswerDebugger(
+            product_database(), max_joins=2, cache_dir=tmp_path
+        ) as first:
+            cold = first.debug(self.QUERY)
+        connection = sqlite3.connect(str(tmp_path / CACHE_FILENAME))
+        try:
+            # One snapshot stamps every probe row and the run.
+            assert connection.execute(
+                "SELECT COUNT(*) FROM snapshots"
+            ).fetchone() == (1,)
+            connection.execute(corrupt)
+            connection.commit()
+        finally:
+            connection.close()
+        tracer = ProbeTracer()
+        with NonAnswerDebugger(
+            product_database(), max_joins=2, cache_dir=tmp_path, tracer=tracer
+        ) as warm:
+            report = warm.debug(self.QUERY)
+        assert "phase3_skipped" not in event_names(tracer)
+        stats = report.traversal.stats
+        assert stats.queries_executed == cold.traversal.stats.queries_executed
+        assert stats.l2_hits == 0
+        assert (
+            report.traversal.classification_signature()
+            == cold.traversal.classification_signature()
+        )
+        assert explanation_texts(report) == explanation_texts(cold)
+
+
 #: The version-1 layout: ``runs.complete`` and ``status_facts.evaluated``.
 VERSION_ONE_SCHEMA = """
 CREATE TABLE meta (key TEXT NOT NULL PRIMARY KEY, value TEXT NOT NULL)
@@ -361,12 +405,36 @@ CREATE TABLE status_facts (
     PRIMARY KEY (workload_key, node_key)) WITHOUT ROWID;
 """
 
+#: The version-2 layout: probes keyed by (vector, query), each run's
+#: snapshot stored inline.
+VERSION_TWO_SCHEMA = """
+CREATE TABLE meta (key TEXT NOT NULL PRIMARY KEY, value TEXT NOT NULL)
+    WITHOUT ROWID;
+CREATE TABLE probes (
+    vector_key TEXT NOT NULL, query_key TEXT NOT NULL,
+    alive INTEGER NOT NULL, relations TEXT NOT NULL,
+    PRIMARY KEY (vector_key, query_key)) WITHOUT ROWID;
+CREATE TABLE runs (
+    workload_key TEXT NOT NULL PRIMARY KEY, snapshot TEXT NOT NULL)
+    WITHOUT ROWID;
+CREATE TABLE status_facts (
+    workload_key TEXT NOT NULL, node_key TEXT NOT NULL,
+    alive INTEGER NOT NULL, relations TEXT NOT NULL,
+    PRIMARY KEY (workload_key, node_key)) WITHOUT ROWID;
+"""
+
 
 class TestSchemaMigration:
     QUERY = "saffron scented candle"
 
     def test_version_one_file_is_rebuilt(self, tmp_path):
-        # A version-1 file whose every answer is wrong for this database:
+        self.assert_rebuilt(tmp_path, 1)
+
+    def test_version_two_file_is_rebuilt(self, tmp_path):
+        self.assert_rebuilt(tmp_path, 2)
+
+    def assert_rebuilt(self, tmp_path, version):
+        # An older file whose every answer is wrong for this database:
         # reading any of it would misclassify.
         source = tmp_path / "source"
         with NonAnswerDebugger(
@@ -375,30 +443,57 @@ class TestSchemaMigration:
             reference = cold.debug(self.QUERY)
         current = sqlite3.connect(str(source / CACHE_FILENAME))
         try:
-            meta = current.execute("SELECT key, value FROM meta").fetchall()
-            probes = current.execute("SELECT * FROM probes").fetchall()
-            runs = current.execute("SELECT * FROM runs").fetchall()
+            probes = current.execute(
+                "SELECT query_key, alive, relations FROM probes"
+            ).fetchall()
+            runs = current.execute(
+                "SELECT workload_key, state FROM runs "
+                "JOIN snapshots ON snapshots.id = runs.snapshot"
+            ).fetchall()
             facts = current.execute("SELECT * FROM status_facts").fetchall()
         finally:
             current.close()
-        target = tmp_path / "v1"
+        # Versions 1 and 2 namespaced each probe by the digest of the
+        # (relation, fingerprint) pairs of its join path, and kept the
+        # file's snapshot in ``meta``.
+        ((_, state),) = runs
+        fingerprints = {
+            relation: fingerprint
+            for relation, fingerprint, *_ in json.loads(state)["relations"]
+        }
+
+        def vector(label):
+            payload = "|".join(
+                f"{name}:{fingerprints[name]}" for name in label.split(",")
+            )
+            return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+        target = tmp_path / f"v{version}"
         target.mkdir()
         old = sqlite3.connect(str(target / CACHE_FILENAME))
         try:
-            old.executescript(VERSION_ONE_SCHEMA)
+            old.executescript(
+                VERSION_ONE_SCHEMA if version == 1 else VERSION_TWO_SCHEMA
+            )
             old.executemany(
                 "INSERT INTO meta VALUES (?, ?)",
-                [(k, "1" if k == "schema_version" else v) for k, v in meta],
+                [("schema_version", str(version)), ("snapshot", state)],
             )
             old.executemany(
                 "INSERT INTO probes VALUES (?, ?, ?, ?)",
-                [(vector, key, 1 - alive, rel) for vector, key, alive, rel in probes],
+                [(vector(rel), key, 1 - alive, rel) for key, alive, rel in probes],
             )
-            old.executemany("INSERT INTO runs VALUES (?, ?, 1)", runs)
-            old.executemany(
-                "INSERT INTO status_facts VALUES (?, ?, ?, 1, ?)",
-                [(run, key, 1 - alive, label) for run, key, alive, label in facts],
-            )
+            flipped = [(run, key, 1 - alive, rel) for run, key, alive, rel in facts]
+            if version == 1:
+                old.executemany("INSERT INTO runs VALUES (?, ?, 1)", runs)
+                old.executemany(
+                    "INSERT INTO status_facts VALUES (?, ?, ?, 1, ?)", flipped
+                )
+            else:
+                old.executemany("INSERT INTO runs VALUES (?, ?)", runs)
+                old.executemany(
+                    "INSERT INTO status_facts VALUES (?, ?, ?, ?)", flipped
+                )
             old.commit()
         finally:
             old.close()
@@ -419,21 +514,23 @@ class TestSchemaMigration:
         )
         rebuilt = sqlite3.connect(str(target / CACHE_FILENAME))
         try:
-            version = rebuilt.execute(
+            stored = rebuilt.execute(
                 "SELECT value FROM meta WHERE key = 'schema_version'"
             ).fetchone()
             columns = {
                 table: [
                     row[1] for row in rebuilt.execute(f"PRAGMA table_info({table})")
                 ]
-                for table in ("runs", "status_facts")
+                for table in ("probes", "runs", "status_facts", "snapshots")
             }
         finally:
             rebuilt.close()
-        assert version == ("2",)
+        assert stored == ("3",)
         assert columns == {
+            "probes": ["query_key", "alive", "relations", "snapshot"],
             "runs": ["workload_key", "snapshot"],
             "status_facts": ["workload_key", "node_key", "alive", "relations"],
+            "snapshots": ["id", "state"],
         }
 
 
