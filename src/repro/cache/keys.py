@@ -6,9 +6,11 @@ are both useless.  The key is built from the paper's own machinery: the
 canonical label of the join tree (Algorithm 2, isomorphism-invariant and
 equal iff the trees are equal for copy-labeled trees), the sorted
 keyword bindings, and the match mode.  The digest of that tuple is the
-row key.  Dataset state is not part of it: each row records the snapshot
-it was written under, and the store judges the row against the live
-database at read time (:mod:`repro.cache.store`).
+row key, for an executed probe and for a status Phase 3 inferred alike:
+the key names the query, wherever in whichever graph it occurs.  Dataset
+state is not part of it: each row records the snapshot it was written
+under, and the store judges the row against the live database at read
+time (:mod:`repro.cache.store`).
 """
 
 from __future__ import annotations
@@ -44,27 +46,3 @@ def relations_label(relations: Iterable[str]) -> str:
     """
     return ",".join(sorted(set(relations)))
 
-
-def workload_cache_key(
-    tokens: Iterable[str],
-    mode: str,
-    max_joins: int,
-    max_keywords: int,
-    free_copies: int,
-) -> str:
-    """Stable key for one workload query + lattice configuration.
-
-    Namespaces the status facts :meth:`~repro.cache.ProbeCache.save` persists:
-    an "exact repeat" means the same casefolded keyword multiset debugged
-    under the same match mode and lattice shape parameters.
-    """
-    payload = repr(
-        (
-            sorted(token.casefold() for token in tokens),
-            mode,
-            max_joins,
-            max_keywords,
-            free_copies,
-        )
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()

@@ -1,4 +1,4 @@
-"""The persistent cache store: L2 probe answers and status facts, one file.
+"""The persistent cache store: one fact per query, one file.
 
 The paper treats Phase 0 as "computed offline ... a one-time cost"
 (§3.1), but probe results -- the expensive part on a DISCOVER-style
@@ -7,21 +7,22 @@ classifications Phase 3 derives from them died with the process.
 :class:`ProbeCache` persists both in one sqlite file
 (:data:`CACHE_FILENAME`) behind one connection and one lock:
 
-* ``probes`` -- one answer per probed query, keyed by the **canonical
-  query key** (:func:`query_cache_key`, stable across processes and
-  isomorphic relabelings).  The evaluator consults it after missing its
-  in-process LRU (L1) and writes through on every executed probe.
-* ``runs`` and ``status_facts`` -- after an unconstrained traversal that
-  did not exhaust its budget, or when an interactive session explains
-  all or closes, the debugger saves one fact per classified exploration
-  node (canonical key, join-path relations, aliveness) under a
-  **workload key** (keyword multiset + match mode + lattice shape).  A
-  later run replays what :meth:`ProbeCache.load` returns through R1/R2
-  and skips Phase 3 whenever that resolves its graph.
+* ``probes`` -- one row per query whose aliveness is known, keyed by the
+  **canonical query key** (:func:`query_cache_key`, stable across
+  processes and isomorphic relabelings).  Rules R1/R2 make a node's
+  status a fact about its SQL query alone, so an executed probe and a
+  classification Phase 3 inferred are the same kind of row.  The
+  evaluator consults the table after missing its in-process LRU (L1)
+  and writes through on every executed probe (:meth:`ProbeCache.put`);
+  the debugger upserts every node a run classified
+  (:meth:`ProbeCache.save`) and, before the next run of any query,
+  reads the rows among its graph's keys (:meth:`ProbeCache.load`),
+  replays them through R1/R2 and skips Phase 3 whenever that resolves
+  the graph.
 * ``snapshots`` -- each database snapshot a row was written under,
   stored once (its full state: composite, lineage, per-relation
   fingerprints and mutation counters) and referenced by id from every
-  ``probes`` and ``runs`` row.
+  ``probes`` row.
 
 A write to the database evicts and rewrites nothing.  Every read judges
 its row against the snapshot the row was written under, by one rule
@@ -59,6 +60,7 @@ from repro.relational.database import (
     MutationDirection,
     RelationState,
 )
+from repro.relational.identifiers import quote_identifier
 from repro.relational.jointree import BoundQuery
 
 #: File name used inside a ``--cache-dir`` directory.
@@ -66,7 +68,7 @@ CACHE_FILENAME = "cache.sqlite"
 
 #: Bumped whenever the on-disk layout changes; a mismatched file is
 #: rebuilt from scratch (cached answers are only ever an optimization).
-CACHE_SCHEMA_VERSION = 3
+CACHE_SCHEMA_VERSION = 4
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS meta (
@@ -82,19 +84,15 @@ CREATE TABLE IF NOT EXISTS probes (
     alive     INTEGER NOT NULL,
     relations TEXT NOT NULL,
     snapshot  INTEGER NOT NULL REFERENCES snapshots (id)
-) WITHOUT ROWID;
-CREATE TABLE IF NOT EXISTS runs (
-    workload_key TEXT NOT NULL PRIMARY KEY,
-    snapshot     INTEGER NOT NULL REFERENCES snapshots (id)
-) WITHOUT ROWID;
-CREATE TABLE IF NOT EXISTS status_facts (
-    workload_key TEXT NOT NULL,
-    node_key     TEXT NOT NULL,
-    alive        INTEGER NOT NULL,
-    relations    TEXT NOT NULL,
-    PRIMARY KEY (workload_key, node_key)
 ) WITHOUT ROWID
 """
+
+#: The row lookup (``get``, ``load``) and the upsert (``put``, ``save``).
+_SELECT = "SELECT query_key, alive, relations, snapshot FROM probes WHERE query_key "
+_UPSERT = (
+    "INSERT OR REPLACE INTO probes "
+    "(query_key, alive, relations, snapshot) VALUES (?, ?, ?, ?)"
+)
 
 
 class ProbeCacheError(RuntimeError):
@@ -121,7 +119,7 @@ class ProbeCacheStats:
 
 @dataclass(frozen=True)
 class StatusFact:
-    """One persisted node classification."""
+    """One persisted query classification: a ``probes`` row as read."""
 
     node_key: str
     relations: tuple[str, ...]
@@ -130,19 +128,16 @@ class StatusFact:
 
 @dataclass(frozen=True)
 class StatusLoad:
-    """Facts recovered for one workload, judged against the live database.
+    """The rows found among a graph's keys, judged against the live database.
 
-    ``facts`` holds every saved classification that no write since its
-    run can have flipped (:func:`fact_survives`): all of them when the
-    content is unchanged.  ``directions`` names each relation that
-    changed since then and ``dropped`` counts the facts it cost.  The
+    ``facts`` holds every row that no write since its own snapshot can
+    have flipped (:func:`fact_survives`): all of them when the content
+    is unchanged.  ``dropped`` counts the rows the writes cost.  The
     debugger replays the facts through R1/R2 and skips Phase 3 when they
     resolve the graph, whatever the snapshot.
     """
 
-    workload_key: str
     facts: tuple[StatusFact, ...]
-    directions: Mapping[str, str]
     dropped: int
 
 
@@ -196,12 +191,8 @@ def _decode_snapshot(payload: str | None) -> DatabaseSnapshot:
         return _UNKNOWN_SNAPSHOT
 
 
-def _directions_label(directions: Mapping[str, MutationDirection]) -> dict[str, str]:
-    return {name: direction.value for name, direction in sorted(directions.items())}
-
-
 def _fact(key: str, alive: int, label: str) -> StatusFact:
-    """A stored row (probe or status fact) as the rule reads it."""
+    """A stored row as the rule reads it."""
     return StatusFact(
         node_key=key,
         relations=tuple(label.split(",")) if label else (),
@@ -243,11 +234,12 @@ def fact_survives(
 
 
 class ProbeCache:
-    """Persistent probe answers and status facts with per-relation identity.
+    """Persistent query facts with per-relation identity.
 
     Implements the :class:`~repro.backends.base.ProbeStore` protocol the
-    evaluator consumes (:meth:`get`/:meth:`put`) and the per-workload
-    status store the debugger reads and writes (:meth:`load`/:meth:`save`).
+    evaluator consumes (:meth:`get`/:meth:`put`) and the status store the
+    debugger reads and writes a graph's facts through
+    (:meth:`load`/:meth:`save`), over the same ``probes`` rows.
     The cache holds a reference to the live :class:`Database` and judges
     every row it reads against the database's *current* snapshot, so a
     read after an in-session mutation never returns an answer the
@@ -280,7 +272,7 @@ class ProbeCache:
                 str(self.path), check_same_thread=False
             )
             try:
-                self._migrate_locked()
+                _migrate(self._connection)
             except BaseException:
                 self._connection.close()
                 raise
@@ -291,31 +283,6 @@ class ProbeCache:
     def open_dir(cls, cache_dir: str | Path, database: Database) -> "ProbeCache":
         """Open (creating if needed) the cache file inside ``cache_dir``."""
         return cls(Path(cache_dir) / CACHE_FILENAME, database)
-
-    # ---------------------------------------------------------- migration
-    def _migrate_locked(self) -> None:
-        """Create the layout, dropping a file written under another version."""
-        tables = {
-            name
-            for (name,) in self._connection.execute(
-                "SELECT name FROM sqlite_master WHERE type = 'table'"
-            )
-        }
-        version = None
-        if "meta" in tables:
-            row = self._connection.execute(
-                "SELECT value FROM meta WHERE key = 'schema_version'"
-            ).fetchone()
-            version = None if row is None else row[0]
-        if tables and version != str(CACHE_SCHEMA_VERSION):
-            for name in ("probes", "runs", "status_facts", "snapshots", "meta"):
-                self._connection.execute(f"DROP TABLE IF EXISTS {name}")
-        self._connection.executescript(_SCHEMA)
-        self._connection.execute(
-            "INSERT OR REPLACE INTO meta (key, value) VALUES ('schema_version', ?)",
-            (str(CACHE_SCHEMA_VERSION),),
-        )
-        self._connection.commit()
 
     # ---------------------------------------------------------- snapshots
     def _track_locked(self, live: DatabaseSnapshot) -> None:
@@ -357,12 +324,22 @@ class ProbeCache:
             self._changes[snapshot_id] = changes
         return changes
 
+    def _survivor_locked(
+        self, row: tuple[str, int, str, int], live: DatabaseSnapshot
+    ) -> StatusFact | None:
+        """A ``probes`` row as a fact, if it survives the writes since."""
+        key, alive, label, snapshot_id = row
+        fact = _fact(key, alive, label)
+        if fact_survives(fact, self._changes_locked(snapshot_id, live)):
+            return fact
+        return None
+
     def refresh(self) -> None:
         """Register the live database's snapshot after a write.
 
         Nothing is repaired: :meth:`get` and :meth:`load` judge every row
         against the snapshot it was written under.  Registering here
-        spares the first :meth:`put` after the write.
+        spares the first :meth:`put` or :meth:`save` after the write.
         """
         live = self.database.snapshot()
         with self._lock:
@@ -380,18 +357,13 @@ class ProbeCache:
         live = self.database.snapshot()
         with self._lock:
             self._ensure_open_locked()
-            row = self._connection.execute(
-                "SELECT alive, relations, snapshot FROM probes WHERE query_key = ?",
-                (key,),
-            ).fetchone()
-            if row is not None:
-                alive, label, snapshot_id = row
-                fact = _fact(key, alive, label)
-                if fact_survives(fact, self._changes_locked(snapshot_id, live)):
-                    self.hits += 1
-                    return fact.alive
-            self.misses += 1
-            return None
+            row = self._connection.execute(_SELECT + "= ?", (key,)).fetchone()
+            fact = None if row is None else self._survivor_locked(row, live)
+            if fact is None:
+                self.misses += 1
+                return None
+            self.hits += 1
+            return fact.alive
 
     def put(self, query: BoundQuery, alive: bool) -> None:
         """Record one probe result (idempotent; last write wins)."""
@@ -401,85 +373,59 @@ class ProbeCache:
         with self._lock:
             self._ensure_open_locked()
             self._connection.execute(
-                "INSERT OR REPLACE INTO probes "
-                "(query_key, alive, relations, snapshot) VALUES (?, ?, ?, ?)",
-                (key, int(alive), label, self._register_locked(live)),
+                _UPSERT, (key, int(alive), label, self._register_locked(live))
             )
             self._connection.commit()
             self.writes += 1
 
     # ------------------------------------------------------ status facts
-    def save(self, workload_key: str, facts: Iterable[StatusFact]) -> int:
-        """Persist the classification facts of one run.
+    def save(self, facts: Iterable[StatusFact], snapshot: DatabaseSnapshot) -> int:
+        """Upsert one ``probes`` row per classified query, stamped ``snapshot``.
 
-        Replaces whatever the workload key held before (last run wins)
-        and stamps the database snapshot the run was computed against.
-        Returns the number of facts stored.
+        ``snapshot`` is the database state the facts were computed on.
+        Unless it is still the live state, a write since may have flipped
+        any of them, so nothing is stored.  Each row replaces only its
+        own key's, so a save never drops what an earlier one learned.
+        Returns the number of rows written.
         """
+        live = self.database.snapshot()
+        if snapshot != live:
+            return 0
         rows = [
-            (
-                workload_key,
-                fact.node_key,
-                int(fact.alive),
-                ",".join(sorted(fact.relations)),
-            )
+            (fact.node_key, int(fact.alive), relations_label(fact.relations))
             for fact in facts
         ]
-        live = self.database.snapshot()
         with self._lock:
             self._ensure_open_locked()
             snapshot_id = self._register_locked(live)
-            self._connection.execute(
-                "DELETE FROM status_facts WHERE workload_key = ?", (workload_key,)
-            )
             self._connection.executemany(
-                "INSERT INTO status_facts "
-                "(workload_key, node_key, alive, relations) VALUES (?, ?, ?, ?)",
-                rows,
-            )
-            self._connection.execute(
-                "INSERT OR REPLACE INTO runs (workload_key, snapshot) VALUES (?, ?)",
-                (workload_key, snapshot_id),
+                _UPSERT, [(*row, snapshot_id) for row in rows]
             )
             self._connection.commit()
             self.saves += 1
         return len(rows)
 
-    def load(self, workload_key: str) -> StatusLoad | None:
-        """Recover the facts of one workload that survive the writes since.
+    def load(self, keys: Iterable[str]) -> StatusLoad | None:
+        """The rows among ``keys`` that survive the writes since, in one read.
 
-        Returns None when nothing was persisted for the key.  Facts are
-        filtered through :func:`fact_survives` against the run's
-        snapshot; for a cross-lineage or mixed delta that keeps only the
-        untouched-relation facts, which is exactly what remains
-        provable, and for an unreadable snapshot none.
+        Returns None when no key has a row.  Each row is judged by
+        :func:`fact_survives` against its own snapshot; for a
+        cross-lineage or mixed delta that keeps only the rows touching no
+        changed relation, which is exactly what remains provable, and for
+        an unreadable snapshot none.
         """
+        payload = json.dumps(list(keys))
         live = self.database.snapshot()
         with self._lock:
             self._ensure_open_locked()
-            run = self._connection.execute(
-                "SELECT snapshot FROM runs WHERE workload_key = ?",
-                (workload_key,),
-            ).fetchone()
-            if run is None:
-                return None
             rows = self._connection.execute(
-                "SELECT node_key, alive, relations "
-                "FROM status_facts WHERE workload_key = ? ORDER BY node_key",
-                (workload_key,),
+                _SELECT + "IN (SELECT value FROM json_each(?))", (payload,)
             ).fetchall()
-            changes = self._changes_locked(run[0], live)
-        survivors = tuple(
-            fact
-            for fact in (_fact(*row) for row in rows)
-            if fact_survives(fact, changes)
-        )
-        return StatusLoad(
-            workload_key=workload_key,
-            facts=survivors,
-            directions=_directions_label(changes),
-            dropped=len(rows) - len(survivors),
-        )
+            judged = [self._survivor_locked(row, live) for row in rows]
+        if not rows:
+            return None
+        facts = tuple(fact for fact in judged if fact is not None)
+        return StatusLoad(facts=facts, dropped=len(rows) - len(facts))
 
     # ------------------------------------------------------- housekeeping
     def _ensure_open_locked(self) -> None:
@@ -487,14 +433,14 @@ class ProbeCache:
             raise ProbeCacheError("cache is closed")
 
     def counts(self) -> dict[str, int]:
-        """Rows held: ``probes``, ``workloads`` (persisted runs), ``facts``."""
+        """Rows held: ``probes``, one per query whose aliveness is known."""
         with self._lock:
             self._ensure_open_locked()
             return _count_rows(self._connection)
 
     def clear(self) -> dict[str, int]:
-        """Drop every probe, run, fact and snapshot; returns :meth:`counts`
-        from before."""
+        """Drop every probe row and snapshot; returns :meth:`counts` from
+        before."""
         with self._lock:
             self._ensure_open_locked()
             self._live = None
@@ -536,19 +482,54 @@ StatusCache = ProbeCache
 
 
 # ---------------------------------------------------------- file-level ops
-def _count_rows(connection: sqlite3.Connection) -> dict[str, int]:
-    probes, workloads, facts = connection.execute(
-        "SELECT (SELECT COUNT(*) FROM probes), (SELECT COUNT(*) FROM runs), "
-        "(SELECT COUNT(*) FROM status_facts)"
+def _tables(connection: sqlite3.Connection) -> list[str]:
+    """The file's own tables: sqlite's ``sqlite_*`` ones cannot be dropped."""
+    return [
+        name
+        for (name,) in connection.execute(
+            "SELECT name FROM sqlite_master WHERE type = 'table'"
+        )
+        if not name.startswith("sqlite_")
+    ]
+
+
+def _layout_version(connection: sqlite3.Connection) -> int | None:
+    """The layout version a cache file records in ``meta``, if any."""
+    if "meta" not in _tables(connection):
+        return None
+    row = connection.execute(
+        "SELECT value FROM meta WHERE key = 'schema_version'"
     ).fetchone()
-    return {"probes": int(probes), "workloads": int(workloads), "facts": int(facts)}
+    return int(row[0]) if row is not None and str(row[0]).isdigit() else None
+
+
+def _migrate(connection: sqlite3.Connection) -> None:
+    """Create the current layout, rebuilding a file of another version empty.
+
+    A mismatched file loses every table it holds, whatever its name.
+    """
+    tables = _tables(connection)
+    if tables and _layout_version(connection) != CACHE_SCHEMA_VERSION:
+        for name in tables:
+            connection.execute(f"DROP TABLE {quote_identifier(name)}")
+    connection.executescript(_SCHEMA)
+    connection.execute(
+        "INSERT OR REPLACE INTO meta (key, value) VALUES ('schema_version', ?)",
+        (str(CACHE_SCHEMA_VERSION),),
+    )
+    connection.commit()
+
+
+def _count_rows(connection: sqlite3.Connection) -> dict[str, int]:
+    (probes,) = connection.execute("SELECT COUNT(*) FROM probes").fetchone()
+    return {"probes": int(probes)}
 
 
 def _clear_rows(connection: sqlite3.Connection) -> dict[str, int]:
     """Empty the answer and snapshot tables, counting first (``rowcount``
     may be -1)."""
     counts = _count_rows(connection)
-    for table in ("probes", "runs", "status_facts", "snapshots"):
+    for table in ("probes", "snapshots"):
         connection.execute(f"DELETE FROM {table}")
     connection.commit()
     return counts
@@ -576,47 +557,47 @@ def _open_file(path: Path) -> Iterator[sqlite3.Connection]:
 def inspect_cache_dir(cache_dir: str | Path) -> dict[str, object]:
     """Summary of a cache directory without needing a live database.
 
-    Used by ``repro cache stats``: reports the cache file, its probe
-    entries per join-path relation set, and its persisted workloads and
-    facts.
+    Used by ``repro cache stats``: reports the cache file, its layout
+    version and its entries per join-path relation set.  A file of
+    another layout version reads as empty, as :class:`ProbeCache` would
+    rebuild it on open.
     """
     path = _cache_file(cache_dir)
     if not path.exists():
-        return {
-            "path": str(path),
-            "exists": False,
-            "entries": 0,
-            "relations": {},
-            "status": {"workloads": 0, "facts": 0},
-        }
+        return {"path": str(path), "exists": False, "entries": 0, "relations": {}}
     with _open_file(path) as connection:
-        rows = connection.execute(
-            "SELECT relations, COUNT(*), SUM(alive) FROM probes "
-            "GROUP BY relations ORDER BY relations"
-        ).fetchall()
-        counts = _count_rows(connection)
+        version = _layout_version(connection)
+        rows = (
+            connection.execute(
+                "SELECT relations, COUNT(*), SUM(alive) FROM probes "
+                "GROUP BY relations ORDER BY relations"
+            ).fetchall()
+            if version == CACHE_SCHEMA_VERSION
+            else []
+        )
     return {
         "path": str(path),
         "exists": True,
         "size_bytes": path.stat().st_size,
-        "entries": counts["probes"],
+        "schema_version": version,
+        "entries": sum(int(count) for _, count, _ in rows),
         "relations": {
             label: {"entries": int(count), "alive": int(alive or 0)}
             for label, count, alive in rows
         },
-        "status": {"workloads": counts["workloads"], "facts": counts["facts"]},
     }
 
 
 def clear_cache_dir(cache_dir: str | Path) -> dict[str, int]:
     """Empty the cache file in ``cache_dir``; returns the rows removed.
 
-    The counts (``probes``, ``workloads``, ``facts``) are what ``repro
-    cache clear`` prints.  A run left behind would still answer a repeat
-    workload with zero probes.  The index file holds no answers and stays.
+    The count (``probes``) is what ``repro cache clear`` prints.  A file
+    of another layout version is rebuilt empty at the current one first,
+    so it counts none.  The index file holds no answers and stays.
     """
     path = _cache_file(cache_dir)
     if not path.exists():
-        return {"probes": 0, "workloads": 0, "facts": 0}
+        return {"probes": 0}
     with _open_file(path) as connection:
+        _migrate(connection)
         return _clear_rows(connection)

@@ -79,10 +79,11 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
         metavar="DIR",
         default=None,
         help=(
-            "persist probe results and status facts here, in one "
-            "cache.sqlite (each judged against the snapshot it was written "
-            "under); a repeat run skips its traversal whenever the facts "
-            "that survive the writes since resolve it"
+            "persist what each query probed or classified here, one fact "
+            "per query in one cache.sqlite (each judged against the "
+            "snapshot it was written under); a run skips its traversal "
+            "whenever the facts of its graph that survive the writes since "
+            "resolve it"
         ),
     )
 
@@ -370,15 +371,11 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
-    from repro.cache import clear_cache_dir, inspect_cache_dir
+    from repro.cache import CACHE_SCHEMA_VERSION, clear_cache_dir, inspect_cache_dir
 
     if args.action == "clear":
         removed = clear_cache_dir(args.cache_dir)
-        print(
-            f"removed {removed['probes']} cached probe(s) and {removed['facts']} "
-            f"status fact(s) of {removed['workloads']} workload(s) "
-            f"from {args.cache_dir}"
-        )
+        print(f"removed {removed['probes']} cached probe(s) from {args.cache_dir}")
         return 0
     info = inspect_cache_dir(args.cache_dir)
     if args.json:
@@ -386,12 +383,15 @@ def _cmd_cache(args: argparse.Namespace) -> int:
 
         print(json.dumps(info, indent=2))
         return 0
-    status = info["status"]
-    print(f"status cache: {status['workloads']} workload(s), {status['facts']} fact(s)")
     if not info["exists"]:
         print(f"no probe cache at {info['path']}")
         return 0
     print(f"probe cache: {info['path']}")
+    if info["schema_version"] != CACHE_SCHEMA_VERSION:
+        print(
+            f"  layout version {info['schema_version']}, not "
+            f"{CACHE_SCHEMA_VERSION}: read as empty, rebuilt when next opened"
+        )
     print(f"  size: {info['size_bytes']} bytes, entries: {info['entries']}")
     for label, counts in info["relations"].items():
         print(
@@ -698,9 +698,10 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Operate on a cache directory (see --cache-dir on the "
             "debug/trace commands): 'stats' summarizes cache.sqlite's "
-            "probe counts per join-path relation set and its workload and "
-            "status fact counts, 'clear' empties it (the index file holds "
-            "no answers and stays).  Neither needs the dataset loaded."
+            "entries per join-path relation set, 'clear' empties it (the "
+            "index file holds no answers and stays).  A file of another "
+            "layout version reads as empty and 'clear' rebuilds it.  "
+            "Neither needs the dataset loaded."
         ),
     )
     cache.add_argument("action", choices=("stats", "clear"))

@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Any, Iterable
 
 from repro.backends import create_backend
-from repro.cache import ProbeCache, StatusFact, query_cache_key, workload_cache_key
+from repro.cache import ProbeCache, StatusFact, query_cache_key
 from repro.core.binding import KeywordBinder, PrunedLattice
 from repro.core.constraints import UNCONSTRAINED, SearchConstraints
 from repro.core.lattice import Lattice, generate_lattice
@@ -32,7 +32,7 @@ from repro.index import IndexBackend, create_index
 from repro.index.mapper import KeywordMapper, KeywordMapping
 from repro.obs.budget import ProbeBudget
 from repro.obs.trace import ProbeTracer
-from repro.relational.database import Database
+from repro.relational.database import Database, DatabaseSnapshot
 from repro.relational.engine import InMemoryEngine
 from repro.relational.evaluator import InstrumentedEvaluator, QueryCostModel
 from repro.relational.jointree import BoundQuery, JoinTree
@@ -209,17 +209,18 @@ class NonAnswerDebugger:
         does not own (or close) it.
 
         ``cache_dir`` attaches one persistent cache store
-        (:class:`repro.cache.ProbeCache`): probe answers keyed by canonical
-        query key, the L2 tier of every reuse-enabled evaluator this
-        debugger makes, and classification facts per workload.  A second
-        session over an unchanged database answers previously probed
-        nodes with zero backend queries.  An unconstrained :meth:`debug`
-        skips Phase 3 whenever the workload's facts, replayed through
-        R1/R2 (:meth:`replay_status`), resolve its graph -- after a write
-        too, since each probe and fact is judged against the snapshot it
-        was written under (monotone survivors kept) instead of being
-        discarded.  The sqlite index lives there too and is rebuilt per
-        changed relation on reopen.
+        (:class:`repro.cache.ProbeCache`): one fact per query, keyed by
+        canonical query key -- the L2 tier of every reuse-enabled
+        evaluator this debugger makes, and every status a run classified.
+        A second session over an unchanged database answers previously
+        classified nodes with zero backend queries.  :meth:`debug` skips
+        Phase 3 whenever the facts of its graph's keys, replayed through
+        R1/R2 (:meth:`replay_status`), resolve the graph, whichever
+        query, constraints or session learned them -- after a write too,
+        since each row is judged against the snapshot it was written
+        under (monotone survivors kept) instead of being discarded.  The
+        sqlite index lives there too and is rebuilt per changed relation
+        on reopen.
 
         When construction raises, everything built so far is released.
         """
@@ -315,16 +316,6 @@ class NonAnswerDebugger:
         return build_exploration_graph(pruned, self.mode, constraints)
 
     # -------------------------------------------------- persisted status
-    def workload_key(self, mapping: KeywordMapping) -> str:
-        """Canonical key of one workload under this debugger's lattice shape."""
-        return workload_cache_key(
-            mapping.keywords,
-            self.mode.value,
-            self.binder.max_joins,
-            self.binder.max_keywords,
-            self.binder.free_copies,
-        )
-
     def node_keys(self, graph: ExplorationGraph) -> list[str]:
         """Each node's canonical cache key, by index; empty without a cache.
 
@@ -337,7 +328,6 @@ class NonAnswerDebugger:
 
     def replay_status(
         self,
-        mapping: KeywordMapping,
         graph: ExplorationGraph,
         keys: list[str],
         tracer: ProbeTracer | None = None,
@@ -345,19 +335,18 @@ class NonAnswerDebugger:
         """A fresh store of ``graph`` holding everything the cache proves.
 
         Level 1 is seeded from the catalog (:func:`seed_base_levels`),
-        then each fact :meth:`ProbeCache.load` keeps for the workload --
-        exact, or kept by the monotone rule against its own run's
-        snapshot -- is recorded
-        on every node with its key, so R1/R2 closure re-derives what the
-        facts imply.  A fact that disagrees with a status already known
-        marks the whole set corrupt: the seeded store comes back with
-        none of it applied.  Returns the store and the number of facts
-        replayed.
+        then each row :meth:`ProbeCache.load` keeps among ``keys`` --
+        exact, or kept by the monotone rule against its own snapshot --
+        is recorded on every node with its key, so R1/R2 closure
+        re-derives what the facts imply.  A fact that disagrees with a
+        status already known marks the whole set corrupt: the seeded
+        store comes back with none of it applied.  Returns the store and
+        the number of facts replayed.
         """
         store = self._seeded_store(graph)
         load = None
         if self.cache is not None:
-            load = self.cache.load(self.workload_key(mapping))
+            load = self.cache.load(keys)
         if load is None:
             return store, 0
         by_key: dict[str, list[int]] = {}
@@ -375,27 +364,24 @@ class NonAnswerDebugger:
         active = tracer if tracer is not None else self.tracer
         if active is not None:
             active.record_event(
-                "status_preload",
-                workload_key=load.workload_key,
-                applied=applied,
-                dropped=load.dropped,
-                directions=dict(load.directions),
+                "status_preload", applied=applied, dropped=load.dropped
             )
         return store, len(load.facts)
 
     def save_status(
         self,
-        mapping: KeywordMapping,
         graph: ExplorationGraph,
         keys: list[str],
         stores: Iterable[StatusStore],
+        snapshot: DatabaseSnapshot | None,
     ) -> None:
-        """Persist every node ``stores`` classify as the workload's facts.
+        """Persist every node ``stores`` classify, one fact per key.
 
-        Replaces what the workload held before, and stamps the snapshot
-        the classifications were computed on.
+        ``snapshot`` is the database state the classifications were
+        computed on; :meth:`ProbeCache.save` stores nothing once a write
+        has replaced it.
         """
-        if self.cache is None:
+        if self.cache is None or snapshot is None:
             return
         known = alive = 0
         for store in stores:
@@ -410,7 +396,7 @@ class NonAnswerDebugger:
             for index in graph.bits(known)
         ]
         if facts:
-            self.cache.save(self.workload_key(mapping), facts)
+            self.cache.save(facts, snapshot)
 
     def _seeded_store(self, graph: ExplorationGraph) -> StatusStore:
         store = StatusStore(graph)
@@ -442,11 +428,12 @@ class NonAnswerDebugger:
         classification present matches an unbudgeted run, the rest stays
         possibly-alive.
 
-        With a cache attached, an unconstrained run first replays the
-        workload's saved facts (:meth:`replay_status`) and, whenever they
+        With a cache attached, the run first replays the saved facts of
+        its graph's keys (:meth:`replay_status`) and, whenever they
         resolve the graph, skips Phase 3 with a ``phase3_skipped`` event
-        and saves nothing.  Otherwise it traverses and, unless the budget
-        ran out, saves what it classified (:meth:`save_status`).
+        and saves nothing.  Otherwise it traverses and saves what it
+        classified, partial or not (:meth:`save_status`), unless a write
+        landed since the run took its snapshot.
         """
         chosen = self.strategy
         if strategy is not None:
@@ -457,6 +444,8 @@ class NonAnswerDebugger:
             )
         timings = PhaseTimings()
         active = tracer if tracer is not None else self.tracer
+        # The state the run computes on: it saves only while still live.
+        snapshot = self.database.snapshot() if self.cache is not None else None
 
         def phase_event(name: str, phase: str, **attrs: Any) -> None:
             if active is not None:
@@ -495,14 +484,11 @@ class NonAnswerDebugger:
             nodes=len(report.graph),
         )
 
-        # Saved facts serve unconstrained runs only (a constrained graph
-        # is not the workload's); without a cache there are no keys.
-        keys = (
-            self.node_keys(report.graph) if constraints is UNCONSTRAINED else []
-        )
+        # Without a cache there are no keys.
+        keys = self.node_keys(report.graph)
         if keys:
             started = time.perf_counter()
-            store, facts = self.replay_status(mapping, report.graph, keys, active)
+            store, facts = self.replay_status(report.graph, keys, active)
             if self._store_resolves_graph(report.graph, store):
                 # Phase 3 is implied rather than recomputed: zero probes.
                 report.traversal = self._result_from_store(
@@ -512,10 +498,7 @@ class NonAnswerDebugger:
                 report.traversal.elapsed = timings.traversal
                 if active is not None:
                     active.record_event(
-                        "phase3_skipped",
-                        workload_key=self.workload_key(mapping),
-                        strategy=chosen.name,
-                        facts=facts,
+                        "phase3_skipped", strategy=chosen.name, facts=facts
                     )
                 return report
 
@@ -532,11 +515,11 @@ class NonAnswerDebugger:
             strategy=chosen.name,
             exhausted=report.traversal.exhausted,
         )
-        # An exhausted sweep's facts are sound but partial: saving them
-        # could replace a fuller earlier save.
-        if keys and not report.traversal.exhausted:
+        # An exhausted sweep's facts are sound, and a per-key upsert
+        # cannot replace a fuller earlier save.
+        if keys:
             self.save_status(
-                mapping, report.graph, keys, report.traversal.stores.values()
+                report.graph, keys, report.traversal.stores.values(), snapshot
             )
         return report
 
@@ -577,10 +560,10 @@ class NonAnswerDebugger:
         dataset at construction time; a :meth:`Table.insert`/``delete``
         leaves them stale, so mutating callers must refresh before the
         next query.  The cache store only registers the post-write
-        snapshot: its probe rows and status facts are judged against it
-        when read, so nothing is repaired or reopened.  A persistent
-        index backend (sqlite) rebuilds only the relations whose
-        fingerprint changed when it is recreated here.
+        snapshot: its rows are judged against it when read, so nothing is
+        repaired or reopened.  A persistent index backend (sqlite)
+        rebuilds only the relations whose fingerprint changed when it is
+        recreated here.
         """
         if self._owns_index:
             self.index.close()

@@ -10,10 +10,12 @@ benefits from everything learned before it (rules R1/R2 included).
 
 Sessions inherit the debugger's persistent cache automatically: when the
 :class:`NonAnswerDebugger` was opened with a ``cache_dir``, the session's
-store starts from the workload's saved facts (the same replay
-:meth:`~NonAnswerDebugger.debug` uses) and its evaluator carries the
-probe store as the L2 tier, so classifying an already-known or
-already-probed candidate costs zero SQL queries even in a fresh process.
+store starts from the saved facts of its graph's keys, whichever run
+learned them (the same replay :meth:`~NonAnswerDebugger.debug` uses), and
+its evaluator carries the store as the L2 tier, so classifying an
+already-known or already-probed candidate costs zero SQL queries even in
+a fresh process.  What the session learns is saved one fact per key, so
+it serves any later run, constrained or not, whose graph shares a key.
 
 Example::
 
@@ -74,6 +76,10 @@ class DebugSession:
     ):
         self.debugger = debugger
         self.query = query
+        # The state the session computes on: it saves only while still live.
+        self._snapshot = (
+            debugger.database.snapshot() if debugger.cache is not None else None
+        )
         mapping = debugger.map_keywords(query)
         if not mapping.complete or not mapping.keywords:
             missing = ", ".join(mapping.missing_keywords) or "(empty query)"
@@ -91,7 +97,7 @@ class DebugSession:
         # learned statuses cost zero SQL this session.
         self._keys = debugger.node_keys(self.graph)
         self.store, self.preloaded = debugger.replay_status(
-            self.mapping, self.graph, self._keys, tracer=tracer
+            self.graph, self._keys, tracer=tracer
         )
         self._dismissed: set[int] = set()
         self._explained: dict[int, list[int]] = {}
@@ -215,26 +221,28 @@ class DebugSession:
             ):
                 explanations[position] = mpans
         # Persist what this session learned, resolved or not.
-        self.debugger.save_status(self.mapping, self.graph, self._keys, [self.store])
+        self.debugger.save_status(self.graph, self._keys, [self.store], self._snapshot)
         return explanations
 
     # ------------------------------------------------------------ lifecycle
     def close(self) -> None:
         """End the session, persisting everything it learned.
 
-        Partial knowledge is saved too -- the next session of the
-        workload starts from it (the facts that survive the writes since,
-        replayed through R1/R2), and :meth:`NonAnswerDebugger.debug`
-        skips Phase 3 on it once it resolves the graph.  Idempotent,
-        and safe after :meth:`explain_all` (the cache store keeps the
-        newest facts for the workload either way).  The session borrows
-        the debugger's backend and caches, so nothing else needs
-        releasing here.
+        Partial knowledge is saved too -- any later run whose graph
+        shares a key starts from it (the facts that survive the writes
+        since, replayed through R1/R2), and
+        :meth:`NonAnswerDebugger.debug` skips Phase 3 on it once it
+        resolves the graph.  Nothing is saved once a write has replaced
+        the database state the session opened on: what it learned before
+        may no longer hold.  Idempotent, and safe after
+        :meth:`explain_all` (each key keeps its newest fact).  The
+        session borrows the debugger's backend and caches, so nothing
+        else needs releasing here.
         """
         if self._closed:
             return
         self._closed = True
-        self.debugger.save_status(self.mapping, self.graph, self._keys, [self.store])
+        self.debugger.save_status(self.graph, self._keys, [self.store], self._snapshot)
 
     def __enter__(self) -> "DebugSession":
         return self

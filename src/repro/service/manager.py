@@ -4,7 +4,7 @@ A :class:`SessionManager` turns a :class:`~repro.core.debugger.
 NonAnswerDebugger` into a system serving traffic: submitted queries run
 on a bounded worker pool, concurrently, sharing the debugger's backend
 (pooled connections) and its persistent cache store
-(:class:`~repro.cache.ProbeCache`: L2 probe answers and status facts)
+(:class:`~repro.cache.ProbeCache`: one fact per probed or classified query)
 -- both individually thread-safe, which is what makes N
 concurrent sessions byte-identical to N serial runs (each session still
 owns its evaluator, its L1 LRU, and its
@@ -463,8 +463,7 @@ class SessionManager:
         Deletes are applied by row id in descending order (each delete
         shifts later ids), inserts after.  Then the debugger refreshes:
         index/mapper/backend rebuilt and the post-write snapshot registered
-        with the cache store, whose probe rows and status facts are judged
-        against it when read.  Sessions submitted during the mutation
+        with the cache store, whose rows are judged against it when read.  Sessions submitted during the mutation
         queue behind the gate and see only the post-mutation snapshot.
         """
         with self._lock:
@@ -518,11 +517,6 @@ class SessionManager:
                 "hits": stats.hits,
                 "misses": stats.misses,
                 "writes": stats.writes,
-            }
-            counts = cache.counts()
-            payload["status_cache"] = {
-                "workloads": counts["workloads"],
-                "facts": counts["facts"],
             }
         pool_stats = getattr(self.debugger.backend, "pool_stats", None)
         if callable(pool_stats):

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import sqlite3
 import sys
 import threading
 
@@ -10,7 +9,7 @@ import pytest
 
 from repro.bench.context import BenchContext
 from repro.cache import (
-    CACHE_FILENAME,
+    CACHE_SCHEMA_VERSION,
     ProbeCache,
     ProbeCacheError,
     clear_cache_dir,
@@ -158,7 +157,7 @@ class TestProbeCache:
     def test_clear_and_closed_errors(self, tmp_path, products_probes):
         cache = ProbeCache.open_dir(tmp_path, product_database())
         cache.put(products_probes[0], True)
-        assert cache.clear() == {"probes": 1, "workloads": 0, "facts": 0}
+        assert cache.clear() == {"probes": 1}
         assert cache.counts()["probes"] == 0
         cache.close()
         cache.close()  # idempotent
@@ -167,17 +166,18 @@ class TestProbeCache:
 
     def test_dir_level_inspect_and_clear(self, tmp_path, products_probes):
         assert inspect_cache_dir(tmp_path)["exists"] is False
-        assert clear_cache_dir(tmp_path) == {"probes": 0, "workloads": 0, "facts": 0}
+        assert clear_cache_dir(tmp_path) == {"probes": 0}
         with ProbeCache.open_dir(tmp_path, product_database()) as cache:
             cache.put(products_probes[0], True)
             cache.put(products_probes[1], False)
         info = inspect_cache_dir(tmp_path)
         assert info["exists"] and info["entries"] == 2
+        assert info["schema_version"] == CACHE_SCHEMA_VERSION
         # Grouped by the join path recorded per row.
         assert all(info["relations"])
         assert sum(v["entries"] for v in info["relations"].values()) == 2
         assert sum(v["alive"] for v in info["relations"].values()) == 1
-        assert clear_cache_dir(tmp_path) == {"probes": 2, "workloads": 0, "facts": 0}
+        assert clear_cache_dir(tmp_path) == {"probes": 2}
         assert inspect_cache_dir(tmp_path)["entries"] == 0
 
 
@@ -522,20 +522,16 @@ class TestWarmStart:
             product_database(), max_joins=2, cache_dir=cache_dir
         ) as cold:
             cold_report = cold.debug(self.QUERY)
-        # Without the status rows the skip is off the table; the L2
-        # probe tier must carry the whole warm run by itself.
-        connection = sqlite3.connect(str(cache_dir / CACHE_FILENAME))
-        connection.executescript("DELETE FROM runs; DELETE FROM status_facts;")
-        connection.close()
-        with NonAnswerDebugger(
-            product_database(), max_joins=2, cache_dir=cache_dir
-        ) as warm:
-            warm_report = warm.debug(self.QUERY)
-        stats = warm_report.traversal.stats
-        assert stats.queries_executed == 0
-        assert stats.l2_hits > 0
+        # A sweep that replays no saved status: the L2 probe tier must
+        # carry the whole warm traversal by itself.
+        database = product_database()
+        with NonAnswerDebugger(database, max_joins=2, cache_dir=cache_dir) as warm:
+            graph = warm.build_graph(warm.prune(warm.map_keywords(self.QUERY)))
+            result = get_strategy("sbh").run(graph, warm.make_evaluator(), database)
+        assert result.stats.queries_executed == 0
+        assert result.stats.l2_hits > 0
         assert (
-            warm_report.traversal.classification_signature()
+            result.classification_signature()
             == cold_report.traversal.classification_signature()
         )
 
@@ -576,17 +572,32 @@ class TestWarmStart:
         mutated = product_database()
         mutated.insert("Item", list(mutated.table("Item"))[0])
         assert mutated.fingerprint() != product_database().fingerprint()
+        item_rows = sum(
+            counts["entries"]
+            for label, counts in inspect_cache_dir(cache_dir)["relations"].items()
+            if "Item" in label.split(",")
+        )
+        tracer = ProbeTracer()
         with NonAnswerDebugger(
-            mutated, max_joins=2, cache_dir=cache_dir
+            mutated, max_joins=2, cache_dir=cache_dir, tracer=tracer
         ) as fresh:
             # Rebuilt database: the insert cannot be proven insert-only,
-            # so every probe through Item misses.
-            item_rows = inspect_cache_dir(cache_dir)["relations"]
+            # so every row through Item is dropped and its probe misses.
             fresh_report = fresh.debug(self.QUERY)
+        (preload,) = [
+            record
+            for record in tracer.records
+            if getattr(record, "name", None) == "status_preload"
+        ]
+        assert preload.attrs["dropped"] == item_rows
+        with NonAnswerDebugger(mutated, max_joins=2) as plain:
+            reference = plain.debug(self.QUERY)
         stats = fresh_report.traversal.stats
-        assert stats.queries_executed >= sum(
-            counts["entries"] for label, counts in item_rows.items()
-            if "Item" in label.split(",")
+        assert stats.l2_hits == 0
+        assert stats.queries_executed == reference.traversal.stats.queries_executed
+        assert (
+            fresh_report.traversal.classification_signature()
+            == reference.traversal.classification_signature()
         )
 
     def test_debug_session_inherits_cache_and_status(self, tmp_path):

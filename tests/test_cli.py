@@ -526,7 +526,7 @@ class TestTraceCheck:
 
 
 class TestCacheCommand:
-    """`repro cache clear` forgets every answer: probes and status facts."""
+    """`repro cache clear` forgets every answer: probed or inferred."""
 
     @staticmethod
     def _executed(cache_dir, capsys):
@@ -551,26 +551,54 @@ class TestCacheCommand:
         return json.loads(capsys.readouterr().out)
 
     def test_clear_restores_the_cold_query_count(self, tmp_path, capsys):
+        from repro.cache import CACHE_SCHEMA_VERSION
+
         cold = self._executed(tmp_path, capsys)
         assert cold > 0
-        assert self._executed(tmp_path, capsys) == 0  # the status file answers
+        assert self._executed(tmp_path, capsys) == 0  # the saved facts answer
         stats = self._stats(tmp_path, capsys)
         assert set(stats) == {
-            "path", "exists", "size_bytes", "entries", "relations", "status",
+            "path", "exists", "size_bytes", "schema_version", "entries",
+            "relations",
         }
-        assert stats["entries"] == cold
-        assert set(stats["status"]) == {"workloads", "facts"}
-        assert stats["status"]["workloads"] == 1
-        facts = stats["status"]["facts"]
-        assert facts > 0
+        assert stats["schema_version"] == CACHE_SCHEMA_VERSION
+        # One row per classified query: the probes it executed and the
+        # statuses it inferred.
+        entries = stats["entries"]
+        assert entries > cold
+        assert sum(v["entries"] for v in stats["relations"].values()) == entries
 
         assert main(["cache", "clear", "--cache-dir", str(tmp_path)]) == 0
-        assert (
-            f"removed {cold} cached probe(s) and {facts} status fact(s) "
-            "of 1 workload(s)"
-        ) in capsys.readouterr().out
+        assert f"removed {entries} cached probe(s)" in capsys.readouterr().out
         stats = self._stats(tmp_path, capsys)
         assert stats["entries"] == 0
-        assert stats["status"] == {"workloads": 0, "facts": 0}
         assert (tmp_path / "index.sqlite").exists()  # holds no answers
         assert self._executed(tmp_path, capsys) == cold
+
+    @pytest.mark.parametrize("version", [2, 3])
+    def test_old_layout_reads_empty_and_clear_rebuilds_it(
+        self, tmp_path, capsys, version
+    ):
+        """A file of another layout version holds rows no open would
+        read: stats reports none and names the version, clear rebuilds."""
+        import json
+
+        from repro.cache import CACHE_SCHEMA_VERSION
+        from tests.test_status_cache import write_old_cache
+
+        relations = [["Item", "f", 1, 1, 0]]
+        state = json.dumps({"composite": "c", "lineage": "l", "relations": relations})
+        write_old_cache(tmp_path, version, state, [("k", 1, "Item")])
+        stats = self._stats(tmp_path, capsys)
+        assert stats["schema_version"] == version
+        assert stats["entries"] == 0 and stats["relations"] == {}
+        assert main(["cache", "stats", "--cache-dir", str(tmp_path)]) == 0
+        assert f"layout version {version}, not {CACHE_SCHEMA_VERSION}" in (
+            capsys.readouterr().out
+        )
+
+        assert main(["cache", "clear", "--cache-dir", str(tmp_path)]) == 0
+        assert "removed 0 cached probe(s)" in capsys.readouterr().out
+        stats = self._stats(tmp_path, capsys)
+        assert stats["schema_version"] == CACHE_SCHEMA_VERSION
+        assert stats["entries"] == 0

@@ -183,9 +183,10 @@ class TestRealComponents:
             for evaluator in evaluators:
                 monitor.instrument(evaluator, "_lock", "evaluator.l1")
             answers: list[list[bool] | None] = [None] * len(evaluators)
-            # Even slots also save and reload their own workload's status
-            # facts between probes, on the same store and lock.
+            # Even slots also save and reload status facts of their own
+            # keys between probes, on the same store and lock.
             reloads: list[list[bool]] = [[] for _ in evaluators]
+            snapshot = products_db.snapshot()
 
             def session(slot: int) -> None:
                 evaluator = evaluators[slot]
@@ -193,10 +194,9 @@ class TestRealComponents:
                 for step, probe in enumerate(probes * 3):
                     seen.append(evaluator.is_alive(probe))
                     if slot % 2 == 0:
-                        workload = f"workload-{slot}"
                         facts = (StatusFact(f"{slot}:{step}", ("Item",), seen[-1]),)
-                        cache.save(workload, facts)
-                        load = cache.load(workload)
+                        cache.save(facts, snapshot)
+                        load = cache.load([facts[0].node_key])
                         reloads[slot].append(load.dropped == 0 and load.facts == facts)
                 answers[slot] = seen
 

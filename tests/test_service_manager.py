@@ -356,13 +356,12 @@ class TestStats:
                 handle.wait(30)
                 graphs.append(handle.report.graph)
             stats = manager.stats()
-            assert stats["probe_cache"]["entries"] > 0
-            # One run per distinct workload (the repeat replaces its own);
-            # a complete run persists one fact per exploration-graph node.
-            assert stats["status_cache"] == {
-                "workloads": 2,
-                "facts": len(graphs[0]) + len(graphs[2]),
-            }
+            # A complete run persists one fact per exploration-graph node,
+            # keyed by its query: the repeat and the overlap add no rows.
+            keys = set(debugger.node_keys(graphs[0]))
+            keys |= set(debugger.node_keys(graphs[2]))
+            assert stats["probe_cache"]["entries"] == len(keys)
+            assert "status_cache" not in stats
 
 
 def test_concurrent_submitters_race_cleanly(products_db):
