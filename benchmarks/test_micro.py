@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.binding import KeywordBinder
 from repro.core.canonical import canonical_code
 from repro.core.mtn import build_exploration_graph
 from repro.index.inverted import InvertedIndex
@@ -68,8 +69,27 @@ def test_canonical_labeling(benchmark, context, prepared_q8):
     assert code
 
 
-def test_lattice_prune(benchmark, context, prepared_q8):
-    """Phase 1: keyword pruning of the level-5 lattice, every Q8 interpretation."""
+def fresh_binder(context) -> KeywordBinder:
+    """A binder over the level-5 lattice whose memo is empty."""
+    return KeywordBinder(context.debugger(5).lattice)
+
+
+def test_lattice_prune_cold(benchmark, context, prepared_q8):
+    """Phase 1 with an empty memo: every Q8 interpretation's slot signature
+    is read off the level-5 lattice's index (a fresh binder each round)."""
+    interpretations = prepared_q8.mapping.interpretations
+
+    def prune_all(binder):
+        return [binder.prune(i) for i in interpretations]
+
+    pruned = benchmark.pedantic(
+        prune_all, setup=lambda: ((fresh_binder(context),), {}), rounds=20
+    )
+    assert [p.retained for p in pruned] == [p.retained for p in prepared_q8.pruned]
+
+
+def test_lattice_prune_warm(benchmark, context, prepared_q8):
+    """Phase 1 from the memo: every Q8 slot signature was pruned before."""
     binder = context.debugger(5).binder
     interpretations = prepared_q8.mapping.interpretations
 
@@ -77,8 +97,20 @@ def test_lattice_prune(benchmark, context, prepared_q8):
     assert [p.retained for p in pruned] == [p.retained for p in prepared_q8.pruned]
 
 
-def test_exploration_graph_build(benchmark, context, prepared_q8):
-    """Phase 2: building the exploration graph from pruned lattices."""
+def test_exploration_graph_build_cold(benchmark, context, prepared_q8):
+    """Phase 2 with an empty memo: the MTN plans are built, then bound."""
+    interpretations = prepared_q8.mapping.interpretations
+
+    def fresh_pruned():
+        binder = fresh_binder(context)
+        return ([binder.prune(i) for i in interpretations],), {}
+
+    graph = benchmark.pedantic(build_exploration_graph, setup=fresh_pruned, rounds=20)
+    assert len(graph) == len(prepared_q8.graph)
+
+
+def test_exploration_graph_build_warm(benchmark, context, prepared_q8):
+    """Phase 2 from the memo's MTN plans: only binding, interning, masks."""
     pruned = prepared_q8.pruned
 
     graph = benchmark(lambda: build_exploration_graph(pruned))

@@ -29,9 +29,11 @@ from repro.workloads.queries import TABLE2_QUERIES, WorkloadQuery
 # lossless for it (see repro.core.lattice docstring).
 WORKLOAD_MAX_KEYWORDS = 3
 
-# Levels up to this bound materialize Phase 0; higher levels generate each
-# query's MTN-relevant trees directly (identical results; see
-# KeywordBinder.prune_for_mtns).
+# Levels up to this bound materialize Phase 0; higher levels generate the
+# MTN-relevant trees of each slot signature directly, the first time a query
+# uses it (identical results; see KeywordBinder.prune_for_mtns).  Either way
+# a later query with the same signature reads the binder's memo, so its
+# prune/MTN times are warm.
 MAX_MATERIALIZED_LEVEL = 5
 
 

@@ -11,8 +11,8 @@ engine is much faster than networked PostgreSQL, so absolute numbers differ;
 the comparisons the paper makes (who wins, how growth behaves, where reuse
 pays off) are what these runners reproduce.  Lattice levels up to 5 are
 materialized (level 5 here has a node count comparable to the paper's
-level-7 lattice); level-7 experiments use the direct per-query generation
-path, which yields identical MTNs and exploration graphs.
+level-7 lattice); level-7 experiments use direct generation, once per slot
+signature, which yields identical MTNs and exploration graphs.
 """
 
 from __future__ import annotations

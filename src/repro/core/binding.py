@@ -14,23 +14,34 @@ For one *interpretation* (a relation choice per keyword, from
    slot-signature index (:meth:`Lattice.trees_within`) names them without
    a walk.
 
+Step 3 reads only the interpretation's *slot signature* -- the bound copies,
+``binding.instances`` -- and never the keyword text, and so does Phase 2's
+search for MTNs among the retained trees.  The paper computes the
+schema-only Phase 0 "offline ... a one-time cost" (§3.1); each binder
+extends that to Phases 1-2 with one :class:`SignatureMemo`, filled the first
+time a signature is pruned: from the lattice when there is one, and by
+MTN-targeted generation (:meth:`KeywordBinder.prune_for_mtns`) otherwise.
+Phase 2 keeps its signature-only work in the same entry
+(:func:`repro.core.mtn.mtn_plans`).
+
 The retained trees form a plain set: Phase 2 orders the MTNs it takes from
 them by a total key (:func:`repro.core.mtn.find_mtns`), so the order in
-which Phase 1 found them never shows downstream.  For lattice levels where
-materializing Phase 0 is not worthwhile, the same retained set can be
-generated *directly* from the binding's alphabet
-(:meth:`KeywordBinder.prune_direct`); a property test checks both paths
-produce identical retained trees and identical MTN lists.
+which Phase 1 found them never shows downstream.  The complete retained set
+can also be generated *directly* from the binding's alphabet, uncached
+(:meth:`KeywordBinder.prune_direct`); the tests hold both memo fills to it.
 :func:`bind_tree` attaches the keywords to a retained tree, giving the
 run-time :class:`~repro.relational.jointree.BoundQuery`.
 """
 
 from __future__ import annotations
 
+import threading
 import time
-from dataclasses import dataclass
+from collections import OrderedDict
+from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
+from typing import TYPE_CHECKING, Callable
 
 from repro.core.freecopies import free_instance, next_free_instance
 from repro.core.lattice import Lattice
@@ -38,6 +49,20 @@ from repro.index.mapper import Interpretation
 from repro.relational.jointree import BoundQuery, JoinEdge, JoinTree, RelationInstance
 from repro.relational.predicates import MatchMode
 from repro.relational.schema import SchemaGraph
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.mtn import MtnPlan
+
+#: The bound of one binder's :class:`SignatureMemo`: the join trees its
+#: entries hold, summed (an entry holds a signature's retained trees and
+#: the subtrees of its MTNs).  A tree the memo built costs it ~1 KB, so it
+#: holds at most ~20 MiB.  An entry count would not bound memory: one
+#: direct-mode level-4 entry holds up to 119 trees, a level-5 one up to 890.
+MEMO_MAX_TREES = 20_000
+
+#: Retained trees read off a lattice belong to the lattice; the memo pays
+#: only their set slots (~64 B against ~1 KB), so this many count as one.
+LATTICE_TREES_PER_TREE = 16
 
 
 class BindingError(ValueError):
@@ -53,7 +78,8 @@ class KeywordBinding:
 
     @cached_property
     def instances(self) -> frozenset[RelationInstance]:
-        """The keyword-bound copies (what totality is measured against)."""
+        """The keyword-bound copies: the slot signature, and what totality
+        is measured against."""
         return frozenset(instance for _, instance in self.by_keyword)
 
     @cached_property
@@ -64,22 +90,129 @@ class KeywordBinding:
         return ", ".join(f"{kw}->{inst}" for kw, inst in self.by_keyword)
 
 
+@dataclass(frozen=True, slots=True)
+class _MemoEntry:
+    """What the memo keeps for one slot signature."""
+
+    retained: frozenset[JoinTree]
+    #: Phase 2's signature-only work, attached when Phase 2 first asks.
+    plans: tuple[MtnPlan, ...] | None
+    #: Trees held: the retained ones (lattice-owned ones at their
+    #: :data:`LATTICE_TREES_PER_TREE` rate) plus the MTN plans' subtrees.
+    trees: int
+
+
+class SignatureMemo:
+    """Phases 1-2 work per slot signature: an LRU bounded by trees held.
+
+    Keys are slot signatures (``binding.instances``).  An entry holds the
+    signature's retained trees and, once Phase 2 has asked, its MTN plans;
+    nothing about keywords, constraints or data.  Session threads share
+    one memo through their debugger.  Fills run outside the lock, so two
+    threads that miss one signature at once both compute it, and the
+    entry stored first stays; both are equal.  An entry holding more than
+    ``max_trees`` trees is computed but never kept.  ``lattice_backed``
+    says the retained trees belong to a lattice
+    (:data:`LATTICE_TREES_PER_TREE`).
+    """
+
+    def __init__(self, max_trees: int = MEMO_MAX_TREES, lattice_backed: bool = False):
+        self.max_trees = max_trees
+        self.lattice_backed = lattice_backed
+        self._lock = threading.Lock()
+        # guarded-by: _lock
+        self._entries: OrderedDict[frozenset[RelationInstance], _MemoEntry] = OrderedDict()
+        self._trees = 0  # guarded-by: _lock
+
+    @property
+    def trees(self) -> int:
+        """Join trees held, summed over the entries."""
+        with self._lock:
+            return self._trees
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._entries)
+
+    def retained(
+        self,
+        signature: frozenset[RelationInstance],
+        fill: Callable[[], frozenset[JoinTree]],
+    ) -> frozenset[JoinTree]:
+        """The retained trees of ``signature``, from ``fill()`` on a miss."""
+        with self._lock:
+            entry = self._entries.get(signature)
+            if entry is not None:
+                self._entries.move_to_end(signature)
+                return entry.retained
+        retained = fill()
+        trees = len(retained)
+        if self.lattice_backed:
+            trees = -(-trees // LATTICE_TREES_PER_TREE)
+        with self._lock:
+            if signature not in self._entries:
+                self._store_locked(signature, _MemoEntry(retained, None, trees))
+        return retained
+
+    def mtn_plans(
+        self,
+        signature: frozenset[RelationInstance],
+        build: Callable[[], tuple[MtnPlan, ...]],
+    ) -> tuple[MtnPlan, ...]:
+        """The MTN plans of ``signature``, attached from ``build()`` once.
+
+        Plans are attached only to an entry still held; after an eviction
+        they are built for the caller alone.
+        """
+        with self._lock:
+            entry = self._entries.get(signature)
+        if entry is not None and entry.plans is not None:
+            return entry.plans
+        plans = build()
+        with self._lock:
+            entry = self._entries.pop(signature, None)
+            if entry is not None:
+                self._trees -= entry.trees
+                if entry.plans is None:
+                    subtrees = {tree for plan in plans for tree in plan.subtrees}
+                    entry = _MemoEntry(
+                        entry.retained, plans, entry.trees + len(subtrees)
+                    )
+                self._store_locked(signature, entry)
+        return plans
+
+    def _store_locked(
+        self, signature: frozenset[RelationInstance], entry: _MemoEntry
+    ) -> None:
+        """Insert as most recent, then evict the least recent over the bound."""
+        if entry.trees > self.max_trees:
+            return
+        self._entries[signature] = entry
+        self._trees += entry.trees
+        while self._trees > self.max_trees:
+            _, evicted = self._entries.popitem(last=False)
+            self._trees -= evicted.trees
+
+
 @dataclass(frozen=True)
 class PrunedLattice:
     """The retained sub-lattice for one interpretation.
 
     ``retained`` holds every tree the paper's upward walk from the base
-    nodes keeps when it comes from :meth:`KeywordBinder.prune` or
-    :meth:`KeywordBinder.prune_direct`.  From the MTN-targeted
-    :meth:`KeywordBinder.prune_for_mtns` it holds only the subtrees of
-    potential MTNs: every MTN, but not every retained tree, so only MTN
-    extraction may rely on it.
+    nodes keeps when it comes from a lattice binder's
+    :meth:`KeywordBinder.prune` or from :meth:`KeywordBinder.prune_direct`.
+    A direct-mode binder's memo holds only the subtrees of potential MTNs
+    (:meth:`KeywordBinder.prune_for_mtns`): every MTN, but not every
+    retained tree, so only MTN extraction may rely on it.
     """
 
     schema: SchemaGraph
     binding: KeywordBinding
     retained: frozenset[JoinTree]
     pruning_time: float = 0.0
+    #: The memo ``retained`` came from, which also keeps Phase 2's
+    #: signature-only work; ``None`` from :meth:`KeywordBinder.prune_direct`.
+    memo: SignatureMemo | None = field(default=None, compare=False, repr=False)
 
     @property
     def retained_count(self) -> int:
@@ -98,12 +231,65 @@ def bind_tree(
     return BoundQuery.from_mapping(tree, bindings, mode)
 
 
+# ------------------------------------------------------------ MTN budget
+def mtn_budget(
+    tree: JoinTree, bound: frozenset[RelationInstance]
+) -> tuple[int, int]:
+    """``(missing bound copies, free leaves)`` of ``tree``.
+
+    An MTN containing ``tree`` needs a node of its own for each of either
+    (see :meth:`KeywordBinder.prune_for_mtns`).
+    """
+    free_leaves = sum(1 for leaf in tree.leaves() if leaf.is_free)
+    return len(bound - tree.instances), free_leaves
+
+
+def over_budget(
+    tree: JoinTree, bound: frozenset[RelationInstance], max_size: int
+) -> bool:
+    """True when no MTN of at most ``max_size`` instances contains ``tree``."""
+    missing, free_leaves = mtn_budget(tree, bound)
+    return tree.size + max(missing, free_leaves) > max_size
+
+
+def extension_over_budget(
+    tree: JoinTree,
+    budget: tuple[int, int],
+    anchor: RelationInstance,
+    candidate: RelationInstance,
+    max_size: int,
+) -> bool:
+    """:func:`over_budget` of ``tree`` plus leaf ``candidate`` at ``anchor``,
+    decided without building that tree.
+
+    ``budget`` is ``mtn_budget(tree, bound)``, and ``candidate`` is a free
+    copy or a bound one absent from ``tree``.  A bound candidate is one
+    missing copy fewer, a free one is one free leaf more, and the anchor
+    stops being a (free) leaf if it was one -- the node of a one-node tree
+    has no edge and stays a leaf.
+    """
+    missing, free_leaves = budget
+    if candidate.is_free:
+        free_leaves += 1
+    else:
+        missing -= 1
+    if anchor.is_free and tree.degree(anchor) == 1:
+        free_leaves -= 1
+    return tree.size + 1 + max(missing, free_leaves) > max_size
+
+
 class KeywordBinder:
     """Binds interpretations to keyword slots and prunes the lattice.
 
     Construct it either from a materialized :class:`Lattice` (Phase-0 path)
-    or from a bare schema plus ``max_joins`` (direct path); both paths
-    produce identical :class:`PrunedLattice` contents.
+    or from a bare schema plus ``max_joins`` (direct path).  Either way
+    :meth:`prune` reads one :class:`SignatureMemo` (``memo``), which fills
+    an entry the first time its slot signature is pruned: off the
+    lattice's slot-signature index, or by MTN-targeted generation.  Both
+    fills give the same MTNs.  Phases 1-2 read only the schema and the
+    binder's fixed settings, so threads sharing the binder share its memo,
+    a database write never invalidates it, and nothing fills it before
+    the first query.
     """
 
     def __init__(
@@ -138,6 +324,7 @@ class KeywordBinder:
             )
         self.lattice = lattice
         self.free_copies = free_copies
+        self.memo = SignatureMemo(lattice_backed=lattice is not None)
 
     def bind(self, interpretation: Interpretation) -> KeywordBinding:
         """Assign the ``i``-th keyword to slot ``i`` of its relation.
@@ -173,66 +360,74 @@ class KeywordBinder:
         return KeywordBinding(interpretation, tuple(assignments))
 
     def prune(self, interpretation: Interpretation) -> PrunedLattice:
-        """Phase 1 over the materialized lattice (slot-signature lookup).
+        """Phase 1: the retained trees of ``interpretation``'s slot signature.
 
-        Falls back to :meth:`prune_direct` when no lattice was materialized.
+        Read off the memo.  A miss fills it from the lattice's
+        slot-signature index (:meth:`Lattice.trees_within`) or, without a
+        lattice, by the generation :meth:`prune_for_mtns` describes.
         """
-        if self.lattice is None:
-            return self.prune_direct(interpretation)
+        return self._memoized(interpretation)
+
+    def prune_for_mtns(self, interpretation: Interpretation) -> PrunedLattice:
+        """:meth:`prune`, named for what a direct-mode memo holds.
+
+        Without a lattice, a miss grows only the subtrees of potential
+        MTNs.  Every subtree ``T`` of an MTN ``M`` satisfies ``|M| >= |T| +
+        max(missing bound copies, free leaves of T)``: each free leaf of
+        ``T`` must gain a distinct neighbour to become interior in ``M``
+        (two free leaves sharing one new neighbour would close a cycle), and
+        every missing bound copy still needs its own node.  Growth tests
+        that budget on each one-leaf extension before building it
+        (:func:`extension_over_budget`), so it reaches every MTN while
+        skipping the retained trees no candidate network contains.  MTN
+        extraction is unaffected (verified by a property test against
+        :meth:`prune_direct` and a lattice binder's :meth:`prune`).
+        """
+        return self._memoized(interpretation)
+
+    def prune_direct(self, interpretation: Interpretation) -> PrunedLattice:
+        """Phase 1 without Phase 0 or the memo: generate the retained set.
+
+        Enumerates all join trees over the binding's alphabet (bound copies
+        plus one free copy per relation) up to ``max_joins + 1`` instances.
+        This produces exactly the trees a lattice binder's :meth:`prune`
+        retains -- the offline lattice's value is amortizing this work
+        across queries, not changing its outcome.  It never reads or fills
+        the memo: it is the reference the tests hold both memo fills to.
+        """
         started = time.perf_counter()
         binding = self.bind(interpretation)
         return PrunedLattice(
             schema=self.schema,
             binding=binding,
-            retained=self.lattice.trees_within(binding.instances),
+            retained=self._generate(binding.instances, mtn_targeted=False),
             pruning_time=time.perf_counter() - started,
         )
 
-    def prune_direct(self, interpretation: Interpretation) -> PrunedLattice:
-        """Phase 1 without Phase 0: generate the retained set directly.
-
-        Enumerates all join trees over the binding's alphabet (bound copies
-        plus one free copy per relation) up to ``max_joins + 1`` instances.
-        This produces exactly the trees :meth:`prune` retains -- the
-        offline lattice's value is amortizing this work across queries, not
-        changing its outcome -- and is the reference the tests hold both
-        other paths to.  The debugger's direct mode runs
-        :meth:`prune_for_mtns` instead.
-        """
-        return self._generate(interpretation, mtn_targeted=False)
-
-    def prune_for_mtns(self, interpretation: Interpretation) -> PrunedLattice:
-        """Direct generation restricted to subtrees of potential MTNs.
-
-        Every subtree ``T`` of an MTN ``M`` satisfies ``|M| >= |T| +
-        max(missing bound copies, free leaves of T)``: each free leaf of
-        ``T`` must gain a distinct neighbour to become interior in ``M``
-        (two free leaves sharing one new neighbour would close a cycle), and
-        every missing bound copy still needs its own node.  Growing only
-        trees within that budget therefore reaches every MTN while skipping
-        retained trees that no candidate network contains.  MTN extraction
-        is unaffected (verified by a property test against
-        :meth:`prune_direct` and :meth:`prune`).
-        """
-        return self._generate(interpretation, mtn_targeted=True)
-
-    def _generate(
-        self, interpretation: Interpretation, mtn_targeted: bool
-    ) -> PrunedLattice:
+    def _memoized(self, interpretation: Interpretation) -> PrunedLattice:
         started = time.perf_counter()
         binding = self.bind(interpretation)
-        bound = binding.instances
+        signature = binding.instances
+        return PrunedLattice(
+            schema=self.schema,
+            binding=binding,
+            retained=self.memo.retained(signature, lambda: self._fill(signature)),
+            pruning_time=time.perf_counter() - started,
+            memo=self.memo,
+        )
+
+    def _fill(self, signature: frozenset[RelationInstance]) -> frozenset[JoinTree]:
+        if self.lattice is not None:
+            return self.lattice.trees_within(signature)
+        return self._generate(signature, mtn_targeted=True)
+
+    def _generate(
+        self, bound: frozenset[RelationInstance], mtn_targeted: bool
+    ) -> frozenset[JoinTree]:
         max_size = self.max_joins + 1
         bound_by_relation: dict[str, list[RelationInstance]] = {}
         for instance in sorted(bound):
             bound_by_relation.setdefault(instance.relation, []).append(instance)
-
-        def over_budget(tree: JoinTree) -> bool:
-            if not mtn_targeted:
-                return False
-            missing = len(bound - tree.instances)
-            free_leaves = sum(1 for leaf in tree.leaves() if leaf.is_free)
-            return tree.size + max(missing, free_leaves) > max_size
 
         def candidates(tree: JoinTree, relation: str) -> list[RelationInstance]:
             """Attachable instances of ``relation``: bound ones not yet in
@@ -260,7 +455,7 @@ class KeywordBinder:
                 # contains one) and let free nodes join as connectors.
                 continue
             tree = JoinTree.single(instance)
-            if over_budget(tree):
+            if mtn_targeted and over_budget(tree, bound, max_size):
                 continue
             retained.add(tree)
             stack.append(tree)
@@ -268,22 +463,24 @@ class KeywordBinder:
             tree = stack.pop()
             if tree.size >= max_size:
                 continue
+            budget = mtn_budget(tree, bound) if mtn_targeted else None
             for instance in tree.sorted_instances():
                 for fk in self.schema.edges_of(instance.relation):
                     other_relation = fk.other(instance.relation)
                     for candidate in candidates(tree, other_relation):
+                        if budget is not None and extension_over_budget(
+                            tree, budget, instance, candidate, max_size
+                        ):
+                            continue
                         if fk.child == instance.relation:
                             edge = JoinEdge.from_fk(fk, instance, candidate)
                         else:
                             edge = JoinEdge.from_fk(fk, candidate, instance)
                         extended = tree.extend(edge, candidate)
-                        if extended in retained or over_budget(extended):
+                        if extended in retained or (
+                            mtn_targeted and over_budget(extended, bound, max_size)
+                        ):
                             continue
                         retained.add(extended)
                         stack.append(extended)
-        return PrunedLattice(
-            schema=self.schema,
-            binding=binding,
-            retained=frozenset(retained),
-            pruning_time=time.perf_counter() - started,
-        )
+        return frozenset(retained)

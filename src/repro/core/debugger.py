@@ -190,10 +190,13 @@ class NonAnswerDebugger:
     ):
         """Build the offline artifacts for ``database``.
 
-        ``use_lattice=False`` skips Phase 0 and generates, per query, the
-        retained trees that are subtrees of potential MTNs
+        ``use_lattice=False`` skips Phase 0 and generates, per slot
+        signature, the retained trees that are subtrees of potential MTNs
         (:meth:`KeywordBinder.prune_for_mtns`; identical results, no
-        offline cost); that is how the high-level experiments run.  ``max_keywords`` caps
+        offline cost); that is how the high-level experiments run.  Either
+        way the binder keeps each signature's Phase 1-2 work in one
+        bounded memo, filled on first use and shared by every thread and
+        session of this debugger; writes leave it valid.  ``max_keywords`` caps
         the number of keyword slots the lattice materializes (defaults to
         the paper's ``max_joins + 1``).  ``free_copies > 1`` enables the
         multi-free-copy extension (direct mode only; see
@@ -296,16 +299,14 @@ class NonAnswerDebugger:
     def prune(self, mapping: KeywordMapping) -> list[PrunedLattice]:
         """Phase 1b: one pruned lattice per interpretation.
 
-        With a materialized lattice the retained trees come off its
-        slot-signature index (:meth:`Lattice.trees_within`); in direct mode
-        it generates only the MTN-relevant trees (the rest of the pipeline
-        needs nothing else; ``binder.prune_direct`` gives the complete set).
+        Each is read off the binder's slot-signature memo
+        (:meth:`KeywordBinder.prune`), which fills an entry the first time
+        a signature shows up: from the lattice's slot-signature index
+        (:meth:`Lattice.trees_within`), or in direct mode by generating
+        only the MTN-relevant trees (the rest of the pipeline needs nothing
+        else; ``binder.prune_direct`` gives the complete set).
         """
-        if self.lattice is not None:
-            prune = self.binder.prune
-        else:
-            prune = self.binder.prune_for_mtns
-        return [prune(interpretation) for interpretation in mapping.interpretations]
+        return [self.binder.prune(interpretation) for interpretation in mapping.interpretations]
 
     def build_graph(
         self,

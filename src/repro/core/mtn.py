@@ -15,7 +15,12 @@ sub-lattice: all connected subtrees of all MTN trees, deduplicated, with
   immediate parent/child edges (one leaf removed), and
 * the instantiated :class:`~repro.relational.jointree.BoundQuery` per node.
 
-Every Phase-3 traversal strategy and both baselines run over this structure.
+Which trees are MTNs, their order, and each MTN's sub-lattice depend on the
+slot signature alone (:mod:`repro.core.binding`), so :func:`mtn_plans` keeps
+them in the binder's memo entry; :func:`build_exploration_graph` binds the
+keywords, applies the call's constraints, interns the bound queries and
+builds the masks.  Every Phase-3 traversal strategy and both baselines run
+over this structure.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from repro.core.binding import KeywordBinding, PrunedLattice, bind_tree
 from repro.core.canonical import canonical_code
 from repro.core.constraints import UNCONSTRAINED, SearchConstraints
 from repro.core.freecopies import normalize_free_ranks
-from repro.relational.jointree import BoundQuery, JoinTree
+from repro.relational.jointree import BoundQuery, JoinTree, RelationInstance
 from repro.relational.predicates import MatchMode
 
 
@@ -35,6 +40,62 @@ def is_minimal_total(tree: JoinTree, binding: KeywordBinding) -> bool:
     """True iff ``tree`` is total and all of its leaves are keyword-bound."""
     bound = binding.instances
     return bound <= tree.instances and all(leaf in bound for leaf in tree.leaves())
+
+
+@dataclass(frozen=True, slots=True)
+class MtnPlan:
+    """One MTN of a slot signature and its sub-lattice, without keywords.
+
+    ``subtrees`` are the MTN tree's proper connected subtrees, in the order
+    :meth:`JoinTree.connected_subtrees` yields them; ``children[p]`` holds
+    the positions, in ``(tree,) + subtrees``, of the one-leaf children of
+    the tree at position ``p`` of that sequence.
+    """
+
+    tree: JoinTree
+    subtrees: tuple[JoinTree, ...]
+    children: tuple[tuple[int, ...], ...]
+
+
+def plan_mtns(pruned: PrunedLattice) -> tuple[MtnPlan, ...]:
+    """The plans of :func:`find_mtns`' MTNs, computed afresh.
+
+    Reads ``pruned``'s retained trees and its slot signature only.
+    Subtrees that several MTNs share are one object.
+    """
+    mtns = [tree for tree in pruned.retained if is_minimal_total(tree, pruned.binding)]
+    mtns.sort(
+        key=lambda tree: (
+            tree.size,
+            tree.describe(),
+            canonical_code(tree, pruned.schema),
+        )
+    )
+    # Each distinct tree once, with the instance sets of its children.
+    shared: dict[JoinTree, tuple[JoinTree, list[frozenset[RelationInstance]]]] = {}
+    plans = []
+    for mtn in mtns:
+        # connected_subtrees() yields the MTN itself first.
+        trees = []
+        for tree in mtn.connected_subtrees():
+            if tree not in shared:
+                shared[tree] = (tree, [child.instances for child in tree.child_subtrees()])
+            trees.append(shared[tree])
+        position = {tree.instances: index for index, (tree, _) in enumerate(trees)}
+        children = tuple(tuple(position[child] for child in kids) for _, kids in trees)
+        plans.append(MtnPlan(mtn, tuple(tree for tree, _ in trees[1:]), children))
+    return tuple(plans)
+
+
+def mtn_plans(pruned: PrunedLattice) -> tuple[MtnPlan, ...]:
+    """:func:`plan_mtns`, kept in the memo entry ``pruned`` was read from.
+
+    The first call for a slot signature builds the plans; later calls,
+    from any interpretation or thread with that signature, read them.
+    """
+    if pruned.memo is None:
+        return plan_mtns(pruned)
+    return pruned.memo.mtn_plans(pruned.binding.instances, lambda: plan_mtns(pruned))
 
 
 def find_mtns(pruned: PrunedLattice) -> list[JoinTree]:
@@ -47,15 +108,7 @@ def find_mtns(pruned: PrunedLattice) -> list[JoinTree]:
     exploration graph's numbering that steers SBH's tie-breaks, is thus a
     function of the retained set alone, however Phase 1 produced it.
     """
-    mtns = [tree for tree in pruned.retained if is_minimal_total(tree, pruned.binding)]
-    return sorted(
-        mtns,
-        key=lambda tree: (
-            tree.size,
-            tree.describe(),
-            canonical_code(tree, pruned.schema),
-        ),
-    )
+    return [plan.tree for plan in mtn_plans(pruned)]
 
 
 @dataclass
@@ -89,6 +142,9 @@ class ExplorationGraph:
         # Bitsets (Python ints); bit i refers to self.nodes[i].
         self.desc_mask: list[int] = []  # strict descendants
         self.asc_mask: list[int] = []  # strict ancestors
+        # Per node, the indexes of its one-leaf children (None until an MTN
+        # holding the node records them).
+        self._children: list[list[int] | None] = []
         # Exact descendant sets recorded per MTN during enumeration; they
         # bridge the gap a max_explanation_level constraint opens between an
         # over-cap MTN and its retained sub-queries.
@@ -110,12 +166,14 @@ class ExplorationGraph:
         index = len(self.nodes)
         node = ExplorationNode(index, query.tree, query, query.tree.size)
         self.nodes.append(node)
+        self._children.append(None)
         self._by_query[query] = index
         return index
 
-    def add_mtn(self, query: BoundQuery) -> int | None:
+    def add_mtn(self, query: BoundQuery, plan: MtnPlan) -> int | None:
         """Add one MTN and every admitted connected subtree of its join tree.
 
+        ``query`` binds ``plan.tree``, whose sub-lattice ``plan`` lists.
         Returns ``None`` when the search constraints rule the candidate
         network out entirely.
         """
@@ -125,36 +183,34 @@ class ExplorationGraph:
         if not self.nodes[mtn_index].is_mtn:
             self.nodes[mtn_index].is_mtn = True
             self.mtn_indexes.append(mtn_index)
+        indexes: list[int | None] = [mtn_index]
         desc_bits = self._mtn_desc.get(mtn_index, 0)
-        for subtree in query.tree.connected_subtrees():
-            if subtree.instances == query.tree.instances:
-                continue
-            if not self.constraints.admits_subquery(subtree):
-                continue
-            self.constraints.validate_closure(subtree)
-            desc_bits |= 1 << self._intern(query.subquery(subtree))
+        for subtree in plan.subtrees:
+            index = None
+            if self.constraints.admits_subquery(subtree):
+                self.constraints.validate_closure(subtree)
+                index = self._intern(query.subquery(subtree))
+                desc_bits |= 1 << index
+            indexes.append(index)
         self._mtn_desc[mtn_index] = desc_bits
+        # A node has the same children in every MTN that holds it (the
+        # constraints judge trees alone), so its first MTN records them.
+        # Only an MTN can lack some, when the constraints drop its immediate
+        # subtrees; its descendant set above bridges the gap.
+        for index, positions in zip(indexes, plan.children):
+            if index is not None and self._children[index] is None:
+                children = [indexes[position] for position in positions]
+                self._children[index] = [child for child in children if child is not None]
         return mtn_index
 
     def finalize(self) -> "ExplorationGraph":
         """Compute the ancestry bitsets from the parent/child edges."""
         started = time.perf_counter()
-        children: list[list[int]] = [[] for _ in self.nodes]
+        children = [recorded or [] for recorded in self._children]
         parents: list[list[int]] = [[] for _ in self.nodes]
-        for node in self.nodes:
-            if node.tree.size == 1:
-                continue
-            for child_tree in node.tree.child_subtrees():
-                child_index = self._by_query.get(
-                    normalize_free_ranks(node.query.subquery(child_tree))
-                )
-                if child_index is None:
-                    # Only possible for an MTN whose immediate subtrees were
-                    # dropped by a max_explanation_level constraint; the
-                    # recorded per-MTN descendant set bridges the gap below.
-                    continue
-                children[node.index].append(child_index)
-                parents[child_index].append(node.index)
+        for index, recorded in enumerate(children):
+            for child in recorded:
+                parents[child].append(index)
         order = sorted(range(len(self.nodes)), key=lambda i: self.nodes[i].level)
         self.desc_mask = [0] * len(self.nodes)
         for index in order:  # ascending level: children first
@@ -246,6 +302,6 @@ def build_exploration_graph(
     """
     graph = ExplorationGraph(mode, constraints)
     for pruned in pruned_lattices:
-        for tree in find_mtns(pruned):
-            graph.add_mtn(bind_tree(tree, pruned.binding, mode))
+        for plan in mtn_plans(pruned):
+            graph.add_mtn(bind_tree(plan.tree, pruned.binding, mode), plan)
     return graph.finalize()

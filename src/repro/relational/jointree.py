@@ -27,7 +27,7 @@ class JoinTreeError(ValueError):
 
 
 @total_ordering
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RelationInstance:
     """One occurrence of a relation in a query: ``Person[2]``.
 
@@ -74,7 +74,7 @@ class RelationInstance:
         return f"{self.relation}[{marker}{self.copy}]"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class JoinEdge:
     """An equi-join between two relation instances along a schema edge.
 
@@ -139,7 +139,7 @@ class JoinEdge:
         return f"{self.a}.{self.a_column} = {self.b}.{self.b_column}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class JoinTree:
     """An unordered tree of relation instances connected by join edges.
 
@@ -362,7 +362,7 @@ class JoinTree:
         return len(seen) == len(self.instances)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundQuery:
     """A join tree with keywords bound to (some of) its instances.
 

@@ -6,13 +6,21 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from repro.core.binding import BindingError, KeywordBinder, bind_tree
+from repro.core.binding import (
+    BindingError,
+    KeywordBinder,
+    bind_tree,
+    extension_over_budget,
+    mtn_budget,
+    over_budget,
+)
+from repro.core.freecopies import free_instance
 from repro.core.lattice import generate_lattice
 from repro.core.mtn import find_mtns
 from repro.core.persistence import load_lattice, save_lattice
 from repro.datasets.dblife import dblife_schema
 from repro.index.mapper import Interpretation
-from repro.relational.jointree import RelationInstance
+from repro.relational.jointree import JoinEdge, RelationInstance
 
 
 def interp(*pairs):
@@ -218,3 +226,58 @@ class TestIndexedPruneProperty:
                 assert find_mtns(lattice.prune(interpretation)) == find_mtns(
                     direct.prune_for_mtns(interpretation)
                 ), relations
+
+
+class TestExtensionBudgetProperty:
+    """MTN-targeted generation tests each one-leaf extension's budget
+    before building it; the test must reject exactly the extensions whose
+    built tree :func:`over_budget` rejects."""
+
+    @settings(
+        max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+    )
+    @given(
+        interpretation=dblife_interpretations(),
+        max_joins=st.sampled_from((1, 2)),
+        free_copies=st.sampled_from((1, 2)),
+    )
+    @example(
+        interpretation=interp(("a", "Person"), ("b", "Person")),
+        max_joins=2,
+        free_copies=2,
+    )
+    def test_precheck_rejects_what_the_built_tree_fails(
+        self, interpretation, max_joins, free_copies
+    ):
+        if len(interpretation.assignments) > max_joins + 1:
+            max_joins = len(interpretation.assignments) - 1
+        binder = KeywordBinder(
+            schema=DBLIFE, max_joins=max_joins, free_copies=free_copies
+        )
+        bound = binder.bind(interpretation).instances
+        max_size = max_joins + 1
+        checked = 0
+        # The complete retained set: every tree growth can start from.
+        for tree in binder.prune_direct(interpretation).retained:
+            if tree.size >= max_size:
+                continue
+            budget = mtn_budget(tree, bound)
+            for anchor in tree.instances:
+                for fk in DBLIFE.edges_of(anchor.relation):
+                    other = fk.other(anchor.relation)
+                    candidates = [i for i in bound if i.relation == other] + [
+                        free_instance(other, rank) for rank in range(free_copies)
+                    ]
+                    for candidate in candidates:
+                        if candidate in tree.instances:
+                            continue
+                        if fk.child == anchor.relation:
+                            edge = JoinEdge.from_fk(fk, anchor, candidate)
+                        else:
+                            edge = JoinEdge.from_fk(fk, candidate, anchor)
+                        built = tree.extend(edge, candidate)
+                        assert extension_over_budget(
+                            tree, budget, anchor, candidate, max_size
+                        ) == over_budget(built, bound, max_size), built.describe()
+                        checked += 1
+        assert checked

@@ -20,7 +20,8 @@ def interp(*pairs):
 
 class TestCandidateNetworks:
     def test_cns_equal_mtns(self, products_debugger):
-        """The lattice's MTNs are exactly DISCOVER's candidate networks."""
+        """The lattice's MTNs are exactly DISCOVER's candidate networks,
+        also when the binder's memo answers (each second run)."""
         binder = products_debugger.binder
         schema = products_debugger.schema
         for interpretation in (
@@ -30,14 +31,15 @@ class TestCandidateNetworks:
             interp(("saffron", "Item"), ("scented", "Item")),
             interp(("candle", "Item"),),
         ):
-            pruned = binder.prune(interpretation)
-            mtns = set(find_mtns(pruned))
-            cns = set(
-                enumerate_candidate_networks(
-                    schema, pruned.binding, binder.max_joins + 1
+            for _ in range(2):
+                pruned = binder.prune(interpretation)
+                mtns = set(find_mtns(pruned))
+                cns = set(
+                    enumerate_candidate_networks(
+                        schema, pruned.binding, binder.max_joins + 1
+                    )
                 )
-            )
-            assert mtns == cns, interpretation.describe()
+                assert mtns == cns, interpretation.describe()
 
     def test_empty_binding(self, products_debugger):
         binding = products_debugger.binder.bind(Interpretation(()))
