@@ -1,9 +1,9 @@
 """Backend layer: protocols, the engine factory, and connection pooling.
 
 * :mod:`repro.backends.base` -- the :class:`AlivenessBackend` /
-  :class:`EnumeratingBackend` / :class:`ProbeStore` protocols and
-  :func:`create_backend`, which builds the ``memory`` or ``sqlite``
-  engine for :class:`~repro.core.debugger.NonAnswerDebugger`;
+  :class:`EnumeratingBackend` protocols and :func:`create_backend`,
+  which builds the ``memory`` or ``sqlite`` engine for
+  :class:`~repro.core.debugger.NonAnswerDebugger`;
 * :mod:`repro.backends.latency` -- :class:`SimulatedLatencyBackend`, a
   fixed per-probe sleep wrapped around an engine by ``repro bench serve``
   and the service tests;
@@ -19,7 +19,6 @@ from repro.backends.base import (
     BACKEND_NAMES,
     AlivenessBackend,
     EnumeratingBackend,
-    ProbeStore,
     create_backend,
 )
 from repro.backends.pool import (
@@ -34,7 +33,6 @@ __all__ = [
     "BACKEND_NAMES",
     "AlivenessBackend",
     "EnumeratingBackend",
-    "ProbeStore",
     "create_backend",
     "ConnectionPool",
     "DEFAULT_POOL_SIZE",

@@ -45,21 +45,6 @@ class EnumeratingBackend(Protocol):
         ...
 
 
-class ProbeStore(Protocol):
-    """A persistent aliveness store (the L2 tier under the evaluator's LRU).
-
-    Implemented by :class:`repro.cache.ProbeCache`; the protocol lives
-    here so ``repro.relational`` needs no import of the cache machinery.
-    ``get`` returns ``None`` on a miss; ``put`` must be idempotent.
-    """
-
-    def get(self, query: BoundQuery) -> bool | None:  # pragma: no cover - protocol
-        ...
-
-    def put(self, query: BoundQuery, alive: bool) -> None:  # pragma: no cover
-        ...
-
-
 def create_backend(
     name: str, database: "Database", index: "IndexBackend | None" = None
 ) -> AlivenessBackend:

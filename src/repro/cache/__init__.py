@@ -1,21 +1,16 @@
 """Persistent cross-session caches: one fact per query, one store.
 
-Two tiers serve aliveness probes before the backend does:
-
-* **L1** -- the evaluator's bounded in-process LRU (what the paper calls
-  *reuse*), per evaluator, dies with the process;
-* **L2** -- :class:`ProbeCache`, one sqlite file per ``--cache-dir``
-  keyed by canonical query code, shared by every session pointed at the
-  directory.
-
-The same rows hold what Phase 3 classified without probing: a node's
-status is a fact about its SQL query alone (rules R1/R2), so every
-classified node is one row under its query key.  Every row records the
-database snapshot it was written under, and a read keeps it by one
-monotone rule (:func:`fact_survives`) against the live database, so a
-write repairs nothing up front; any later run whose graph shares keys
-replays the surviving rows through R1/R2, skipping Phase 3 whenever they
-resolve its graph.
+:class:`ProbeCache` is one sqlite file per ``--cache-dir``, keyed by
+canonical query code and shared by every session pointed at the
+directory.  A node's status is a fact about its SQL query alone (rules
+R1/R2), so every node a run probed or inferred is one row under its
+query key.  Every row records the database snapshot it was written
+under, and a read keeps it by one monotone rule (:func:`fact_survives`)
+against the live database, so a write repairs nothing up front.  Any
+later run whose graph shares keys replays the surviving rows through
+R1/R2 into the status store its traversal starts from, skipping Phase 3
+whenever they resolve its graph; the evaluator under the traversal
+never reads the file.
 
 See :mod:`repro.cache.store` for the store and its invalidation
 semantics, and :mod:`repro.cache.keys` for the canonical key

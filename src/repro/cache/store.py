@@ -11,14 +11,12 @@ classifications Phase 3 derives from them died with the process.
   **canonical query key** (:func:`query_cache_key`, stable across
   processes and isomorphic relabelings).  Rules R1/R2 make a node's
   status a fact about its SQL query alone, so an executed probe and a
-  classification Phase 3 inferred are the same kind of row.  The
-  evaluator consults the table after missing its in-process LRU (L1)
-  and writes through on every executed probe (:meth:`ProbeCache.put`);
-  the debugger upserts every node a run classified
-  (:meth:`ProbeCache.save`) and, before the next run of any query,
-  reads the rows among its graph's keys (:meth:`ProbeCache.load`),
-  replays them through R1/R2 and skips Phase 3 whenever that resolves
-  the graph.
+  classification Phase 3 inferred are the same kind of row.  A run
+  touches the file twice: before Phase 3 the debugger reads the rows
+  among its graph's keys (:meth:`ProbeCache.load`) and replays them
+  through R1/R2 into the status store the traversal starts from,
+  skipping Phase 3 whenever that resolves the graph; at its end it
+  upserts every node its stores know (:meth:`ProbeCache.save`).
 * ``snapshots`` -- each database snapshot a row was written under,
   stored once (its full state: composite, lineage, per-relation
   fingerprints and mutation counters) and referenced by id from every
@@ -31,12 +29,11 @@ monotonicity read at the dataset boundary.  A row touching no changed
 relation is exact; an insert can only flip a probe dead -> alive, so
 alive answers survive insert-only deltas; a delete only alive -> dead,
 so dead answers survive delete-only deltas; a mixed (or undecidable)
-delta keeps neither.  :meth:`ProbeCache.get` and :meth:`ProbeCache.load`
-only read; snapshots are registered when :meth:`ProbeCache.put`,
-:meth:`ProbeCache.save` or :meth:`ProbeCache.refresh` write.  Counts come
-from explicit row lists or ``SELECT COUNT(*)`` -- never from
-``cursor.rowcount``, whose ``-1`` sentinel sqlite is free to return for
-any statement.
+delta keeps neither.  :meth:`ProbeCache.load` only reads; snapshots are
+registered when :meth:`ProbeCache.save` or :meth:`ProbeCache.refresh`
+write.  Counts come from explicit row lists or ``SELECT COUNT(*)`` --
+never from ``cursor.rowcount``, whose ``-1`` sentinel sqlite is free to
+return for any statement.
 
 All methods are thread-safe: concurrent service sessions share one
 store, and interactive sessions may probe from arbitrary threads.
@@ -87,8 +84,6 @@ CREATE TABLE IF NOT EXISTS probes (
 ) WITHOUT ROWID
 """
 
-#: The row lookup (``get``, ``load``) and the upsert (``put``, ``save``).
-_SELECT = "SELECT query_key, alive, relations, snapshot FROM probes WHERE query_key "
 _UPSERT = (
     "INSERT OR REPLACE INTO probes "
     "(query_key, alive, relations, snapshot) VALUES (?, ?, ?, ?)"
@@ -101,20 +96,14 @@ class ProbeCacheError(RuntimeError):
 
 @dataclass(frozen=True)
 class ProbeCacheStats:
-    """Probe counters of one :class:`ProbeCache` (session + file)."""
+    """What one :class:`ProbeCache`'s file holds."""
 
     path: str
     composite: str
     entries: int
-    hits: int
-    misses: int
-    writes: int
 
     def __str__(self) -> str:
-        return (
-            f"{self.entries} cached probes ({self.hits} hits / "
-            f"{self.misses} misses this session, {self.writes} writes)"
-        )
+        return f"{self.entries} cached probes"
 
 
 @dataclass(frozen=True)
@@ -236,11 +225,9 @@ def fact_survives(
 class ProbeCache:
     """Persistent query facts with per-relation identity.
 
-    Implements the :class:`~repro.backends.base.ProbeStore` protocol the
-    evaluator consumes (:meth:`get`/:meth:`put`) and the status store the
-    debugger reads and writes a graph's facts through
-    (:meth:`load`/:meth:`save`), over the same ``probes`` rows.
-    The cache holds a reference to the live :class:`Database` and judges
+    The status store the debugger reads a graph's facts from once per
+    run (:meth:`load`) and writes them to once (:meth:`save`).  The
+    cache holds a reference to the live :class:`Database` and judges
     every row it reads against the database's *current* snapshot, so a
     read after an in-session mutation never returns an answer the
     mutation may have changed: it misses instead.
@@ -252,9 +239,6 @@ class ProbeCache:
         self.schema = database.schema
         self._lock = threading.Lock()
         self._closed = False
-        self.hits = 0
-        self.misses = 0
-        self.writes = 0
         self.saves = 0
         # Memos (guarded-by: _lock): each stored snapshot, decoded once
         # per id -- ids are never reused (AUTOINCREMENT), so an entry
@@ -337,46 +321,15 @@ class ProbeCache:
     def refresh(self) -> None:
         """Register the live database's snapshot after a write.
 
-        Nothing is repaired: :meth:`get` and :meth:`load` judge every row
-        against the snapshot it was written under.  Registering here
-        spares the first :meth:`put` or :meth:`save` after the write.
+        Nothing is repaired: :meth:`load` judges every row against the
+        snapshot it was written under.  Registering here spares the first
+        :meth:`save` after the write.
         """
         live = self.database.snapshot()
         with self._lock:
             self._ensure_open_locked()
             self._register_locked(live)
             self._connection.commit()
-
-    # --------------------------------------------------------- ProbeStore
-    def key_of(self, query: BoundQuery) -> str:
-        return query_cache_key(query, self.schema)
-
-    def get(self, query: BoundQuery) -> bool | None:
-        """Cached aliveness of ``query`` if it survives the writes since, or None."""
-        key = self.key_of(query)
-        live = self.database.snapshot()
-        with self._lock:
-            self._ensure_open_locked()
-            row = self._connection.execute(_SELECT + "= ?", (key,)).fetchone()
-            fact = None if row is None else self._survivor_locked(row, live)
-            if fact is None:
-                self.misses += 1
-                return None
-            self.hits += 1
-            return fact.alive
-
-    def put(self, query: BoundQuery, alive: bool) -> None:
-        """Record one probe result (idempotent; last write wins)."""
-        key = self.key_of(query)
-        label = relations_label(query.tree.relations())
-        live = self.database.snapshot()
-        with self._lock:
-            self._ensure_open_locked()
-            self._connection.execute(
-                _UPSERT, (key, int(alive), label, self._register_locked(live))
-            )
-            self._connection.commit()
-            self.writes += 1
 
     # ------------------------------------------------------ status facts
     def save(self, facts: Iterable[StatusFact], snapshot: DatabaseSnapshot) -> int:
@@ -419,13 +372,30 @@ class ProbeCache:
         with self._lock:
             self._ensure_open_locked()
             rows = self._connection.execute(
-                _SELECT + "IN (SELECT value FROM json_each(?))", (payload,)
+                "SELECT query_key, alive, relations, snapshot FROM probes "
+                "WHERE query_key IN (SELECT value FROM json_each(?))",
+                (payload,),
             ).fetchall()
             judged = [self._survivor_locked(row, live) for row in rows]
         if not rows:
             return None
         facts = tuple(fact for fact in judged if fact is not None)
         return StatusLoad(facts=facts, dropped=len(rows) - len(facts))
+
+    # perfbench/tracing.py wraps get and put by name; the tests use them.
+    def get(self, query: BoundQuery) -> bool | None:
+        """:meth:`load` of one query: its surviving aliveness, or None."""
+        load = self.load([query_cache_key(query, self.schema)])
+        return load.facts[0].alive if load is not None and load.facts else None
+
+    def put(self, query: BoundQuery, alive: bool) -> None:
+        """:meth:`save` of one query on the live snapshot (last write wins)."""
+        fact = StatusFact(
+            node_key=query_cache_key(query, self.schema),
+            relations=tuple(query.tree.relations()),
+            alive=alive,
+        )
+        self.save([fact], self.database.snapshot())
 
     # ------------------------------------------------------- housekeeping
     def _ensure_open_locked(self) -> None:
@@ -447,17 +417,12 @@ class ProbeCache:
             return _clear_rows(self._connection)
 
     def stats(self) -> ProbeCacheStats:
-        # One lock acquisition for the whole snapshot: the session
-        # counters and the entry count must be read consistently.
         with self._lock:
             self._ensure_open_locked()
             return ProbeCacheStats(
                 path=str(self.path),
                 composite=self.database.fingerprint(),
                 entries=_count_rows(self._connection)["probes"],
-                hits=self.hits,
-                misses=self.misses,
-                writes=self.writes,
             )
 
     def close(self) -> None:
@@ -475,9 +440,7 @@ class ProbeCache:
         self.close()
 
 
-#: The status-store name of :class:`ProbeCache`.  ``perfbench/tracing.py``
-#: imports both names and wraps ``ProbeCache.get/put/refresh`` and
-#: ``StatusCache.load/save``; the alias keeps that harness working.
+#: ``perfbench/tracing.py`` imports this name; the alias keeps it working.
 StatusCache = ProbeCache
 
 

@@ -213,15 +213,14 @@ class NonAnswerDebugger:
 
         ``cache_dir`` attaches one persistent cache store
         (:class:`repro.cache.ProbeCache`): one fact per query, keyed by
-        canonical query key -- the L2 tier of every reuse-enabled
-        evaluator this debugger makes, and every status a run classified.
-        A second session over an unchanged database answers previously
-        classified nodes with zero backend queries.  :meth:`debug` skips
-        Phase 3 whenever the facts of its graph's keys, replayed through
-        R1/R2 (:meth:`replay_status`), resolve the graph, whichever
+        canonical query key, for every node a run probed or inferred.
+        :meth:`debug` reads it once per run, replaying the facts of its
+        graph's keys through R1/R2 (:meth:`replay_status`), whichever
         query, constraints or session learned them -- after a write too,
         since each row is judged against the snapshot it was written
-        under (monotone survivors kept) instead of being discarded.  The
+        under (monotone survivors kept) instead of being discarded.  A
+        later session over an unchanged database therefore answers
+        previously classified nodes with zero backend queries.  The
         sqlite index lives there too and is rebuilt per changed relation
         on reopen.
 
@@ -277,6 +276,7 @@ class NonAnswerDebugger:
     # ------------------------------------------------------------- pipeline
     def make_evaluator(
         self,
+        # perfbench/oracle.py passes use_cache=False.
         use_cache: bool | None = None,
         budget: ProbeBudget | None = None,
         tracer: ProbeTracer | None = None,
@@ -289,7 +289,6 @@ class NonAnswerDebugger:
             use_cache=use_cache,
             budget=budget,
             tracer=tracer if tracer is not None else self.tracer,
-            probe_cache=self.cache,
         )
 
     def map_keywords(self, query: str) -> KeywordMapping:
@@ -341,8 +340,9 @@ class NonAnswerDebugger:
         is recorded on every node with its key, so R1/R2 closure
         re-derives what the facts imply.  A fact that disagrees with a
         status already known marks the whole set corrupt: the seeded
-        store comes back with none of it applied.  Returns the store and
-        the number of facts replayed.
+        store comes back with none of it applied, and the run traverses
+        cold.  Returns the store and the number of facts replayed; a
+        traversal that cannot skip Phase 3 starts from the store.
         """
         store = self._seeded_store(graph)
         load = None
@@ -376,8 +376,10 @@ class NonAnswerDebugger:
         stores: Iterable[StatusStore],
         snapshot: DatabaseSnapshot | None,
     ) -> None:
-        """Persist every node ``stores`` classify, one fact per key.
+        """Persist every node ``stores`` know, one fact per key.
 
+        That is what the run probed, what R1/R2 inferred from it, and
+        what the replay brought in, which is stamped afresh.
         ``snapshot`` is the database state the classifications were
         computed on; :meth:`ProbeCache.save` stores nothing once a write
         has replaced it.
@@ -432,9 +434,11 @@ class NonAnswerDebugger:
         With a cache attached, the run first replays the saved facts of
         its graph's keys (:meth:`replay_status`) and, whenever they
         resolve the graph, skips Phase 3 with a ``phase3_skipped`` event
-        and saves nothing.  Otherwise it traverses and saves what it
-        classified, partial or not (:meth:`save_status`), unless a write
-        landed since the run took its snapshot.
+        and saves nothing.  Otherwise it traverses from the replayed
+        store, so no replayed fact is probed again, and saves everything
+        its stores know, partial or not (:meth:`save_status`), unless a
+        write landed since the run took its snapshot.
+        ``timings.traversal`` covers the replay on both paths.
         """
         chosen = self.strategy
         if strategy is not None:
@@ -485,10 +489,12 @@ class NonAnswerDebugger:
             nodes=len(report.graph),
         )
 
-        # Without a cache there are no keys.
+        # Phase 3's time includes the key hashing and the replay.
+        started = time.perf_counter()
+        # Without a cache there are no keys and no replayed store.
         keys = self.node_keys(report.graph)
+        store: StatusStore | None = None
         if keys:
-            started = time.perf_counter()
             store, facts = self.replay_status(report.graph, keys, active)
             if self._store_resolves_graph(report.graph, store):
                 # Phase 3 is implied rather than recomputed: zero probes.
@@ -507,8 +513,9 @@ class NonAnswerDebugger:
             use_cache=chosen.uses_reuse, budget=budget, tracer=active
         )
         phase_event("phase_started", "traversal", strategy=chosen.name)
-        started = time.perf_counter()
-        report.traversal = chosen.run(report.graph, evaluator, self.database)
+        report.traversal = chosen.run(
+            report.graph, evaluator, self.database, store
+        )
         timings.traversal = time.perf_counter() - started
         phase_event(
             "phase_completed",

@@ -11,10 +11,9 @@ benefits from everything learned before it (rules R1/R2 included).
 Sessions inherit the debugger's persistent cache automatically: when the
 :class:`NonAnswerDebugger` was opened with a ``cache_dir``, the session's
 store starts from the saved facts of its graph's keys, whichever run
-learned them (the same replay :meth:`~NonAnswerDebugger.debug` uses), and
-its evaluator carries the store as the L2 tier, so classifying an
-already-known or already-probed candidate costs zero SQL queries even in
-a fresh process.  What the session learns is saved one fact per key, so
+learned them (the same replay :meth:`~NonAnswerDebugger.debug` uses), so
+classifying an already-known candidate costs zero SQL queries even in a
+fresh process.  What the session learns is saved one fact per key, so
 it serves any later run, constrained or not, whose graph shares a key.
 
 Example::
@@ -35,6 +34,7 @@ from dataclasses import dataclass
 from repro.core.constraints import UNCONSTRAINED, SearchConstraints
 from repro.core.debugger import NonAnswerDebugger
 from repro.core.status import Status
+from repro.core.traversal.base import sweep_levels
 from repro.obs.budget import ProbeBudget, ProbeBudgetExhausted
 from repro.obs.trace import ProbeTracer
 from repro.relational.jointree import BoundQuery
@@ -178,18 +178,14 @@ class DebugSession:
         if self.classify(position) is not Status.DEAD:
             return []
         if mtn_index not in self._explained:
-            domain = self.graph.desc_plus(mtn_index)
             try:
-                for level in range(self.graph.node(mtn_index).level - 1, 0, -1):
-                    unknown = self.store.unknown_mask & domain
-                    if not unknown:
-                        break
-                    for index in self.graph.level_indexes(level):
-                        if (unknown >> index) & 1 and not self.store.is_known(index):
-                            alive = self.evaluator.is_alive(
-                                self.graph.node(index).query
-                            )
-                            self.store.record(index, alive)
+                sweep_levels(
+                    self.graph,
+                    self.store,
+                    self.evaluator,
+                    range(self.graph.node(mtn_index).level - 1, 0, -1),
+                    self.graph.desc_plus(mtn_index),
+                )
             except ProbeBudgetExhausted:
                 self.exhausted = True
                 return []

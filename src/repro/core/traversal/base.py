@@ -40,9 +40,10 @@ class TraversalResult:
     stats: EvaluationStats = field(default_factory=EvaluationStats)
     elapsed: float = 0.0
     exhausted: bool = False
-    # The status store that classified each MTN (one shared store for the
-    # reuse strategies, one per MTN for BU/TD).  Diagnosis reads minimal
-    # dead sub-queries out of these after the fact.
+    # The status store of each MTN the run reached, classified or not (one
+    # shared store for the reuse strategies, one per MTN for BU/TD).
+    # Diagnosis reads minimal dead sub-queries out of these after the
+    # fact, and the debugger saves everything they know.
     stores: dict[int, StatusStore] = field(default_factory=dict)
 
     @property
@@ -93,7 +94,8 @@ class TraversalResult:
 def seed_base_levels(
     graph: ExplorationGraph, store: StatusStore, database: Database
 ) -> None:
-    """Classify level-1 nodes without SQL (Algorithm 3's ``GetBaseNodes``).
+    """Classify a fresh store's level-1 nodes without SQL (Algorithm 3's
+    ``GetBaseNodes``).
 
     A keyword-bound base node is alive by construction -- the interpretation
     only binds a keyword to relations the inverted index found it in.  A free
@@ -101,8 +103,6 @@ def seed_base_levels(
     costs an SQL query.
     """
     for index in graph.level_indexes(1):
-        if store.is_known(index) or not (store.domain >> index) & 1:
-            continue
         node = graph.node(index)
         (instance,) = node.tree.instances
         if node.query.bindings:
@@ -117,15 +117,18 @@ def sweep_levels(
     store: StatusStore,
     evaluator: InstrumentedEvaluator,
     levels: typing.Iterable[int],
+    cone: int = -1,
 ) -> None:
-    """Probe the unknown in-domain nodes level by level, in ``levels`` order.
+    """Probe the unknown in-domain nodes of ``cone`` level by level, in
+    ``levels`` order.
 
-    The unknown mask is read once per level: a probe classifies only
-    strictly lower (R1) or strictly higher (R2) levels, never a node of
-    its own level.  The sweep stops as soon as nothing is unknown.
+    ``cone`` is a node mask; the default, ``-1``, holds every node.  The
+    unknown mask is read once per level: a probe classifies only strictly
+    lower (R1) or strictly higher (R2) levels, never a node of its own
+    level.  The sweep stops as soon as nothing in ``cone`` is unknown.
     """
     for level in levels:
-        unknown = store.unknown_mask
+        unknown = store.unknown_mask & cone
         if not unknown:
             return
         for index in graph.level_indexes(level):
@@ -149,18 +152,30 @@ class TraversalStrategy(abc.ABC):
         self,
         graph: ExplorationGraph,
         evaluator: InstrumentedEvaluator,
-        database: Database,
+        store: StatusStore,
         result: TraversalResult,
     ) -> None:
-        """Classify all MTNs and fill ``result`` (template method)."""
+        """Classify all MTNs from ``store``'s knowledge and fill ``result``
+        (template method)."""
 
     def run(
         self,
         graph: ExplorationGraph,
         evaluator: InstrumentedEvaluator,
         database: Database,
+        store: StatusStore | None = None,
     ) -> TraversalResult:
+        """Classify ``graph``'s MTNs, starting from what ``store`` knows.
+
+        ``store`` is normally the debugger's replay of saved facts; the
+        reuse strategies probe into it, and BU/TD copy its knowledge into
+        each MTN's domain.  Without one, the run starts from a fresh store
+        with the base levels seeded from ``database``'s catalog.
+        """
         started = time.perf_counter()
+        if store is None:
+            store = StatusStore(graph)
+            seed_base_levels(graph, store, database)
         before = evaluator.stats.snapshot()
         result = TraversalResult(self.name, graph)
         tracer = evaluator.tracer
@@ -173,7 +188,7 @@ class TraversalStrategy(abc.ABC):
                 mtns=len(graph.mtn_indexes),
             )
         try:
-            self._run(graph, evaluator, database, result)
+            self._run(graph, evaluator, store, result)
         except ProbeBudgetExhausted:
             # Safety net for strategies that do not degrade themselves;
             # the built-in ones all catch earlier and collect partially.
@@ -204,12 +219,14 @@ class TraversalStrategy(abc.ABC):
         partial: bool = False,
         tracer: "ProbeTracer | None" = None,
     ) -> None:
-        """Record one classified MTN (and its MPANs if dead) into the result.
+        """Record one MTN's store, and the MTN (with its MPANs if dead) once
+        classified, into the result.
 
         With ``partial=True`` (a budget-exhausted sweep) an unclassified
-        MTN is skipped instead of being an error, and a dead MTN's MPANs
-        are reported only if its whole search space was resolved --
-        otherwise an unknown node could still be the true maximal one.
+        MTN is skipped instead of being an error, though its store is kept
+        so that what the sweep probed gets saved; a dead MTN's MPANs are
+        reported only if its whole search space was resolved -- otherwise
+        an unknown node could still be the true maximal one.
 
         When a ``tracer`` is attached, each MTN's resolution is announced
         as it happens -- an ``mtn_resolved`` event, plus ``mpan_available``
@@ -219,10 +236,10 @@ class TraversalStrategy(abc.ABC):
         """
         from repro.core.status import Status
 
+        result.stores[mtn_index] = store
         status = store.status(mtn_index)
         if partial and status is Status.POSSIBLY_ALIVE:
             return
-        result.stores[mtn_index] = store
         if status is Status.ALIVE:
             result.alive_mtns.append(mtn_index)
             if tracer is not None:

@@ -41,13 +41,8 @@ from typing import Callable
 
 from repro.core.mtn import ExplorationGraph
 from repro.core.status import StatusStore
-from repro.core.traversal.base import (
-    TraversalResult,
-    TraversalStrategy,
-    seed_base_levels,
-)
+from repro.core.traversal.base import TraversalResult, TraversalStrategy
 from repro.obs.budget import ProbeBudgetExhausted
-from repro.relational.database import Database
 from repro.relational.evaluator import InstrumentedEvaluator
 
 DEFAULT_PROBABILITY_ALIVE = 0.5
@@ -83,12 +78,9 @@ class ScoreBasedStrategy(TraversalStrategy):
         self,
         graph: ExplorationGraph,
         evaluator: InstrumentedEvaluator,
-        database: Database,
+        store: StatusStore,
         result: TraversalResult,
     ) -> None:
-        store = StatusStore(graph)
-        seed_base_levels(graph, store, database)
-
         known = store.alive_mask | store.dead_mask
         # w[j] = number of MTN search spaces containing node j; only the
         # nodes of some space are ever weighted or candidates.

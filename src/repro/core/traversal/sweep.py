@@ -7,11 +7,9 @@ from repro.core.status import StatusStore
 from repro.core.traversal.base import (
     TraversalResult,
     TraversalStrategy,
-    seed_base_levels,
     sweep_levels,
 )
 from repro.obs.budget import ProbeBudgetExhausted
-from repro.relational.database import Database
 from repro.relational.evaluator import InstrumentedEvaluator
 
 
@@ -26,9 +24,11 @@ class SweepStrategy(TraversalStrategy):
     MTN costs a single query.
 
     Without reuse (§2.5.1) each MTN's sub-lattice is swept with its own
-    status store, so common descendants of different MTNs are re-evaluated
-    for every MTN -- exactly what Figure 11/Table 4 measure for BU and TD.
-    With reuse (§2.5.2, Algorithm 3) one shared store sweeps all MTNs.
+    status store, a copy of the starting store's knowledge restricted to
+    that MTN's cone, so common descendants of different MTNs are
+    re-evaluated for every MTN -- exactly what Figure 11/Table 4 measure
+    for BU and TD.  With reuse (§2.5.2, Algorithm 3) the starting store
+    itself sweeps all MTNs.
     """
 
     bottom_up: bool = True
@@ -40,7 +40,7 @@ class SweepStrategy(TraversalStrategy):
         self,
         graph: ExplorationGraph,
         evaluator: InstrumentedEvaluator,
-        database: Database,
+        store: StatusStore,
         result: TraversalResult,
     ) -> None:
         # (store domain, top level, MTNs it classifies) per sweep.
@@ -53,15 +53,14 @@ class SweepStrategy(TraversalStrategy):
                 for index in graph.mtn_indexes
             ]
         for domain, top, mtn_indexes in sweeps:
-            store = StatusStore(graph, domain=domain)
-            seed_base_levels(graph, store, database)
+            sweep_store = store if domain is None else _restricted(store, domain)
             try:
-                sweep_levels(graph, store, evaluator, self._levels(top))
+                sweep_levels(graph, sweep_store, evaluator, self._levels(top))
             except ProbeBudgetExhausted:
                 result.exhausted = True
             for mtn_index in mtn_indexes:
                 self._collect(
-                    store,
+                    sweep_store,
                     result,
                     mtn_index,
                     partial=result.exhausted,
@@ -71,6 +70,18 @@ class SweepStrategy(TraversalStrategy):
                 # Keep what the partial sweep implied, then stop; later
                 # MTNs would need probes the budget no longer allows.
                 return
+
+
+def _restricted(store: StatusStore, domain: int) -> StatusStore:
+    """A store over ``domain`` knowing what ``store`` knows there.
+
+    ``domain`` is an MTN's cone, closed downward, so the copy stays
+    closed under R1/R2.
+    """
+    copy = StatusStore(store.graph, domain=domain)
+    copy.alive_mask = store.alive_mask & domain
+    copy.dead_mask = store.dead_mask & domain
+    return copy
 
 
 class BottomUpStrategy(SweepStrategy):

@@ -9,7 +9,7 @@ Two implementations share the :class:`IndexBackend` protocol: ``memory`` is
 the original dict-of-sets :class:`InvertedIndex`, ``sqlite`` is the
 disk-backed :class:`SqliteInvertedIndex` whose RAM footprint stays flat at
 million-tuple scale and which persists (and repairs per relation) next to
-the L2 probe cache.  Select one with ``--index-backend`` or
+the cache store.  Select one with ``--index-backend`` or
 :func:`create_index`.
 """
 

@@ -10,7 +10,7 @@ million-tuple scale that dict *is* the memory ceiling, so
 * ``memory`` -- the original dict index (fastest lookups, linear RAM);
 * ``sqlite`` -- an on-disk postings store
   (:class:`~repro.index.sqlite_index.SqliteInvertedIndex`): flat RAM,
-  persistent next to the L2 probe cache, repaired per relation from the
+  persistent next to the cache store, repaired per relation from the
   content fingerprints instead of rebuilt.
 """
 
@@ -68,7 +68,7 @@ def create_index(
     """Build the ``memory`` or ``sqlite`` index over ``database``.
 
     The sqlite index lives inside ``cache_dir`` when one is given (next to
-    the L2 probe cache, reopened and repaired per relation by the next
+    the cache store, reopened and repaired per relation by the next
     session), else in a temporary file removed on ``close()``.  The memory
     index ignores ``cache_dir``.
     """

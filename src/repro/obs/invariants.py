@@ -9,8 +9,8 @@ run; records outside any segment are legal) and each segment is checked
 for:
 
 * **cache hits are free** -- a ``cache_hit`` span records zero wall and
-  zero simulated seconds, and its tier is ``l1``/``l2`` (never
-  ``backend``); an executed span's tier is ``backend``.
+  zero simulated seconds, and its tier is ``l1`` (the evaluator's LRU,
+  its only cache) or absent; an executed span's tier is ``backend``.
 * **budget monotonicity** -- ``budget_remaining`` never increases within
   a segment: admissions and charges only spend.  (Sound because every
   span is recorded by the coordinating thread in submission order; the
@@ -90,7 +90,7 @@ def _check_span_tiers(
                         f"simulated={span['simulated_seconds']})",
                     )
                 )
-            if tier not in (None, "l1", "l2"):
+            if tier not in (None, "l1"):
                 violations.append(
                     InvariantViolation(
                         "tier-consistency",

@@ -73,9 +73,9 @@ class ProbeSpan:
     simulated_seconds: float
     strategy: str | None = None
     budget_remaining: int | None = None
-    #: Which tier answered: ``"l1"`` (in-process LRU), ``"l2"``
-    #: (persistent store), or ``"backend"`` (executed).  None on spans
-    #: recorded before the two-tier cache existed.
+    #: Which tier answered: ``"l1"`` (the evaluator's in-process LRU) or
+    #: ``"backend"`` (executed).  None on spans recorded before tiers
+    #: were traced.
     cache_tier: str | None = None
     #: Service session that issued the probe (None = library/CLI use).
     #: Stamped from the tracer context set by :mod:`repro.service`.

@@ -16,11 +16,11 @@ evaluation.  It provides:
   stdlib ``sqlite3`` database behind a bounded connection pool, for
   cross-checking the in-memory engine.
 * :mod:`repro.relational.evaluator` -- the instrumented evaluation facade
-  (query counter, timings, two-tier probe cache) that every traversal
+  (query counter, timings, in-process probe cache) that every traversal
   strategy talks to.
 
 The backend protocols and the engine factory live in :mod:`repro.backends`;
-the persistent L2 probe cache lives in :mod:`repro.cache`.
+the persistent cache store lives in :mod:`repro.cache`.
 """
 
 from repro.relational.schema import (
@@ -41,7 +41,6 @@ from repro.relational.evaluator import (
     AlivenessBackend,
     EvaluationStats,
     InstrumentedEvaluator,
-    ProbeStore,
 )
 
 __all__ = [
@@ -62,7 +61,6 @@ __all__ = [
     "render_template",
     "SqliteEngine",
     "AlivenessBackend",
-    "ProbeStore",
     "EvaluationStats",
     "InstrumentedEvaluator",
 ]

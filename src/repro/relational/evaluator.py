@@ -10,18 +10,13 @@ All of the paper's run-time metrics are defined here:
   shapes are reproducible across machines.
 
 One traversal probes serially through one evaluator.  The aliveness
-cache (a bounded LRU) and the stats counters are still guarded by one
-internal lock, so they stay consistent when another thread reads them
-or shares the evaluator.
+cache (a bounded LRU, traced as tier ``l1``) and the stats counters are
+still guarded by one internal lock, so they stay consistent when another
+thread reads them or shares the evaluator.
 
-Caching is **two-tier**: the in-process LRU above is the L1 and an
-optional persistent :class:`~repro.backends.base.ProbeStore` (see
-:mod:`repro.cache`) is the L2, consulted only on an L1 miss and written
-through on every executed probe.  L2 hits are promoted into L1, cost no
-backend query and no budget, and are counted separately
-(``stats.l2_hits``, ``cache_tier="l2"`` on the trace span), so a warm
-session over an unchanged dataset is observably distinguishable from
-in-process reuse.
+The evaluator knows nothing of the persistent cache (:mod:`repro.cache`):
+what earlier runs learned reaches a traversal as the status store it
+starts from, so a probe here is an LRU hit or a backend execution.
 """
 
 from __future__ import annotations
@@ -35,14 +30,13 @@ from typing import Protocol
 # The backend protocol lives in repro.backends.base (the backend layer);
 # it is re-exported here because this module is where every existing
 # caller imports it from.
-from repro.backends.base import AlivenessBackend, ProbeStore
+from repro.backends.base import AlivenessBackend
 from repro.obs.budget import ProbeBudget, ProbeBudgetExhausted
 from repro.obs.trace import ProbeTracer
 from repro.relational.jointree import BoundQuery
 
 __all__ = [
     "AlivenessBackend",
-    "ProbeStore",
     "QueryCostModel",
     "EvaluationStats",
     "ProbeOutcome",
@@ -74,10 +68,9 @@ class EvaluationStats:
     executed_by_level: dict[int, int] = field(default_factory=dict)
     cache_misses: int = 0
     cache_evictions: int = 0
-    #: Tier breakdown of ``cache_hits`` (``cache_hits == l1_hits + l2_hits``):
-    #: L1 is the in-process LRU, L2 the persistent cross-session store.
+    #: Hits of the in-process LRU, equal to ``cache_hits``; kept because
+    #: ``perfbench/tracing.py`` reads it.
     l1_hits: int = 0
-    l2_hits: int = 0
 
     def snapshot(self) -> "EvaluationStats":
         return EvaluationStats(
@@ -89,7 +82,6 @@ class EvaluationStats:
             cache_misses=self.cache_misses,
             cache_evictions=self.cache_evictions,
             l1_hits=self.l1_hits,
-            l2_hits=self.l2_hits,
         )
 
     def diff(self, earlier: "EvaluationStats") -> "EvaluationStats":
@@ -115,16 +107,10 @@ class EvaluationStats:
             cache_misses=self.cache_misses - earlier.cache_misses,
             cache_evictions=self.cache_evictions - earlier.cache_evictions,
             l1_hits=self.l1_hits - earlier.l1_hits,
-            l2_hits=self.l2_hits - earlier.l2_hits,
         )
 
     def __str__(self) -> str:
         cache = f"{self.cache_hits} cache hits / {self.cache_misses} misses"
-        if self.l2_hits:
-            cache = (
-                f"{self.cache_hits} cache hits (L1 {self.l1_hits}, "
-                f"L2 {self.l2_hits}) / {self.cache_misses} misses"
-            )
         if self.cache_evictions:
             cache += f", {self.cache_evictions} evicted"
         return (
@@ -160,13 +146,6 @@ class InstrumentedEvaluator:
     afterwards, so a :class:`~repro.obs.budget.ProbeBudgetExhausted` from
     :meth:`is_alive` guarantees the backend was *not* touched.  A
     ``tracer`` records one span per probe (executed or cache-answered).
-
-    ``probe_cache`` attaches a persistent L2 tier (any
-    :class:`~repro.backends.base.ProbeStore`, normally a
-    :class:`repro.cache.ProbeCache`): consulted after an L1 miss, written
-    through on every executed probe, ignored entirely when
-    ``use_cache=False`` (the paper's non-reuse strategies re-execute by
-    definition, and a persistent tier would change their counted costs).
     """
 
     def __init__(
@@ -177,7 +156,6 @@ class InstrumentedEvaluator:
         budget: ProbeBudget | None = None,
         tracer: ProbeTracer | None = None,
         cache_capacity: int | None = DEFAULT_CACHE_CAPACITY,
-        probe_cache: ProbeStore | None = None,
     ):
         if cache_capacity is not None and cache_capacity <= 0:
             raise ValueError("cache_capacity must be positive (or None)")
@@ -187,7 +165,6 @@ class InstrumentedEvaluator:
         self.budget = budget
         self.tracer = tracer
         self.cache_capacity = cache_capacity
-        self.probe_cache = probe_cache
         self.stats = EvaluationStats()
         self._cache: OrderedDict[BoundQuery, bool] = OrderedDict()  # guarded-by: _lock
         self._lock = threading.Lock()
@@ -217,7 +194,7 @@ class InstrumentedEvaluator:
         )
 
     def _cache_insert_locked(self, query: BoundQuery, alive: bool) -> None:
-        """Insert into the L1 LRU (caller holds the lock), evicting at cap."""
+        """Insert into the LRU (caller holds the lock), evicting at cap."""
         self._cache[query] = alive
         self._cache.move_to_end(query)
         if (
@@ -229,13 +206,12 @@ class InstrumentedEvaluator:
 
     # --------------------------------------------------- probe lifecycle
     def lookup_cached(self, query: BoundQuery) -> bool | None:
-        """Serve ``query`` from L1 then L2, counting a tiered hit + span.
+        """Serve ``query`` from the LRU, counting a hit + span.
 
-        Returns ``None`` on a miss in both tiers (or when caching is
-        off); the miss is *not* counted here -- :meth:`is_alive` counts
-        it once the probe executed, so refused probes never inflate the
-        miss counter.  L2 hits are promoted into L1 so repeated probes stay
-        in-process.
+        ``perfbench/tracing.py`` wraps this method by name.  Returns
+        ``None`` on a miss (or when caching is off); the miss is *not*
+        counted here -- :meth:`is_alive` counts it once the probe
+        executed, so refused probes never inflate the miss counter.
         """
         if not self.use_cache:
             return None
@@ -245,38 +221,16 @@ class InstrumentedEvaluator:
                 self._cache.move_to_end(query)
                 self.stats.cache_hits += 1
                 self.stats.l1_hits += 1
-        if cached is not None:
-            if self.tracer is not None:
-                self._trace(
-                    query,
-                    cached,
-                    cache_hit=True,
-                    wall=0.0,
-                    simulated=0.0,
-                    cache_tier="l1",
-                )
-            return cached
-        if self.probe_cache is None:
-            return None
-        # L2 lookup outside the evaluator lock: the store has its own
-        # lock and may touch disk.
-        persisted = self.probe_cache.get(query)
-        if persisted is None:
-            return None
-        with self._lock:
-            self.stats.cache_hits += 1
-            self.stats.l2_hits += 1
-            self._cache_insert_locked(query, persisted)
-        if self.tracer is not None:
+        if cached is not None and self.tracer is not None:
             self._trace(
                 query,
-                persisted,
+                cached,
                 cache_hit=True,
                 wall=0.0,
                 simulated=0.0,
-                cache_tier="l2",
+                cache_tier="l1",
             )
-        return persisted
+        return cached
 
     def execute_probe(self, query: BoundQuery) -> ProbeOutcome:
         """Run one admitted probe against the backend and charge the budget.
@@ -304,8 +258,7 @@ class InstrumentedEvaluator:
         Raises :class:`~repro.obs.budget.ProbeBudgetExhausted` *before*
         touching the backend when the budget is spent; cached answers are
         served regardless (they cost nothing).  An executed probe is
-        folded into stats, both cache tiers (L1 + L2 write-through), and
-        the trace.
+        folded into stats, the LRU, and the trace.
         """
         cached = self.lookup_cached(query)
         if cached is not None:
@@ -332,11 +285,6 @@ class InstrumentedEvaluator:
             )
             if self.use_cache:
                 self._cache_insert_locked(query, outcome.alive)
-        if self.use_cache and self.probe_cache is not None:
-            # Write-through outside the evaluator lock (the store locks
-            # itself): every executed probe lands in the persistent tier,
-            # so a second session over the same dataset starts fully warm.
-            self.probe_cache.put(query, outcome.alive)
         if self.tracer is not None:
             self._trace(
                 query,

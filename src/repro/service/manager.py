@@ -4,10 +4,11 @@ A :class:`SessionManager` turns a :class:`~repro.core.debugger.
 NonAnswerDebugger` into a system serving traffic: submitted queries run
 on a bounded worker pool, concurrently, sharing the debugger's backend
 (pooled connections) and its persistent cache store
-(:class:`~repro.cache.ProbeCache`: one fact per probed or classified query)
+(:class:`~repro.cache.ProbeCache`: one fact per probed or classified query,
+read once per session and written at most once, when it ends)
 -- both individually thread-safe, which is what makes N
 concurrent sessions byte-identical to N serial runs (each session still
-owns its evaluator, its L1 LRU, and its
+owns its evaluator with its LRU, its status store, and its
 :class:`~repro.obs.budget.ProbeBudget`).
 
 Lifecycle facts the rest of the service relies on:
@@ -19,7 +20,7 @@ Lifecycle facts the rest of the service relies on:
   (``session_completed`` / ``session_failed`` / ``session_cancelled``);
 * cancellation is cooperative: :meth:`SessionManager.cancel` aborts the
   session's budget, the traversal stops at its next backend probe, and
-  the partial classifications survive (never saved as complete);
+  what it probed or inferred so far is saved as facts;
 * dataset mutations take the write side of a reader-writer gate --
   active sessions drain first, then the debugger's refresh
   (:meth:`~repro.core.debugger.NonAnswerDebugger.refresh_after_mutation`)
@@ -511,13 +512,7 @@ class SessionManager:
         }
         cache = self.debugger.cache
         if cache is not None:
-            stats = cache.stats()
-            payload["probe_cache"] = {
-                "entries": stats.entries,
-                "hits": stats.hits,
-                "misses": stats.misses,
-                "writes": stats.writes,
-            }
+            payload["probe_cache"] = {"entries": cache.stats().entries}
         pool_stats = getattr(self.debugger.backend, "pool_stats", None)
         if callable(pool_stats):
             pool = pool_stats()

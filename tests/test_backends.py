@@ -17,7 +17,6 @@ from repro.backends import (
 )
 from repro.backends.conformance import ConformanceFailure, check_backend
 from repro.backends.latency import SimulatedLatencyBackend
-from repro.cache import ProbeCache
 from repro.index import InvertedIndex, SqliteInvertedIndex
 from repro.relational.engine import DEFAULT_MATERIALIZATION_CAP, InMemoryEngine
 from repro.relational.evaluator import InstrumentedEvaluator
@@ -147,16 +146,13 @@ class TestConnectionPool:
 
 class TestPooledSqliteUnderConcurrentSessions:
     def test_parallel_probes_match_serial_and_respect_cap(
-        self, products_db, products_probes, tmp_path
+        self, products_db, products_probes
     ):
         """8 threads, each with its own evaluator, over one pooled engine
-        and one L2 probe cache -- how concurrent service sessions share."""
-        cache = ProbeCache(tmp_path / "cache.sqlite", products_db)
+        -- how concurrent service sessions share it."""
         with SqliteEngine(products_db, pool_size=3) as engine:
             serial = [engine.is_alive(probe) for probe in products_probes]
-            evaluators = [
-                InstrumentedEvaluator(engine, probe_cache=cache) for _ in range(8)
-            ]
+            evaluators = [InstrumentedEvaluator(engine) for _ in range(8)]
             answers: list[list[bool] | None] = [None] * len(evaluators)
 
             def session(slot: int) -> None:
@@ -177,7 +173,6 @@ class TestPooledSqliteUnderConcurrentSessions:
             stats = engine.pool_stats()
             assert stats.max_in_use <= 3
             assert stats.in_use == 0
-        cache.close()
 
 
 # ------------------------------------------------------------------ latency

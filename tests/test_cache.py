@@ -1,4 +1,4 @@
-"""Tests for the persistent two-tier probe cache (identity, judging, L2)."""
+"""Tests for the persistent cache store (identity, judging, warm starts)."""
 
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ from repro.cache import (
 from repro.cache.keys import query_cache_key
 from repro.core.debugger import NonAnswerDebugger
 from repro.core.session import DebugSession
-from repro.core.traversal import get_strategy
+from repro.core.traversal import STRATEGY_NAMES, get_strategy
 from repro.datasets.dblife import DBLifeConfig, dblife_database
 from repro.datasets.products import product_database
 from repro.obs import ProbeBudget, ProbeTracer
@@ -27,6 +27,8 @@ from repro.relational.engine import InMemoryEngine
 from repro.relational.evaluator import InstrumentedEvaluator
 from repro.relational.jointree import BoundQuery, JoinTree, RelationInstance
 from repro.relational.predicates import MatchMode
+
+from tests.test_status_cache import explanation_texts
 
 
 @pytest.fixture()
@@ -44,32 +46,21 @@ def single_relation_probe(relation: str, keyword: str) -> BoundQuery:
 
 
 class CountingBackend:
-    """Delegates to the in-memory engine, counting backend executions."""
+    """Delegates to an engine, recording every query it executes."""
 
     def __init__(self, inner):
         self.inner = inner
-        self.calls = 0
+        self.queries = []
         self._lock = threading.Lock()
+
+    @property
+    def calls(self):
+        return len(self.queries)
 
     def is_alive(self, query):
         with self._lock:
-            self.calls += 1
+            self.queries.append(query)
         return self.inner.is_alive(query)
-
-
-class RecordingStore:
-    """ProbeStore fake that records every get/put."""
-
-    def __init__(self):
-        self.gets = []
-        self.puts = []
-
-    def get(self, query):
-        self.gets.append(query)
-        return None
-
-    def put(self, query, alive):
-        self.puts.append((query, alive))
 
 
 # -------------------------------------------------------------- fingerprint
@@ -147,7 +138,7 @@ class TestProbeCache:
             assert cache.get(probe) is False
             assert cache.counts()["probes"] == 1
             stats = cache.stats()
-            assert stats.hits == 2 and stats.misses == 1 and stats.writes == 2
+            assert stats.entries == 1
             assert stats.composite == database.fingerprint()
         # A fresh process sees the same answers.
         with ProbeCache.open_dir(tmp_path, database) as reopened:
@@ -402,82 +393,57 @@ class TestMonotoneRepair:
 
 # ----------------------------------------------------------- evaluator tiers
 class TestEvaluatorTiers:
-    def make(self, products_debugger, cache, tracer=None, budget=None):
+    def make(self, products_debugger, tracer=None):
         backend = CountingBackend(products_debugger.backend)
-        evaluator = InstrumentedEvaluator(
-            backend, probe_cache=cache, tracer=tracer, budget=budget
-        )
-        return backend, evaluator
+        return backend, InstrumentedEvaluator(backend, tracer=tracer)
 
-    def test_l1_then_l2_then_backend(self, tmp_path, products_debugger, products_probes):
-        cache = ProbeCache.open_dir(tmp_path, product_database())
+    def test_lru_then_backend(self, products_debugger, products_probes):
         tracer = ProbeTracer()
-        backend, cold = self.make(products_debugger, cache, tracer)
+        backend, evaluator = self.make(products_debugger, tracer)
         probe = products_probes[0]
 
-        alive = cold.is_alive(probe)
+        alive = evaluator.is_alive(probe)
         assert backend.calls == 1
-        assert cold.is_alive(probe) is alive  # L1 hit
+        assert evaluator.is_alive(probe) is alive  # LRU hit
         assert backend.calls == 1
-        assert cold.stats.l1_hits == 1 and cold.stats.l2_hits == 0
-        assert cold.stats.cache_hits == 1
-
-        # Fresh evaluator (empty L1), same store: L2 answers, then promotes.
-        warm_backend, warm = self.make(products_debugger, cache, tracer)
-        assert warm.is_alive(probe) is alive
-        assert warm_backend.calls == 0
-        assert warm.stats.l2_hits == 1 and warm.stats.queries_executed == 0
-        assert warm.stats.cache_misses == 0
-        assert warm.is_alive(probe) is alive  # promoted into L1
-        assert warm.stats.l1_hits == 1
+        assert evaluator.stats.l1_hits == evaluator.stats.cache_hits == 1
+        assert evaluator.stats.cache_misses == 1
 
         tiers = [span.cache_tier for span in tracer.spans]
-        assert tiers == ["backend", "l1", "l2", "l1"]
-        assert "L2 1" in str(warm.stats)
-        cache.close()
+        assert tiers == ["backend", "l1"]
 
-    def test_l2_hits_are_budget_free(
-        self, tmp_path, products_debugger, products_probes
-    ):
-        cache = ProbeCache.open_dir(tmp_path, product_database())
-        for probe in products_probes:
-            cache.put(probe, products_debugger.backend.is_alive(probe))
+    def test_replayed_facts_are_budget_free(self, tmp_path):
+        query = "saffron scented candle"
+        with NonAnswerDebugger(
+            product_database(), max_joins=2, cache_dir=tmp_path
+        ) as cold:
+            cold_report = cold.debug(query)
+        assert cold_report.traversal.stats.queries_executed > 1
         budget = ProbeBudget(max_queries=1)
-        backend, warm = self.make(products_debugger, cache, budget=budget)
-        for probe in products_probes:  # many more probes than the budget
-            warm.is_alive(probe)
-        assert backend.calls == 0
+        with NonAnswerDebugger(
+            product_database(), max_joins=2, cache_dir=tmp_path
+        ) as warm:
+            warm_report = warm.debug(query, budget=budget)
         assert budget.queries_used == 0
-        cache.close()
-
-    def test_non_reuse_evaluator_ignores_the_store(
-        self, products_debugger, products_probes
-    ):
-        store = RecordingStore()
-        backend = CountingBackend(products_debugger.backend)
-        evaluator = InstrumentedEvaluator(
-            backend, use_cache=False, probe_cache=store
+        assert not warm_report.exhausted
+        assert (
+            warm_report.traversal.classification_signature()
+            == cold_report.traversal.classification_signature()
         )
-        evaluator.is_alive(products_probes[0])
-        evaluator.is_alive(products_probes[0])
-        assert backend.calls == 2  # re-executed, as BU/TD semantics require
-        assert store.gets == [] and store.puts == []
 
     def test_trace_spans_validate_with_cache_tier(
-        self, tmp_path, products_debugger, products_probes
+        self, products_debugger, products_probes
     ):
         from repro.obs import validate_trace_record
 
-        cache = ProbeCache.open_dir(tmp_path, product_database())
         tracer = ProbeTracer()
-        _, evaluator = self.make(products_debugger, cache, tracer)
+        _, evaluator = self.make(products_debugger, tracer)
         evaluator.is_alive(products_probes[0])
         evaluator.is_alive(products_probes[0])
         for record in tracer.records:
             payload = record.to_dict()
             assert validate_trace_record(payload) == "span"
-            assert payload["cache_tier"] in ("backend", "l1", "l2")
-        cache.close()
+            assert payload["cache_tier"] in ("backend", "l1")
 
 
 # --------------------------------------------------------- warm-start, e2e
@@ -500,7 +466,7 @@ class TestWarmStart:
         # Phase 3 was *skipped*, not replayed: no probes at all, so no
         # backend queries and no cache traffic either.
         assert stats.queries_executed == 0
-        assert stats.l2_hits == 0 and stats.l1_hits == 0
+        assert stats.cache_hits == 0
         assert (
             warm_report.traversal.classification_signature()
             == cold_report.traversal.classification_signature()
@@ -516,20 +482,23 @@ class TestWarmStart:
             for _, mpans in cold_report.explanations()
         ]
 
-    def test_second_session_answers_from_l2(self, tmp_path):
+    def test_second_session_answers_from_replayed_facts(self, tmp_path):
         cache_dir = tmp_path / "probe-cache"
         with NonAnswerDebugger(
             product_database(), max_joins=2, cache_dir=cache_dir
         ) as cold:
             cold_report = cold.debug(self.QUERY)
-        # A sweep that replays no saved status: the L2 probe tier must
-        # carry the whole warm traversal by itself.
+        # A sweep started from the replayed store, not a skip: the store
+        # alone must carry the whole warm traversal.
         database = product_database()
         with NonAnswerDebugger(database, max_joins=2, cache_dir=cache_dir) as warm:
             graph = warm.build_graph(warm.prune(warm.map_keywords(self.QUERY)))
-            result = get_strategy("sbh").run(graph, warm.make_evaluator(), database)
+            store, facts = warm.replay_status(graph, warm.node_keys(graph))
+            result = get_strategy("sbh").run(
+                graph, warm.make_evaluator(), database, store=store
+            )
+        assert facts > 0
         assert result.stats.queries_executed == 0
-        assert result.stats.l2_hits > 0
         assert (
             result.classification_signature()
             == cold_report.traversal.classification_signature()
@@ -549,14 +518,21 @@ class TestWarmStart:
         # changes (fingerprint counts rows) but no probe's truth does.
         database.insert("Item", list(database.table("Item"))[0])
 
+        tracer = ProbeTracer()
         with NonAnswerDebugger(
-            database, max_joins=2, cache_dir=cache_dir
+            database, max_joins=2, cache_dir=cache_dir, tracer=tracer
         ) as warm:
             warm_report = warm.debug(self.QUERY)
         stats = warm_report.traversal.stats
-        # Dead-through-Item rows miss and re-execute; survivors stay warm.
+        # Dead-through-Item rows are dropped and re-probed; survivors are
+        # replayed into the store the sweep starts from.
         assert 0 < stats.queries_executed < cold_executed
-        assert stats.l2_hits > 0
+        (preload,) = [
+            record
+            for record in tracer.records
+            if getattr(record, "name", None) == "status_preload"
+        ]
+        assert preload.attrs["applied"] > 0
         assert (
             warm_report.traversal.classification_signature()
             == cold_report.traversal.classification_signature()
@@ -582,7 +558,7 @@ class TestWarmStart:
             mutated, max_joins=2, cache_dir=cache_dir, tracer=tracer
         ) as fresh:
             # Rebuilt database: the insert cannot be proven insert-only,
-            # so every row through Item is dropped and its probe misses.
+            # so every row through Item is dropped and its probe re-runs.
             fresh_report = fresh.debug(self.QUERY)
         (preload,) = [
             record
@@ -593,7 +569,7 @@ class TestWarmStart:
         with NonAnswerDebugger(mutated, max_joins=2) as plain:
             reference = plain.debug(self.QUERY)
         stats = fresh_report.traversal.stats
-        assert stats.l2_hits == 0
+        assert stats.cache_hits == 0
         assert stats.queries_executed == reference.traversal.stats.queries_executed
         assert (
             fresh_report.traversal.classification_signature()
@@ -618,38 +594,122 @@ class TestWarmStart:
 
     def test_debugger_without_cache_dir_has_no_store(self, products_debugger):
         assert products_debugger.cache is None
-        assert products_debugger.make_evaluator().probe_cache is None
+
+
+# ------------------------------------------------- one home for statuses
+#: (database fixture, debugger settings, query, cap of the first run).
+REPLAY_SETUPS = {
+    "products": ("products_db", {"max_joins": 2}, "saffron scented candle", 3),
+    "dblife": (
+        "dblife_db",
+        {"max_joins": 3, "use_lattice": False},
+        "widom trio",
+        5,
+    ),
+}
+
+
+class TestTraversalStartsFromReplay:
+    """The replayed store is where a cached run's statuses live: Phase 3
+    starts from it, and a capped run saves what it probed into it."""
+
+    @pytest.mark.parametrize("strategy", STRATEGY_NAMES)
+    @pytest.mark.parametrize("setup", sorted(REPLAY_SETUPS))
+    def test_cached_run_never_reprobes_a_replayed_fact(
+        self, request, tmp_path, setup, strategy
+    ):
+        fixture, settings, query, cap = REPLAY_SETUPS[setup]
+        database = request.getfixturevalue(fixture)
+        with NonAnswerDebugger(database, cache_dir=tmp_path, **settings) as debugger:
+            capped = debugger.debug(
+                query, strategy=strategy, budget=ProbeBudget(max_queries=cap)
+            )
+            graph = capped.graph
+            replayed, _ = debugger.replay_status(graph, debugger.node_keys(graph))
+            engine = debugger.backend
+            debugger.backend = recording = CountingBackend(engine)
+            try:
+                report = debugger.debug(query, strategy=strategy)
+            finally:
+                debugger.backend = engine
+        index_of = {node.query: index for index, node in enumerate(graph.nodes)}
+        # A run the cap cut short leaves Phase 3 to do; a finished one
+        # saved facts that resolve the graph, so the repeat skips it.
+        assert bool(recording.queries) == capped.exhausted
+        reprobed = [
+            query.describe_full()
+            for query in recording.queries
+            if replayed.is_known(index_of[query])
+        ]
+        assert reprobed == []
+        with NonAnswerDebugger(database, **settings) as plain:
+            reference = plain.debug(query, strategy=strategy)
+        assert (
+            report.traversal.classification_signature()
+            == reference.traversal.classification_signature()
+        )
+        assert explanation_texts(report) == explanation_texts(reference)
+
+    def test_capped_run_that_classifies_no_mtn_saves_its_probes(self, tmp_path):
+        query = "saffron scented candle"
+        with NonAnswerDebugger(
+            product_database(), max_joins=2, cache_dir=tmp_path
+        ) as capped:
+            partial = capped.debug(query, budget=ProbeBudget(max_queries=2))
+        assert partial.exhausted
+        assert partial.traversal.classified_mtn_count == 0
+        tracer = ProbeTracer()
+        with NonAnswerDebugger(
+            product_database(), max_joins=2, cache_dir=tmp_path, tracer=tracer
+        ) as warm:
+            report = warm.debug(query)
+        (preload,) = [
+            record
+            for record in tracer.records
+            if getattr(record, "name", None) == "status_preload"
+        ]
+        assert preload.attrs["applied"] >= 2
+        with NonAnswerDebugger(product_database(), max_joins=2) as plain:
+            cold = plain.debug(query)
+        assert cold.traversal.stats.queries_executed == 8
+        assert report.traversal.stats.queries_executed == 6
+        assert (
+            report.traversal.classification_signature()
+            == cold.traversal.classification_signature()
+        )
+        assert explanation_texts(report) == explanation_texts(cold)
 
 
 # ------------------------------------------------------------- count gates
 #: The gates' configuration: DBLife scale 1 at level 4 (materialized
-#: lattice, 3 keyword slots), Table-2 Q1-Q10, the reuse strategies (the
-#: persistent tier is inert under ``use_cache=False``).
+#: lattice, 3 keyword slots), Table-2 Q1-Q10, the reuse strategies.
 GATE_LEVEL = 4
 GATE_STRATEGIES = ("buwr", "tdwr", "sbh")
 
 
-def workload_pass(context, strategy_name, probe_cache):
-    """Q1-Q10 through fresh evaluators (empty L1) sharing ``probe_cache``.
+def workload_pass(context, strategy_name, cache_dir):
+    """Q1-Q10 through one fresh debugger over ``cache_dir``: a new session.
 
-    Phase 3 runs on the prepared graphs directly, so no status cache can
-    skip it: every answer comes from the backend or the L2 store.
-    Returns ``(executed queries, classification signatures)``.
+    Each ``debug()`` replays the facts earlier runs saved there, skips
+    Phase 3 when they resolve its graph, and otherwise probes only what
+    they leave unknown.  Returns ``(executed queries, classification
+    signatures)``.
     """
-    strategy = get_strategy(strategy_name)
-    backend = context.debugger(GATE_LEVEL).backend
-    executed = 0
-    signatures = []
-    for query in context.workload:
-        evaluator = InstrumentedEvaluator(
-            backend, cost_model=context.cost_model, probe_cache=probe_cache
-        )
-        result = strategy.run(
-            context.prepare(GATE_LEVEL, query).graph, evaluator, context.database
-        )
-        executed += result.stats.queries_executed
-        signatures.append(result.classification_signature())
-    return executed, signatures
+    with NonAnswerDebugger(
+        context.database,
+        max_joins=GATE_LEVEL - 1,
+        lattice=context.lattice(GATE_LEVEL),
+        max_keywords=context.max_keywords,
+        cache_dir=cache_dir,
+    ) as debugger:
+        reports = [
+            debugger.debug(query.text, strategy=strategy_name)
+            for query in context.workload
+        ]
+    return (
+        sum(report.traversal.stats.queries_executed for report in reports),
+        [report.traversal.classification_signature() for report in reports],
+    )
 
 
 class TestCountGates:
@@ -659,10 +719,9 @@ class TestCountGates:
         context = BenchContext.create(scale=1, seed=42)
         cold_total = warm_total = 0
         for name in GATE_STRATEGIES:
-            # One store per strategy: no strategy pre-warms another.
-            with ProbeCache(tmp_path / f"{name}.sqlite", context.database) as cache:
-                cold, cold_signatures = workload_pass(context, name, cache)
-                warm, warm_signatures = workload_pass(context, name, cache)
+            # One cache dir per strategy: no strategy pre-warms another.
+            cold, cold_signatures = workload_pass(context, name, tmp_path / name)
+            warm, warm_signatures = workload_pass(context, name, tmp_path / name)
             assert warm_signatures == cold_signatures, name
             cold_total += cold
             warm_total += warm
@@ -673,31 +732,25 @@ class TestCountGates:
         context = BenchContext.create(scale=1, seed=42)
         database = context.database
         for name in GATE_STRATEGIES:
-            with ProbeCache(tmp_path / f"{name}.sqlite", database) as cache:
-                workload_pass(context, name, cache)
+            workload_pass(context, name, tmp_path / name)
         # One insert into the live database keeps its lineage, so the
-        # delta classifies insert-only; a fresh pipeline over the same
-        # object is what the next session builds (the lattice depends
-        # only on the schema, so it is shared).
+        # delta classifies insert-only; the next pass builds its debugger
+        # (index, backend) over the mutated object, and the lattice
+        # depends only on the schema, so it is shared.
         before = database.snapshot()
         rows = len(database.table("Publication"))
         database.insert("Publication", (rows + 1, "benchmark mutation probe row"))
         assert DatabaseDelta.between(before, database.snapshot()).directions == {
             "Publication": MutationDirection.INSERT_ONLY
         }
-        mutated = BenchContext(
-            config=context.config,
-            _database=database,
-            _lattices=context._lattices,
-        )
         cold_total = warm_total = 0
         for name in GATE_STRATEGIES:
-            # Re-attaching judges the rows against the mutated database.
-            with ProbeCache(tmp_path / f"{name}.sqlite", database) as cache:
-                warm, warm_signatures = workload_pass(mutated, name, cache)
+            # Reopening judges the rows against the mutated database.
+            warm, warm_signatures = workload_pass(context, name, tmp_path / name)
             # Reference: a full recompute through a separate empty store.
-            with ProbeCache(tmp_path / f"{name}-cold.sqlite", database) as ref:
-                cold, cold_signatures = workload_pass(mutated, name, ref)
+            cold, cold_signatures = workload_pass(
+                context, name, tmp_path / f"{name}-cold"
+            )
             assert warm_signatures == cold_signatures, name
             cold_total += cold
             warm_total += warm

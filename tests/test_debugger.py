@@ -2,6 +2,7 @@
 
 import gc
 import tempfile
+import time
 
 import pytest
 
@@ -89,6 +90,28 @@ class TestPipeline:
         timings = report.timings
         assert timings.keyword_mapping >= 0
         assert timings.total >= timings.traversal
+
+    @pytest.mark.parametrize("warm", [True, False], ids=["skip", "traverse"])
+    def test_traversal_timing_covers_the_replay(
+        self, products_db, tmp_path, monkeypatch, warm
+    ):
+        """Key hashing, the cache read and the closure count as Phase 3,
+        whether the replay resolves the graph or the run traverses."""
+        with NonAnswerDebugger(
+            products_db, max_joins=2, cache_dir=tmp_path
+        ) as debugger:
+            if warm:
+                debugger.debug(QUERY)
+            replay = debugger.replay_status
+
+            def slow_replay(*args, **kwargs):
+                time.sleep(0.02)
+                return replay(*args, **kwargs)
+
+            monkeypatch.setattr(debugger, "replay_status", slow_replay)
+            report = debugger.debug(QUERY)
+        assert report.traversal.stats.queries_executed == (0 if warm else 8)
+        assert report.timings.traversal >= 0.02
 
     def test_missing_keyword_aborts(self, products_debugger):
         report = products_debugger.debug("saffron sofa")

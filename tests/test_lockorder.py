@@ -177,9 +177,7 @@ class TestRealComponents:
             monitor.instrument(cache, "_lock", "cache.store")
             # One evaluator per thread over the shared pool and cache store:
             # the way concurrent service sessions share them.
-            evaluators = [
-                InstrumentedEvaluator(engine, probe_cache=cache) for _ in range(6)
-            ]
+            evaluators = [InstrumentedEvaluator(engine) for _ in range(6)]
             for evaluator in evaluators:
                 monitor.instrument(evaluator, "_lock", "evaluator.l1")
             answers: list[list[bool] | None] = [None] * len(evaluators)

@@ -352,7 +352,7 @@ class TestStrategySafetyNet:
         class Leaky(type(get_strategy("buwr"))):
             name = "leaky"
 
-            def _run(self, graph, evaluator, database, result):
+            def _run(self, graph, evaluator, store, result):
                 raise ProbeBudgetExhausted(ProbeBudget(max_queries=0))
 
         report = products_debugger.debug("saffron scented candle", strategy=Leaky())

@@ -358,9 +358,9 @@ class TestSkipAfterWrite:
 class TestCorruptFacts:
     """A fact that disagrees with a known status discards the whole set.
 
-    Each test flips rows no sweep reads through the L2 tier -- base nodes
-    the catalog classifies, or a node the cold run inferred -- so the
-    sweep after the discard still answers from the untouched probe rows.
+    Each test flips rows a replay can catch -- base nodes the catalog
+    classifies, or a node the cold run inferred -- and the run after the
+    discard traverses cold: the cold run's probes, the cold run's outputs.
     """
 
     QUERY = "saffron scented candle"
@@ -404,9 +404,8 @@ class TestCorruptFacts:
             == cold.traversal.classification_signature()
         )
         assert explanation_texts(report) == explanation_texts(cold)
-        # The probed rows were left alone, so the L2 tier answers the sweep.
-        assert report.traversal.stats.queries_executed == 0
-        assert report.traversal.stats.l2_hits > 0
+        executed = report.traversal.stats.queries_executed
+        assert executed == cold.traversal.stats.queries_executed == 8
 
     def test_flipped_file_traverses_cold(self, tmp_path):
         cold = self.cold_run(tmp_path)
@@ -484,7 +483,7 @@ class TestCorruptSnapshot:
         assert "phase3_skipped" not in event_names(tracer)
         stats = report.traversal.stats
         assert stats.queries_executed == cold.traversal.stats.queries_executed
-        assert stats.l2_hits == 0
+        assert stats.cache_hits == 0
         assert (
             report.traversal.classification_signature()
             == cold.traversal.classification_signature()
@@ -647,7 +646,7 @@ class TestSchemaMigration:
         assert "status_preload" not in event_names(tracer)
         stats = report.traversal.stats
         assert stats.queries_executed == reference.traversal.stats.queries_executed
-        assert stats.l2_hits == 0
+        assert stats.cache_hits == 0
         assert (
             report.traversal.classification_signature()
             == reference.traversal.classification_signature()

@@ -71,8 +71,17 @@ class TestSpanInvariants:
         assert names(records) == ["tier-consistency"]
 
     def test_executed_span_with_cache_tier_flagged(self):
-        records = [span(0, hit=False, tier="l2")]
+        records = [span(0, hit=False, tier="l1")]
         assert names(records) == ["tier-consistency"]
+
+    def test_cache_hit_from_a_persistent_tier_flagged(self):
+        """The evaluator's LRU is its only cache: no span reads sqlite."""
+        records = [span(0, hit=True, tier="l2")]
+        assert names(records) == ["tier-consistency"]
+
+    def test_cache_hit_without_tier_allowed(self):
+        records = [span(0, hit=True)]
+        assert names(records) == []
 
 
 class TestSegmentInvariants:
